@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import EvenInput, Infeasible, TooSmall, WidthMismatch
-from .pseudobool import Monomial, Poly, VarId
+from .errors import EvenInput, Infeasible, InvariantViolation, TooSmall, WidthMismatch
+from .pseudobool import Monomial, Poly, Rational, VarId
 
 
 @dataclass(frozen=True)
@@ -246,15 +246,15 @@ class _Propagator:
 
     # -- interval machinery ------------------------------------------
 
-    def _bounds(self, poly: Poly) -> tuple[Fraction, Fraction]:
+    def _bounds(self, poly: Poly) -> tuple[Rational, Rational]:
         """Value interval of the residual, one monomial at a time.
 
         Forbidden pairs sharpen the bound for pairs of exclusive linear
         terms of the same sign: at most one of the two can be active.
         """
         lo = hi = poly.constant_term
-        lin_pos: dict[VarId, Fraction] = {}
-        lin_neg: dict[VarId, Fraction] = {}
+        lin_pos: dict[VarId, Rational] = {}
+        lin_neg: dict[VarId, Rational] = {}
         for mono, coeff in poly.items():
             if not mono:
                 continue
@@ -274,8 +274,8 @@ class _Propagator:
             if x in lin_neg and y in lin_neg and not {x, y} & used_lo:
                 lo += min(lin_neg[x], lin_neg[y])
                 used_lo |= {x, y}
-        hi += sum((c for v, c in lin_pos.items() if v not in used_hi), Fraction(0))
-        lo += sum((c for v, c in lin_neg.items() if v not in used_lo), Fraction(0))
+        hi += sum(c for v, c in lin_pos.items() if v not in used_hi)
+        lo += sum(c for v, c in lin_neg.items() if v not in used_lo)
         return lo, hi
 
     # -- passes -------------------------------------------------------
@@ -284,7 +284,7 @@ class _Propagator:
         for _ in range(self._pass_budget):
             if not self._pass():
                 return
-        raise RuntimeError("propagation did not reach a fixpoint within budget")
+        raise InvariantViolation("propagation did not reach a fixpoint within budget")
 
     def _pass(self) -> bool:
         changed = self._normalize()
@@ -436,8 +436,8 @@ class _Propagator:
 
 
 def _reshape(residual: Poly, column: Optional[int]) -> ColumnEquation:
-    lhs: dict[Monomial, Fraction] = {}
-    rhs: dict[Monomial, Fraction] = {}
+    lhs: dict[Monomial, Rational] = {}
+    rhs: dict[Monomial, Rational] = {}
     for mono, coeff in residual.items():
         if coeff > 0 and mono:
             lhs[mono] = coeff
@@ -484,7 +484,7 @@ def compile_system(target: int, widths: Optional[tuple[int, int]] = None) -> Equ
 # -- JSON document ----------------------------------------------------
 
 
-def _frac_str(value: Fraction) -> str:
+def _frac_str(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -495,7 +495,9 @@ def _poly_to_terms(poly: Poly) -> list:
 def _poly_from_terms(terms: list) -> Poly:
     acc = []
     for coeff, names in terms:
-        acc.append((Monomial(VarId.parse(name) for name in names), Fraction(coeff)))
+        value = Fraction(coeff)
+        value = value.numerator if value.denominator == 1 else value
+        acc.append((Monomial(VarId.parse(name) for name in names), value))
     return Poly(acc)
 
 
@@ -532,7 +534,7 @@ def system_from_document(doc: dict) -> EquationSystem:
             frozenset(VarId.parse(name) for name in pair)
             for pair in doc.get("forbidden_pairs", [])
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed system document: {exc}") from exc
     declared = [VarId.parse(name) for name in doc.get("variables", [])]
     system = EquationSystem(target, widths, equations, dict(sorted(fixed.items())), pairs)

@@ -63,3 +63,7 @@ class NumericalFailure(AdiafactError):
 
 class NotFactorable(AdiafactError):
     """Every width split is infeasible or admits no zero-energy state."""
+
+
+class InvariantViolation(AdiafactError):
+    """A guarantee the pipeline relies on failed to hold: a bug, not a bad input."""

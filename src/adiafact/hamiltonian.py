@@ -5,17 +5,17 @@ its solutions.  Squaring the residual is the default; when the square
 would exceed quadratic order and the residual contains a two-variable
 product A*B, the penalty
 
-    2 * (1/2 * (A + B - 1/2) + S)^2 - 1/8        with S = residual - A*B
+    A*B + (2A + 2B - 1)*S + 2*S^2        with S = residual - A*B
 
-is used instead.  Expanded over binary variables it equals
-A*B + (2A + 2B - 1)*S + 2*S^2, which is nonnegative on integer S and
-vanishes exactly where A*B + S does, while cutting the top monomial
-degree by one.  The mixer is the uniform transverse field g * sum_i X_i,
-whose ground state is the uniform-magnitude superposition used as the
-start of every schedule.
+is used instead.  Over binary variables it equals
+2 * (1/2 * (A + B - 1/2) + S)^2 - 1/8, so it is nonnegative on integer S
+and vanishes exactly where A*B + S does, while cutting the top monomial
+degree by one; integer residuals give integer penalties.  The mixer is
+the uniform transverse field g * sum_i X_i, whose ground state is the
+uniform-magnitude superposition used as the start of every schedule.
 
-Energies stay exact rationals end to end; float views are derived, so
-ground manifolds are identified by exact comparison, never by tolerance.
+Energies are int64 numerators over one common scale; float views are derived,
+so ground manifolds are identified by exact comparison, never by tolerance.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     NotApplicable,
     UnmappedVariable,
 )
-from .pseudobool import Poly, VarId
+from .pseudobool import Poly, Rational, VarId
 
 _CAP_ENV = "ADIAFACT_MAX_QUBITS"
 _DEFAULT_CAP = 14
@@ -113,38 +113,49 @@ class QubitMap:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalOperator:
-    """A 2^n diagonal of exact rational energies in the computational basis."""
+    """2^n exact energies numerators[i] / scale; equality is identity, never array-wise."""
 
     n: int
-    energies: tuple[Fraction, ...]
+    numerators: np.ndarray
+    scale: int = 1
 
     def __post_init__(self):
-        if len(self.energies) != 1 << self.n:
+        values = np.asarray(self.numerators, dtype=np.int64)
+        if values.shape != (1 << self.n,):
             raise DimensionMismatch(
-                f"{len(self.energies)} energies for {self.n} qubits (need {1 << self.n})"
+                f"{values.size} energies for {self.n} qubits (need {1 << self.n})"
             )
+        values.setflags(write=False)
+        object.__setattr__(self, "numerators", values)
 
     @property
     def dim(self) -> int:
         return 1 << self.n
 
+    def _exact(self, numerator) -> Rational:
+        return int(numerator) if self.scale == 1 else Fraction(int(numerator), self.scale)
+
+    @cached_property
+    def energies(self) -> tuple[Rational, ...]:
+        return tuple(self._exact(v) for v in self.numerators.tolist())
+
     @cached_property
     def as_array(self) -> np.ndarray:
-        values = np.array([float(e) for e in self.energies])
+        values = self.numerators / self.scale
         values.setflags(write=False)
         return values
 
-    def min_energy(self) -> Fraction:
-        return min(self.energies)
+    def min_energy(self) -> Rational:
+        return self._exact(self.numerators.min())
 
-    def max_energy(self) -> Fraction:
-        return max(self.energies)
+    def max_energy(self) -> Rational:
+        return self._exact(self.numerators.max())
 
     def ground_indices(self) -> tuple[int, ...]:
-        floor = self.min_energy()
-        return tuple(i for i, e in enumerate(self.energies) if e == floor)
+        floor = self.numerators.min()
+        return tuple(np.flatnonzero(self.numerators == floor).tolist())
 
 
 def _residual(source: Union[ColumnEquation, Poly]) -> Poly:
@@ -179,10 +190,10 @@ def quadratize_equation(
         raise ValueError(f"pairing must be 'last' or 'first', got {pairing!r}")
     mono = products[-1] if pairing == "last" else products[0]
     a, b = mono
-    half = Fraction(1, 2)
-    s_part = residual - Poly({mono: 1})
-    bracket = half * (Poly.variable(a) + Poly.variable(b) - half) + s_part
-    return 2 * bracket * bracket - Fraction(1, 8)
+    product = Poly({mono: 1})
+    s_part = residual - product
+    linear = 2 * Poly.variable(a) + 2 * Poly.variable(b) - 1
+    return product + linear * s_part + 2 * s_part * s_part
 
 
 def assemble_problem(
@@ -226,26 +237,33 @@ def polynomial_to_diagonal(poly: Poly, qmap: QubitMap) -> DiagonalOperator:
     Raises:
         UnmappedVariable: the polynomial mentions a variable outside the map.
         DimensionTooLarge: the map exceeds the qubit cap.
+        ValueError: the coefficients are too large for an int64 diagonal.
     """
     unmapped = set(poly.variables()) - set(qmap.variables)
     if unmapped:
         raise UnmappedVariable(f"no qubit for {sorted(unmapped)}")
-    n = qmap.n
-    _check_dim(n)
-    dim = 1 << n
-    scale = lcm(*(coeff.denominator for _, coeff in poly.items())) if poly else 1
-    index = np.arange(dim)
-    bits = {
-        var: (index >> (n - 1 - i)) & 1 for i, var in enumerate(qmap.variables)
-    }
-    acc = np.zeros(dim, dtype=np.int64)
-    for mono, coeff in poly.items():
-        term = np.ones(dim, dtype=np.int64)
-        for var in mono:
-            term = term * bits[var]
-        acc += int(coeff * scale) * term
-    energies = tuple(Fraction(int(v), scale) for v in acc)
-    return DiagonalOperator(n, energies)
+    _check_dim(qmap.n)
+    return DiagonalOperator(qmap.n, *_basis_values(poly, qmap.variables))
+
+
+def _basis_values(poly: Poly, variables: tuple[VarId, ...]) -> tuple[np.ndarray, int]:
+    """(numerators, scale): poly at basis index i is numerators[i] / scale exactly.
+
+    variables[0] is the most significant bit.  Raises ValueError when the
+    scaled coefficients could overflow int64.
+    """
+    scale = lcm(*(coeff.denominator for _, coeff in poly.items()))
+    terms = [(mono, int(coeff * scale)) for mono, coeff in poly.items()]
+    if sum(abs(coeff) for _, coeff in terms) >= 1 << 63:
+        raise ValueError("polynomial coefficients too large for an int64 diagonal")
+    n = len(variables)
+    weight = {var: 1 << (n - 1 - i) for i, var in enumerate(variables)}
+    index = np.arange(1 << n)
+    values = np.zeros(1 << n, dtype=np.int64)
+    for mono, coeff in terms:
+        mask = sum(weight[var] for var in mono)
+        values[(index & mask) == mask] += coeff
+    return values, scale
 
 
 def direct_cost_diagonal(target: int, w_x: int, w_y: int) -> DiagonalOperator:
@@ -263,8 +281,7 @@ def direct_cost_diagonal(target: int, w_x: int, w_y: int) -> DiagonalOperator:
     x = np.arange(1 << w_x, dtype=np.int64)
     y = np.arange(1 << w_y, dtype=np.int64)
     costs = (target - np.outer(x, y)) ** 2
-    energies = tuple(Fraction(int(v)) for v in costs.reshape(-1))
-    return DiagonalOperator(n, energies)
+    return DiagonalOperator(n, costs.reshape(-1))
 
 
 @dataclass(frozen=True)

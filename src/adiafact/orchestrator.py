@@ -12,8 +12,6 @@ population is reported as a diagnostic, never used as a gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -29,6 +27,7 @@ from .errors import (
     DimensionTooLarge,
     IndexOutOfRange,
     Infeasible,
+    InvariantViolation,
     NotFactorable,
     TooManyVariables,
     UnmappedVariable,
@@ -37,11 +36,13 @@ from .engine import EvolutionTrace, Schedule, gap_profile, run_schedule
 from .hamiltonian import (
     DiagonalOperator,
     MixerSpec,
+    QubitMap,
+    _basis_values,
     assemble_problem,
     polynomial_to_diagonal,
     qubit_cap,
 )
-from .pseudobool import Monomial, Poly, VarId
+from .pseudobool import Monomial, Poly, Rational, VarId
 
 ENUMERATION_LIMIT = 24
 
@@ -49,7 +50,7 @@ ENUMERATION_LIMIT = 24
 @dataclass(frozen=True)
 class GroundManifold:
     indices: tuple[int, ...]
-    energy: Fraction
+    energy: Rational
 
 
 def ground_manifold(problem: DiagonalOperator) -> GroundManifold:
@@ -112,7 +113,7 @@ def _system_objective(system: EquationSystem) -> Poly:
 
 def brute_force_min(
     objective: Union[Poly, EquationSystem], limit: int = ENUMERATION_LIMIT
-) -> tuple[Fraction, tuple[dict, ...]]:
+) -> tuple[Rational, tuple[dict, ...]]:
     """Exact minimum of a polynomial (or a system's violation measure) by enumeration.
 
     For an EquationSystem the objective is the sum of squared residuals
@@ -124,31 +125,23 @@ def brute_force_min(
 
     Raises:
         TooManyVariables: more than limit variables to enumerate.
+        ValueError: coefficients too large for exact int64 evaluation.
     """
     poly = _system_objective(objective) if isinstance(objective, EquationSystem) else objective
     variables = poly.variables()
     if len(variables) > limit:
         raise TooManyVariables(f"{len(variables)} variables exceed the limit of {limit}")
-    if not variables:
-        value = poly.constant_term
-        return value, ({},)
-    n = len(variables)
-    dim = 1 << n
-    scale = lcm(*(coeff.denominator for _, coeff in poly.items())) if poly else 1
-    index = np.arange(dim)
-    bits = {var: (index >> (n - 1 - i)) & 1 for i, var in enumerate(variables)}
-    acc = np.zeros(dim, dtype=np.int64)
-    for mono, coeff in poly.items():
-        term = np.ones(dim, dtype=np.int64)
-        for var in mono:
-            term = term * bits[var]
-        acc += int(coeff * scale) * term
-    floor = int(acc.min())
-    argmin = [
-        {var: int(bits[var][i]) for var in variables}
-        for i in np.flatnonzero(acc == floor)
-    ]
-    return Fraction(floor, scale), tuple(argmin)
+    qmap = QubitMap(variables)
+    diagonal = DiagonalOperator(qmap.n, *_basis_values(poly, variables))
+    argmins = tuple(qmap.assignment_of(index) for index in diagonal.ground_indices())
+    return diagonal.min_energy(), argmins
+
+
+def _verified(target: int, p: int, q: int) -> tuple[int, int]:
+    """The factors in ascending order, once their product is checked exactly."""
+    if p * q != target:
+        raise InvariantViolation(f"decoded factors {p} * {q} do not multiply to {target}")
+    return min(p, q), max(p, q)
 
 
 @dataclass(frozen=True)
@@ -208,6 +201,7 @@ def factor(
         NotFactorable: every split is infeasible or has no zero-energy
             state (the target is prime under this model).
         DimensionTooLarge: the only viable splits exceed the qubit cap.
+        InvariantViolation: the decoded factors do not multiply to the target.
     """
     splits = [tuple(widths)] if widths is not None else enumerate_width_splits(target)
     too_large = False
@@ -218,10 +212,9 @@ def factor(
         except Infeasible:
             continue
         if system.is_solved:
-            p, q = decode_assignment({}, system)
-            assert p * q == target
+            p, q = _verified(target, *decode_assignment({}, system))
             return FactorResult(
-                target, *sorted((p, q)), widths=(w_p, w_q), mode="preprocessed",
+                target, p, q, widths=(w_p, w_q), mode="preprocessed",
                 success_probability=1.0, ground_manifold=(), min_gap=None,
                 schedule=None,
             )
@@ -238,13 +231,13 @@ def factor(
         trace = run_schedule(mixer, problem, schedule)
         pops = trace.final_populations
         best = max(manifold.indices, key=lambda i: pops[i])
-        p, q = decode_assignment(qmap.assignment_of(best), system)
-        assert p * q == target  # zero energy certifies the equations, hence the product
+        # zero energy certifies the equations, hence the product; check it anyway
+        p, q = _verified(target, *decode_assignment(qmap.assignment_of(best), system))
         min_gap = None
         if gap_points:
             min_gap = gap_profile(mixer, problem, points=gap_points, k=2).min_gap
         return FactorResult(
-            target, *sorted((p, q)), widths=(w_p, w_q), mode="adiabatic",
+            target, p, q, widths=(w_p, w_q), mode="adiabatic",
             success_probability=success_probability(pops, manifold),
             ground_manifold=manifold.indices, min_gap=min_gap,
             schedule=schedule, trace=trace,

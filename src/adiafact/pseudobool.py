@@ -4,9 +4,9 @@ Everything the compiler manipulates is a polynomial in {0,1}-valued
 variables with rational coefficients.  Idempotence x*x = x is applied on
 every multiplication, so monomials stay squarefree and each polynomial
 has a unique normal form: a map from sorted variable tuples to nonzero
-Fractions.  Coefficients are kept as fractions.Fraction throughout; the
-quadratization step introduces halves and eighths that must cancel
-exactly, and ground-state energies are compared against exact zero.
+coefficients.  Coefficients are plain ints unless an input is truly
+rational, in which case fractions.Fraction arithmetic keeps them exact;
+either way ground-state energies are compared against exact zero.
 """
 
 from __future__ import annotations
@@ -106,18 +106,18 @@ def _termkey(item):
 
 
 class PseudoBooleanPolynomial:
-    """Immutable multilinear polynomial with Fraction coefficients."""
+    """Immutable multilinear polynomial with exact (int or Fraction) coefficients."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping[Monomial, Rational], Iterable, None] = None):
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Rational] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
                 if not isinstance(mono, Monomial):
                     mono = Monomial(mono)
-                c = acc.get(mono, Fraction(0)) + Fraction(coeff)
+                c = acc.get(mono, 0) + coeff
                 if c:
                     acc[mono] = c
                 else:
@@ -132,15 +132,15 @@ class PseudoBooleanPolynomial:
     def variable(cls, var: VarId) -> "PseudoBooleanPolynomial":
         return cls({Monomial((var,)): 1})
 
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def items(self) -> Iterator[tuple[Monomial, Rational]]:
         return iter(self._terms.items())
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> Rational:
+        return self._terms.get(mono, 0)
 
     @property
-    def constant_term(self) -> Fraction:
-        return self._terms.get(ONE, Fraction(0))
+    def constant_term(self) -> Rational:
+        return self._terms.get(ONE, 0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -162,7 +162,7 @@ class PseudoBooleanPolynomial:
         other = _coerce(other)
         acc = dict(self._terms)
         for mono, coeff in other._terms.items():
-            c = acc.get(mono, Fraction(0)) + coeff
+            c = acc.get(mono, 0) + coeff
             if c:
                 acc[mono] = c
             else:
@@ -186,11 +186,11 @@ class PseudoBooleanPolynomial:
                 return PseudoBooleanPolynomial()
             return PseudoBooleanPolynomial({m: c * other for m, c in self._terms.items()})
         other = _coerce(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Rational] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = m1 * m2  # idempotent union
-                c = acc.get(mono, Fraction(0)) + c1 * c2
+                c = acc.get(mono, 0) + c1 * c2
                 if c:
                     acc[mono] = c
                 else:
@@ -207,8 +207,8 @@ class PseudoBooleanPolynomial:
             out = out * self
         return out
 
-    def evaluate(self, assignment: Mapping[VarId, int]) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, assignment: Mapping[VarId, int]) -> Rational:
+        total = 0
         for mono, coeff in self._terms.items():
             for var in mono:
                 if not assignment[var]:
@@ -219,7 +219,7 @@ class PseudoBooleanPolynomial:
 
     def substitute(self, fixed: Mapping[VarId, int]) -> "PseudoBooleanPolynomial":
         """Plug in 0/1 values for some variables; others pass through."""
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Rational] = {}
         for mono, coeff in self._terms.items():
             keep = []
             dead = False
@@ -233,7 +233,7 @@ class PseudoBooleanPolynomial:
             if dead:
                 continue
             key = Monomial(keep)
-            c = acc.get(key, Fraction(0)) + coeff
+            c = acc.get(key, 0) + coeff
             if c:
                 acc[key] = c
             else:
@@ -246,7 +246,7 @@ class PseudoBooleanPolynomial:
             {m: c for m, c in self._terms.items() if not pair.issubset(m)}
         )
 
-    def bounds(self) -> tuple[Fraction, Fraction]:
+    def bounds(self) -> tuple[Rational, Rational]:
         """Value interval treating each monomial as an independent 0/1 term.
 
         Coarse by design: correlations between monomials are ignored, so
@@ -266,7 +266,7 @@ class PseudoBooleanPolynomial:
         if isinstance(other, PseudoBooleanPolynomial):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == ({ONE: Fraction(other)} if other else {})
+            return self._terms == ({ONE: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:

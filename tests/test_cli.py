@@ -180,6 +180,34 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run_cli(capsys, "simulate", "--system", str(path))[0] == 1
+        doc = _document_143(capsys)
+        doc["equations"][0]["lhs"][0][0] = "1/0"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", "--system", str(path))
+        assert code == 1 and "malformed" in err
+
+    def test_overflowing_coefficients_exit_1(self, capsys, tmp_path):
+        # squared, these coefficients wrapped around int64 and moved the ground state
+        doc = _document_143(capsys)
+        for eq in doc["equations"][:2]:
+            eq["lhs"][0][0] = "3037000499/1"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--system", str(path))
+        assert code == 1 and out == "" and "too large" in err
+
+    def test_propagation_budget_overrun_exits_1(self, capsys, monkeypatch):
+        from adiafact import compiler
+
+        monkeypatch.setattr(compiler._Propagator, "_pass", lambda self: True)
+        code, _, err = run_cli(capsys, "compile", "143")
+        assert code == 1 and "fixpoint" in err
+
+
+def _document_143(capsys):
+    code, out, _ = run_cli(capsys, "compile", "143", "--widths", "4", "4")
+    assert code == 0
+    return json.loads(out)
 
 
 def test_module_entry_point():

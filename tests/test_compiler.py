@@ -1,12 +1,14 @@
 """Table layout and constraint propagation."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from adiafact import (
     EvenInput,
     Infeasible,
+    InvariantViolation,
     Monomial,
     Poly,
     TooSmall,
@@ -202,6 +204,13 @@ class TestSimplifyGeneral:
         with pytest.raises(Infeasible):
             compile_system(11)
 
+    def test_pass_budget_overrun_is_typed(self, monkeypatch):
+        from adiafact import compiler
+
+        monkeypatch.setattr(compiler._Propagator, "_pass", lambda self: True)
+        with pytest.raises(InvariantViolation, match="fixpoint"):
+            simplify(build_layout(143, 4, 4))
+
 
 class TestSolutionPreservation:
     """Propagation must not create or destroy solutions."""
@@ -259,6 +268,16 @@ class TestDocument:
         doc = system_to_document(compile_system(143, (4, 4)))
         coeffs = {c for eq in doc["equations"] for c, _ in eq["lhs"] + eq["rhs"]}
         assert coeffs == {"1/1"}
+
+    def test_loaded_coefficients_match_the_layout_types(self):
+        system = compile_system(143, (4, 4))
+        loaded = system_from_document(system_to_document(system))
+        for eq in loaded.equations:
+            assert all(type(c) is int for _, c in eq.residual.items())
+        doc = system_to_document(system)
+        doc["equations"][0]["lhs"][0][0] = "2/6"
+        coeff = system_from_document(doc).equations[0].lhs.items()
+        assert next(coeff)[1] == Fraction(1, 3)
 
     def test_malformed_document(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Penalty construction, quadratization, diagonals, mixer."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from adiafact import (
+    DiagonalOperator,
     DimensionMismatch,
     DimensionTooLarge,
     EmptySystem,
     InconsistentMap,
+    Infeasible,
     Monomial,
     MixerSpec,
     NotApplicable,
@@ -19,15 +22,20 @@ from adiafact import (
     UnmappedVariable,
     VarId,
     assemble_problem,
+    build_layout,
     compile_system,
     direct_cost_diagonal,
+    enumerate_width_splits,
     initial_state,
     interpolated_hamiltonian,
     penalty_polynomial,
     polynomial_to_diagonal,
     quadratize_equation,
     qubit_cap,
+    simplify,
 )
+
+from oracles import odd_semiprimes
 
 P1, P2, Q1, Q2 = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
 
@@ -133,6 +141,24 @@ class TestAssembly143:
             assemble_problem(compile_system(15))  # solved in preprocessing
 
 
+def test_residuals_and_penalties_have_int_coefficients():
+    checked = 0
+    for target in odd_semiprimes(512):
+        for w_p, w_q in enumerate_width_splits(target):
+            try:
+                system = simplify(build_layout(target, w_p, w_q))
+            except Infeasible:
+                continue
+            polys = [eq.residual for eq in system.equations]
+            if not system.is_solved:
+                for pairing in ("last", "first", "none"):
+                    polys.append(assemble_problem(system, pairing)[1])
+            for poly in polys:
+                assert all(type(c) is int for _, c in poly.items()), (target, w_p, w_q, poly)
+            checked += 1
+    assert checked > 100
+
+
 class TestDiagonal:
     def test_143_energies(self, system143):
         qmap, penalty = assemble_problem(system143, pairing="first")
@@ -150,10 +176,53 @@ class TestDiagonal:
             point = qmap.assignment_of(index)
             assert diag.energies[index] == penalty.evaluate(point)
 
+    def test_random_rational_polynomials_match_pointwise_evaluation(self):
+        rng = random.Random(11)
+        qmap = QubitMap((P1, P2, Q1))
+        for _ in range(30):
+            poly = Poly(
+                (Monomial(rng.sample(qmap.variables, rng.randint(0, 3))),
+                 Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                for _ in range(rng.randint(0, 6))
+            )
+            diag = polynomial_to_diagonal(poly, qmap)
+            for index in range(diag.dim):
+                assert diag.energies[index] == poly.evaluate(qmap.assignment_of(index))
+
+    def test_storage_is_a_read_only_int64_array(self, system143):
+        qmap, penalty = assemble_problem(system143, pairing="first")
+        diag = polynomial_to_diagonal(penalty, qmap)
+        assert diag.numerators.dtype == np.int64 and diag.scale == 1
+        assert not diag.numerators.flags.writeable
+        assert all(type(e) is int for e in diag.energies)
+        assert diag.ground_indices() == (6, 9)
+        assert all(type(i) is int for i in diag.ground_indices())
+
     def test_fractional_coefficients_stay_exact(self):
         poly = poly_of((Fraction(1, 3), [P1]), (Fraction(-1, 6), []))
         diag = polynomial_to_diagonal(poly, QubitMap((P1,)))
         assert diag.energies == (Fraction(-1, 6), Fraction(1, 6))
+        assert diag.scale == 6 and diag.numerators.tolist() == [-1, 1]
+        assert diag.min_energy() == Fraction(-1, 6)
+        assert diag.as_array.tolist() == [-1 / 6, 1 / 6]
+
+    def test_equality_is_identity(self, system143):
+        qmap, penalty = assemble_problem(system143, pairing="first")
+        a = polynomial_to_diagonal(penalty, qmap)
+        b = polynomial_to_diagonal(penalty, qmap)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+    def test_length_must_match_the_register(self):
+        with pytest.raises(DimensionMismatch):
+            DiagonalOperator(2, [0, 1, 2])
+
+    def test_coefficients_that_could_overflow_int64_are_refused(self):
+        qmap = QubitMap((P1, Q1))
+        fits = polynomial_to_diagonal(poly_of((2**62, [P1]), (2**62 - 1, [Q1])), qmap)
+        assert fits.max_energy() == 2**63 - 1
+        with pytest.raises(ValueError, match="too large"):
+            polynomial_to_diagonal(poly_of((2**62, [P1]), (2**62, [Q1])), qmap)
 
     def test_unmapped_variable(self, system143):
         _, penalty = assemble_problem(system143, pairing="first")
@@ -209,6 +278,7 @@ class TestDirectCost:
         diag = direct_cost_diagonal(143, 4, 4)
         assert diag.min_energy() == 0
         assert diag.max_energy() == Fraction(20449)  # (143 - 0*0)^2
+        assert type(diag.max_energy()) is int and diag.scale == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

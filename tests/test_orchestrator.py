@@ -9,6 +9,7 @@ from adiafact import (
     DimensionTooLarge,
     EvenInput,
     IndexOutOfRange,
+    InvariantViolation,
     NotFactorable,
     TooSmall,
     TooManyVariables,
@@ -98,12 +99,34 @@ class TestBruteForce:
         assert value == Fraction(3, 7)
         assert argmins == ({},)
 
+    def test_integer_minimum_is_an_int(self, system143):
+        value, _ = brute_force_min(system143)
+        assert type(value) is int
+
+    def test_rational_minimum_stays_exact(self):
+        from adiafact import Monomial, Poly
+
+        p1 = VarId.p(1)
+        poly = Poly([(Monomial((p1,)), Fraction(-1, 3)), (Monomial(), Fraction(1, 6))])
+        value, argmins = brute_force_min(poly)
+        assert value == Fraction(-1, 6)
+        assert argmins == ({p1: 1},)
+
     def test_variable_limit(self, system143):
         with pytest.raises(TooManyVariables):
             brute_force_min(system143, limit=3)
 
 
 class TestFactor:
+    def test_wrong_factors_are_refused(self, monkeypatch):
+        from adiafact import orchestrator
+
+        monkeypatch.setattr(orchestrator, "decode_assignment", lambda *args: (3, 3))
+        with pytest.raises(InvariantViolation, match="do not multiply"):
+            factor(15)  # preprocessed
+        with pytest.raises(InvariantViolation, match="do not multiply"):
+            factor(143, gap_points=0)  # adiabatic
+
     def test_143_runs_the_evolution(self):
         # 101 gap samples to match the grid the frozen reference used
         result = factor(143, gap_points=101)

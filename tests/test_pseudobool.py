@@ -56,6 +56,24 @@ def test_arithmetic_matches_pointwise_evaluation():
             assert (-a).evaluate(point) == -a.evaluate(point)
 
 
+def test_int_coefficients_stay_int():
+    x, y = VarId.p(1), VarId.q(1)
+    poly = (Poly.variable(x) - 2 * Poly.variable(y) + 3) ** 2
+    results = [poly, poly.substitute({x: 1}), poly - poly.constant_term, -poly]
+    assert all(type(c) is int for p in results for _, c in p.items())
+    assert type(poly.evaluate({x: 1, y: 0})) is int
+    assert all(type(b) is int for b in poly.bounds())
+    assert type(Poly().constant_term) is int
+
+
+def test_rational_input_stays_exact():
+    x = Poly.variable(VarId.p(1))
+    poly = Fraction(1, 3) * x + Fraction(-1, 6)
+    assert poly.coefficient(Monomial((VarId.p(1),))) == Fraction(1, 3)
+    assert poly.evaluate({VarId.p(1): 1}) == Fraction(1, 6)
+    assert 3 * poly == x - Fraction(1, 2)
+
+
 def test_zero_coefficients_vanish():
     x = Poly.variable(VarId.p(1))
     assert not (x - x)
