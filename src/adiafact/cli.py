@@ -26,6 +26,7 @@ from .compiler import compile_system, system_from_document, system_to_document
 from .engine import Schedule, gap_profile, run_schedule
 from .errors import (
     AdiafactError,
+    EmptySystem,
     Infeasible,
     NotFactorable,
     NumericalFailure,
@@ -46,15 +47,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_instance_args(parser: argparse.ArgumentParser, target_optional: bool = False):
+_FIRST_FEASIBLE = "bit widths of the factors (default: first feasible split)"
+_FACTOR_SPLIT = "bit widths of the factors (default: the split factor anneals or solves)"
+
+
+def _add_instance_args(parser, widths_help: str, target_optional: bool = False):
     if target_optional:
         parser.add_argument("target", type=int, nargs="?", help="odd integer to compile")
     else:
         parser.add_argument("target", type=int, help="odd integer to compile")
-    parser.add_argument(
-        "--widths", type=int, nargs=2, metavar=("WP", "WQ"),
-        help="bit widths of the factors (default: first feasible split)",
-    )
+    parser.add_argument("--widths", type=int, nargs=2, metavar=("WP", "WQ"), help=widths_help)
     parser.add_argument(
         "--paper-pairing", action="store_true",
         help="pair the lexicographically first product when quadratizing",
@@ -72,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compile = sub.add_parser("compile", help="compile a target into an equation system")
-    _add_instance_args(p_compile)
+    _add_instance_args(p_compile, _FIRST_FEASIBLE)
     p_compile.add_argument(
         "--format", choices=("json", "csv"), default="json",
         help="json: system document; csv: penalty diagonal (index, energy)",
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--out", help="write here instead of stdout")
 
     p_sim = sub.add_parser("simulate", help="run the adiabatic schedule")
-    _add_instance_args(p_sim, target_optional=True)
+    _add_instance_args(p_sim, _FACTOR_SPLIT, target_optional=True)
     _add_schedule_args(p_sim)
     p_sim.add_argument(
         "--system", help="load a compiled system document instead of compiling"
@@ -92,14 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="write the evolution trace CSV here")
 
     p_spec = sub.add_parser("spectrum", help="sample the low spectrum along s")
-    _add_instance_args(p_spec)
+    _add_instance_args(p_spec, _FACTOR_SPLIT)
     p_spec.add_argument("--g", type=float, default=0.6, help="transverse field strength")
     p_spec.add_argument("--levels", type=int, default=3, help="how many energies per sample")
     p_spec.add_argument("--points", type=int, default=101, help="number of s samples")
     p_spec.add_argument("--out", help="write the CSV here instead of stdout")
 
     p_factor = sub.add_parser("factor", help="factor a target end to end")
-    _add_instance_args(p_factor)
+    _add_instance_args(p_factor, _FACTOR_SPLIT)
     _add_schedule_args(p_factor)
     p_factor.add_argument(
         "--points", type=int, default=51, help="s samples for the reported min gap (0: skip)"
@@ -107,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--out", help="write the result JSON here")
 
     p_sweep = sub.add_parser("sweep", help="vary one schedule axis")
-    _add_instance_args(p_sweep)
+    _add_instance_args(p_sweep, _FACTOR_SPLIT)
     _add_schedule_args(p_sweep)
     p_sweep.add_argument("--axis", choices=("g", "T", "M"), required=True)
     p_sweep.add_argument(
@@ -154,7 +156,8 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _load_instance(args):
+def _load_problem(args):
+    """(system, qubit map, diagonal) of a loaded document, or of factor()'s split."""
     if getattr(args, "system", None):
         if args.widths:
             raise ValueError("--widths cannot be combined with --system")
@@ -165,16 +168,20 @@ def _load_instance(args):
             raise ValueError(
                 f"target {args.target} does not match the document's n={system.target}"
             )
-        return system
+        qmap, penalty = assemble_problem(system, pairing=_pairing(args))
+        return system, qmap, polynomial_to_diagonal(penalty, qmap)
     if args.target is None:
         raise ValueError("a target (or --system) is required")
-    return compile_system(args.target, _widths(args))
+    system, qmap, problem = orchestrator.select_split(
+        args.target, _widths(args), _pairing(args)
+    )
+    if problem is None:
+        raise EmptySystem(f"{args.target}: nothing left to solve")
+    return system, qmap, problem
 
 
 def _cmd_simulate(args) -> int:
-    system = _load_instance(args)
-    qmap, penalty = assemble_problem(system, pairing=_pairing(args))
-    problem = polynomial_to_diagonal(penalty, qmap)
+    system, qmap, problem = _load_problem(args)
     checkpoints = tuple(args.checkpoints) if args.checkpoints else ()
     schedule = Schedule(g=args.g, T=args.T, M=args.M, checkpoints=checkpoints)
     mixer = MixerSpec(qmap.n, args.g)
@@ -200,9 +207,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    system = compile_system(args.target, _widths(args))
-    qmap, penalty = assemble_problem(system, pairing=_pairing(args))
-    problem = polynomial_to_diagonal(penalty, qmap)
+    _, qmap, problem = _load_problem(args)
     mixer = MixerSpec(qmap.n, args.g)
     profile = gap_profile(mixer, problem, points=args.points, k=args.levels)
     with _open_out(args.out) as stream:

@@ -92,6 +92,17 @@ def _validate_target(target: int) -> None:
         raise TooSmall(f"{target} < 9, the smallest odd product of two odd factors > 1")
 
 
+def _validate_split(target: int, w_p: int, w_q: int) -> None:
+    _validate_target(target)
+    n = target.bit_length()
+    if not 2 <= w_p <= w_q:
+        raise WidthMismatch(f"need 2 <= w_p <= w_q, got ({w_p}, {w_q})")
+    if w_p + w_q not in (n, n + 1):
+        raise WidthMismatch(
+            f"widths ({w_p}, {w_q}) sum to {w_p + w_q}; expected {n} or {n + 1} for {target}"
+        )
+
+
 def enumerate_width_splits(target: int) -> list[tuple[int, int]]:
     """All width pairs 2 <= w_p <= w_q with w_p+w_q in {n, n+1}.
 
@@ -127,14 +138,7 @@ def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
         EvenInput, TooSmall: bad target.
         WidthMismatch: widths out of range for the target.
     """
-    _validate_target(target)
-    n = target.bit_length()
-    if not 2 <= w_p <= w_q:
-        raise WidthMismatch(f"need 2 <= w_p <= w_q, got ({w_p}, {w_q})")
-    if w_p + w_q not in (n, n + 1):
-        raise WidthMismatch(
-            f"widths ({w_p}, {w_q}) sum to {w_p + w_q}; expected {n} or {n + 1} for {target}"
-        )
+    _validate_split(target, w_p, w_q)
 
     def bit_polys(width: int, kind: str) -> list[Poly]:
         one = Poly.constant(1)
@@ -182,11 +186,10 @@ def _pair_key(pair: frozenset) -> tuple:
 
 
 class _Row:
-    __slots__ = ("column", "birth", "poly", "dead")
+    __slots__ = ("column", "poly", "dead")
 
-    def __init__(self, column: Optional[int], birth: int, poly: Poly):
+    def __init__(self, column: Optional[int], poly: Poly):
         self.column = column
-        self.birth = birth
         self.poly = poly
         self.dead = False
 
@@ -199,8 +202,7 @@ class _Propagator:
         self.widths = system.widths
         self.fixed: dict[VarId, int] = dict(system.fixed)
         self.pairs: set[frozenset] = set(system.forbidden_pairs)
-        self.rows: list[_Row] = []
-        self._births = 0
+        self.rows: list[_Row] = []  # append-only, so a row's index is its creation order
         var_count = len(system.free_variables())
         for eq in system.equations:
             self._push(eq.column, eq.residual)
@@ -211,8 +213,7 @@ class _Propagator:
     # -- bookkeeping -------------------------------------------------
 
     def _push(self, column: Optional[int], poly: Poly) -> None:
-        self.rows.append(_Row(column, self._births, poly))
-        self._births += 1
+        self.rows.append(_Row(column, poly))
 
     def _live(self) -> Iterable[_Row]:
         return (row for row in self.rows if not row.dead)
@@ -425,9 +426,9 @@ class _Propagator:
     # -- output -------------------------------------------------------
 
     def result(self) -> EquationSystem:
+        # sorted() is stable, so rows of one column keep their creation order
         rows = sorted(
-            self._live(),
-            key=lambda r: (r.column if r.column is not None else 1 << 30, r.birth),
+            self._live(), key=lambda r: r.column if r.column is not None else 1 << 30
         )
         equations = tuple(_reshape(row.poly, row.column) for row in rows)
         fixed = dict(sorted(self.fixed.items()))
@@ -538,6 +539,37 @@ def system_from_document(doc: dict) -> EquationSystem:
         raise ValueError(f"malformed system document: {exc}") from exc
     declared = [VarId.parse(name) for name in doc.get("variables", [])]
     system = EquationSystem(target, widths, equations, dict(sorted(fixed.items())), pairs)
+    _validate_layout_rules(system)
     if declared and tuple(sorted(declared)) != system.free_variables():
         raise ValueError("declared variables do not match the equations")
     return system
+
+
+def _validate_layout_rules(system: EquationSystem) -> None:
+    """Refuse what build_layout could not have produced for the system's target and widths.
+
+    Raises:
+        EvenInput, TooSmall, WidthMismatch: as build_layout would.
+        ValueError: a fixed value outside {0, 1}, a variable outside the
+            table, or a forbidden pair that is not two distinct variables.
+    """
+    w_p, w_q = system.widths
+    _validate_split(system.target, w_p, w_q)
+    for pair in system.forbidden_pairs:
+        if len(pair) != 2:
+            names = sorted(str(v) for v in pair)
+            raise ValueError(f"malformed system document: forbidden pair {names} "
+                             "is not two distinct variables")
+    for var, value in system.fixed.items():
+        if value not in (0, 1):
+            raise ValueError(f"malformed system document: {var} fixed to {value}, not 0 or 1")
+    last_col = w_p + w_q - 1
+    interior_top = {"p": w_p - 2, "q": w_q - 2}
+    for var in set(system.free_variables()) | set(system.fixed):
+        kind, a, b = var
+        inside = 0 <= a < b <= last_col if kind == "z" else 1 <= a <= interior_top[kind]
+        if not inside:
+            raise ValueError(
+                f"malformed system document: {var} lies outside the table at widths "
+                f"{system.widths}"
+            )

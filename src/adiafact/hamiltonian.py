@@ -90,10 +90,6 @@ class QubitMap:
     def n(self) -> int:
         return len(self.variables)
 
-    @cached_property
-    def _positions(self) -> dict:
-        return {var: i for i, var in enumerate(self.variables)}
-
     def index_of(self, assignment: Mapping[VarId, int]) -> int:
         index = 0
         for i, var in enumerate(self.variables):

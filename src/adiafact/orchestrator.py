@@ -1,11 +1,11 @@
 """End-to-end factoring: compile, screen, evolve, decode.
 
-factor() walks the width splits in balance order.  A split either dies
-in propagation (Infeasible), collapses completely so the factors read
-off the fixed bits (preprocessed mode), or leaves a small system whose
-penalty operator is simulated through the default schedule (adiabatic
-mode).  The answer is decoded from the most populated zero-energy basis
-state and verified exactly against the target; the run's ground-manifold
+select_split() walks the width splits in balance order.  A split either
+dies in propagation (Infeasible), collapses so the factors read off the
+fixed bits (preprocessed mode), or leaves a small system whose penalty
+operator factor(), sweep() and the CLI simulate (adiabatic mode).  The
+answer is decoded from the most populated zero-energy basis state and
+verified exactly against the target; the run's ground-manifold
 population is reported as a diagnostic, never used as a gate.
 """
 
@@ -16,15 +16,10 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .compiler import (
-    EquationSystem,
-    build_layout,
-    compile_system,
-    enumerate_width_splits,
-    simplify,
-)
+from .compiler import EquationSystem, build_layout, enumerate_width_splits, simplify
 from .errors import (
     DimensionTooLarge,
+    EmptySystem,
     IndexOutOfRange,
     Infeasible,
     InvariantViolation,
@@ -173,6 +168,46 @@ class FactorResult:
         }
 
 
+def select_split(
+    target: int, widths: Optional[tuple[int, int]] = None, pairing: str = "last"
+) -> tuple[EquationSystem, Optional[QubitMap], Optional[DiagonalOperator]]:
+    """(simplified system, qubit map, penalty diagonal) of the split to anneal.
+
+    Walks enumerate_width_splits(target) in balance order (only widths
+    when given) to the first split that propagation solves outright (map
+    and diagonal are then None), or whose register fits the qubit cap
+    and whose penalty diagonal has a zero-energy state.
+
+    Raises:
+        EvenInput, TooSmall, WidthMismatch: bad target or explicit widths.
+        DimensionTooLarge: the only viable splits exceed the qubit cap
+            (the message names the smallest register skipped).
+        NotFactorable: every split is infeasible or has no zero-energy state.
+    """
+    splits = [tuple(widths)] if widths is not None else enumerate_width_splits(target)
+    smallest: Optional[int] = None  # smallest register skipped for the cap
+    for w_p, w_q in splits:
+        try:
+            system = simplify(build_layout(target, w_p, w_q))
+        except Infeasible:
+            continue
+        if system.is_solved:
+            return system, None, None
+        qmap, penalty = assemble_problem(system, pairing=pairing)
+        if qmap.n > qubit_cap():
+            smallest = min(qmap.n, smallest or qmap.n)
+            continue
+        problem = polynomial_to_diagonal(penalty, qmap)
+        if problem.min_energy() == 0:
+            return system, qmap, problem
+    if smallest is not None:
+        raise DimensionTooLarge(
+            f"{target}: the smallest skipped split needs {smallest} qubits,"
+            f" above the cap of {qubit_cap()}"
+        )
+    raise NotFactorable(f"{target}: no width split admits a zero-energy factorization")
+
+
 def factor(
     target: int,
     widths: Optional[tuple[int, int]] = None,
@@ -196,57 +231,35 @@ def factor(
         FactorResult with p <= q and p * q == target, exactly.
 
     Raises:
-        EvenInput, TooSmall: target outside the model.
-        WidthMismatch: explicit widths are invalid.
-        NotFactorable: every split is infeasible or has no zero-energy
-            state (the target is prime under this model).
-        DimensionTooLarge: the only viable splits exceed the qubit cap.
+        EvenInput, TooSmall, WidthMismatch, DimensionTooLarge,
+            NotFactorable: no split to anneal (see select_split).
         InvariantViolation: the decoded factors do not multiply to the target.
     """
-    splits = [tuple(widths)] if widths is not None else enumerate_width_splits(target)
-    too_large = False
-    for w_p, w_q in splits:
-        base = build_layout(target, w_p, w_q)
-        try:
-            system = simplify(base)
-        except Infeasible:
-            continue
-        if system.is_solved:
-            p, q = _verified(target, *decode_assignment({}, system))
-            return FactorResult(
-                target, p, q, widths=(w_p, w_q), mode="preprocessed",
-                success_probability=1.0, ground_manifold=(), min_gap=None,
-                schedule=None,
-            )
-        qmap, penalty = assemble_problem(system, pairing=pairing)
-        if qmap.n > qubit_cap():
-            too_large = True
-            continue
-        problem = polynomial_to_diagonal(penalty, qmap)
-        manifold = ground_manifold(problem)
-        if manifold.energy != 0:
-            continue  # no factorization under this split
-        schedule = Schedule(g=g, T=T, M=M, checkpoints=checkpoints)
-        mixer = MixerSpec(qmap.n, g)
-        trace = run_schedule(mixer, problem, schedule)
-        pops = trace.final_populations
-        best = max(manifold.indices, key=lambda i: pops[i])
-        # zero energy certifies the equations, hence the product; check it anyway
-        p, q = _verified(target, *decode_assignment(qmap.assignment_of(best), system))
-        min_gap = None
-        if gap_points:
-            min_gap = gap_profile(mixer, problem, points=gap_points, k=2).min_gap
+    system, qmap, problem = select_split(target, widths, pairing)
+    if problem is None:
+        p, q = _verified(target, *decode_assignment({}, system))
         return FactorResult(
-            target, p, q, widths=(w_p, w_q), mode="adiabatic",
-            success_probability=success_probability(pops, manifold),
-            ground_manifold=manifold.indices, min_gap=min_gap,
-            schedule=schedule, trace=trace,
+            target, p, q, widths=system.widths, mode="preprocessed",
+            success_probability=1.0, ground_manifold=(), min_gap=None,
+            schedule=None,
         )
-    if too_large:
-        raise DimensionTooLarge(
-            f"{target}: remaining splits need more than {qubit_cap()} qubits"
-        )
-    raise NotFactorable(f"{target}: no width split admits a zero-energy factorization")
+    manifold = ground_manifold(problem)
+    schedule = Schedule(g=g, T=T, M=M, checkpoints=checkpoints)
+    mixer = MixerSpec(qmap.n, g)
+    trace = run_schedule(mixer, problem, schedule)
+    pops = trace.final_populations
+    best = max(manifold.indices, key=lambda i: pops[i])
+    # zero energy certifies the equations, hence the product; check it anyway
+    p, q = _verified(target, *decode_assignment(qmap.assignment_of(best), system))
+    min_gap = None
+    if gap_points:
+        min_gap = gap_profile(mixer, problem, points=gap_points, k=2).min_gap
+    return FactorResult(
+        target, p, q, widths=system.widths, mode="adiabatic",
+        success_probability=success_probability(pops, manifold),
+        ground_manifold=manifold.indices, min_gap=min_gap,
+        schedule=schedule, trace=trace,
+    )
 
 
 @dataclass(frozen=True)
@@ -270,19 +283,20 @@ def sweep(
     """Rerun one compiled instance while varying a single schedule axis.
 
     axis is "g", "T" or "M"; values replaces that parameter pointwise.
-    The instance is compiled once (first feasible split unless widths is
-    given); the minimal gap only depends on g, so it is cached per field
+    The instance is the split factor() anneals (select_split), selected
+    once; the minimal gap only depends on g, so it is cached per field
     strength.
 
     Raises:
         EmptySystem: the instance is fully solved by preprocessing, so
             there is no evolution to sweep.
+        DimensionTooLarge, NotFactorable: no split to anneal (see select_split).
     """
     if axis not in ("g", "T", "M"):
         raise ValueError(f"axis must be g, T or M, got {axis!r}")
-    system = compile_system(target, widths)
-    qmap, penalty = assemble_problem(system, pairing=pairing)
-    problem = polynomial_to_diagonal(penalty, qmap)
+    _, qmap, problem = select_split(target, widths, pairing)
+    if problem is None:
+        raise EmptySystem(f"{target}: nothing left to solve")
     manifold = ground_manifold(problem)
     gaps: dict[float, Optional[float]] = {}
     points = []

@@ -12,6 +12,7 @@ either way ground-state energies are compared against exact zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -110,10 +111,11 @@ class PseudoBooleanPolynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[Monomial, Rational], Iterable, None] = None):
+    def __init__(self, terms: Union[dict, Iterable, None] = None):
+        # the one place terms are accumulated, zeros dropped and the order fixed
         acc: dict[Monomial, Rational] = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
+            items = terms.items() if isinstance(terms, dict) else terms
             for mono, coeff in items:
                 if not isinstance(mono, Monomial):
                     mono = Monomial(mono)
@@ -160,14 +162,7 @@ class PseudoBooleanPolynomial:
 
     def __add__(self, other) -> "PseudoBooleanPolynomial":
         other = _coerce(other)
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = acc.get(mono, 0) + coeff
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        return PseudoBooleanPolynomial(acc)
+        return PseudoBooleanPolynomial(chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
@@ -186,16 +181,11 @@ class PseudoBooleanPolynomial:
                 return PseudoBooleanPolynomial()
             return PseudoBooleanPolynomial({m: c * other for m, c in self._terms.items()})
         other = _coerce(other)
-        acc: dict[Monomial, Rational] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = m1 * m2  # idempotent union
-                c = acc.get(mono, 0) + c1 * c2
-                if c:
-                    acc[mono] = c
-                else:
-                    acc.pop(mono, None)
-        return PseudoBooleanPolynomial(acc)
+        return PseudoBooleanPolynomial(
+            (m1 * m2, c1 * c2)  # idempotent union of the monomials
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -219,26 +209,19 @@ class PseudoBooleanPolynomial:
 
     def substitute(self, fixed: Mapping[VarId, int]) -> "PseudoBooleanPolynomial":
         """Plug in 0/1 values for some variables; others pass through."""
-        acc: dict[Monomial, Rational] = {}
-        for mono, coeff in self._terms.items():
-            keep = []
-            dead = False
-            for var in mono:
-                val = fixed.get(var)
-                if val is None:
-                    keep.append(var)
-                elif val == 0:
-                    dead = True
-                    break
-            if dead:
-                continue
-            key = Monomial(keep)
-            c = acc.get(key, 0) + coeff
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-        return PseudoBooleanPolynomial(acc)
+        def surviving_terms():
+            for mono, coeff in self._terms.items():
+                keep = []
+                for var in mono:
+                    val = fixed.get(var)
+                    if val is None:
+                        keep.append(var)
+                    elif val == 0:
+                        break  # a zero factor kills the term
+                else:
+                    yield Monomial(keep), coeff
+
+        return PseudoBooleanPolynomial(surviving_terms())
 
     def without_monomials(self, pair: frozenset) -> "PseudoBooleanPolynomial":
         """Drop every monomial containing all variables of the pair."""

@@ -97,6 +97,14 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "141", "--system", str(doc_path))
         assert code == 1 and "does not match" in err
 
+    def test_anneals_the_split_factor_selects(self, capsys):
+        # the first feasible split (4, 4) has ground energy 1; factor(119) anneals (3, 5)
+        code, out, _ = run_cli(capsys, "simulate", "119")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["widths"] == [3, 5]
+        assert summary["ground_energy"] == "0/1"
+
     def test_target_required_without_system(self, capsys):
         code, _, err = run_cli(capsys, "simulate")
         assert code == 1 and "required" in err
@@ -166,11 +174,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "compile", "25", "--widths", "2", "3")
         assert code == 2 and err != ""
         assert run_cli(capsys, "factor", "17")[0] == 2
+        # feasible, but the split holds no factorization (ground energy 1)
+        code, _, err = run_cli(capsys, "simulate", "119", "--widths", "4", "4")
+        assert code == 2 and "zero-energy" in err
 
     def test_oversized_register_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "2")
         code, _, err = run_cli(capsys, "simulate", "143", "--widths", "4", "4")
         assert code == 1 and "qubit" in err.lower()
+
+    def test_oversized_register_error_names_the_smallest_skipped_split(self, capsys):
+        code, _, err = run_cli(capsys, "factor", "1763")
+        assert code == 1 and "20 qubits" in err
+
+    def test_solved_split_cannot_be_annealed(self, capsys):
+        # factor 33 solves widths (2, 4) by propagation; (3, 3) holds no factorization
+        code, out, err = run_cli(capsys, "sweep", "33", "--axis", "T", "--values", "10", "20")
+        assert (code, out) == (1, "") and "nothing left to solve" in err
 
     def test_missing_system_file_exits_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--system", str(tmp_path / "no.json"))
@@ -185,6 +205,25 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "simulate", "--system", str(path))
         assert code == 1 and "malformed" in err
+        # documents build_layout could not have produced; the optional variable
+        # list is emptied so that only the layout rules can refuse them
+        good = _document_143(capsys)
+        stray_bit = json.loads(json.dumps(good["equations"]))
+        stray_bit[0]["lhs"].append(["1/1", ["p9"]])
+        breaches = [
+            {"fixed": {**good["fixed"], "z3_4": 7}},
+            {"n": 144},
+            {"n": 3},
+            {"widths": [1, 99]},
+            {"equations": stray_bit},
+            {"fixed": {**good["fixed"], "z6_9": 0}},
+            {"forbidden_pairs": [["p1"]]},
+            {"forbidden_pairs": [["p1", "q1", "q2"]]},
+        ]
+        for breach in breaches:
+            path.write_text(json.dumps({**good, "variables": [], **breach}))
+            code, out, _ = run_cli(capsys, "simulate", "--system", str(path))
+            assert (code, out) == (1, ""), breach
 
     def test_overflowing_coefficients_exit_1(self, capsys, tmp_path):
         # squared, these coefficients wrapped around int64 and moved the ground state

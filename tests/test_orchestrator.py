@@ -1,12 +1,15 @@
 """End-to-end factoring, decoding and exact brute-force cross-checks."""
 
+import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from adiafact import (
     DimensionTooLarge,
+    EmptySystem,
     EvenInput,
     IndexOutOfRange,
     InvariantViolation,
@@ -244,3 +247,65 @@ class TestSweep:
 
         with pytest.raises(EmptySystem):
             sweep(15, "T", [20.0])
+
+
+class TestOneSplitPolicy:
+    """sweep, simulate and spectrum anneal the split factor() anneals, or refuse alike."""
+
+    @pytest.fixture
+    def annealed(self, monkeypatch):
+        # the evolution is not under test here: record each operator handed to
+        # the engine and answer with a flat state
+        from adiafact import cli, orchestrator
+
+        problems = []
+
+        def run_schedule(mixer, problem, schedule):
+            problems.append(problem)
+            return SimpleNamespace(final_populations=np.full(problem.dim, 1 / problem.dim))
+
+        def gap_profile(mixer, problem, points, k):
+            problems.append(problem)
+            return SimpleNamespace(min_gap=None, to_csv=lambda stream: None)
+
+        for module in (orchestrator, cli):
+            monkeypatch.setattr(module, "run_schedule", run_schedule)
+            monkeypatch.setattr(module, "gap_profile", gap_profile)
+        return problems
+
+    def test_every_odd_semiprime_below_512(self, annealed, capsys):
+        from adiafact.cli import main
+
+        def cli(*argv):
+            code = main([str(arg) for arg in argv])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        for target in odd_semiprimes(512):
+            annealed.clear()
+            try:
+                result = factor(target, gap_points=0)
+            except (NotFactorable, DimensionTooLarge) as exc:
+                with pytest.raises(type(exc)):
+                    sweep(target, "T", [1.0], gap_points=0)
+                code = 2 if isinstance(exc, NotFactorable) else 1
+                for argv in (("simulate", target), ("spectrum", target, "--points", 2)):
+                    assert cli(*argv) == (code, "", f"adiafact: {exc}\n"), argv
+                continue
+            if result.mode == "preprocessed":
+                with pytest.raises(EmptySystem):
+                    sweep(target, "T", [1.0], gap_points=0)
+                for argv in (("simulate", target), ("spectrum", target, "--points", 2)):
+                    code, out, err = cli(*argv)
+                    assert (code, out) == (1, "") and "nothing left to solve" in err, argv
+                continue
+            (chosen,) = annealed
+            assert chosen.min_energy() == 0, target
+            sweep(target, "T", [1.0], gap_points=0)
+            code, out, _ = cli("simulate", target, "--M", 1)
+            assert code == 0 and json.loads(out)["widths"] == list(result.widths), target
+            assert cli("spectrum", target, "--points", 2)[0] == 0
+            assert len(annealed) == 4
+            for problem in annealed[1:]:
+                assert np.array_equal(problem.numerators, chosen.numerators), target
+                assert problem.scale == chosen.scale
