@@ -8,7 +8,6 @@ population concentrate on the two factorization states.
 import numpy as np
 
 from adiafact import (
-    MixerSpec,
     Schedule,
     assemble_problem,
     compile_system,
@@ -24,8 +23,7 @@ problem = polynomial_to_diagonal(penalty, qmap)
 manifold = ground_manifold(problem)
 
 schedule = Schedule(g=0.6, T=20.0, M=20, checkpoints=(0, 5, 10, 15, 20))
-mixer = MixerSpec(qmap.n, schedule.g)
-trace = run_schedule(mixer, problem, schedule)
+trace = run_schedule(problem, schedule)
 
 print(f"register: {qmap.n} qubits, schedule g={schedule.g} T={schedule.T} M={schedule.M}")
 print(f"ground manifold: indices {manifold.indices}\n")
@@ -47,5 +45,5 @@ for index in np.argsort(final)[::-1]:
 print(f"\ntotal success probability: {success_probability(final, manifold):.6f}")
 
 # a quench for contrast: no time to adapt, the uniform spread survives
-quench = run_schedule(mixer, problem, Schedule(g=0.6, T=1e-9, M=1))
+quench = run_schedule(problem, Schedule(g=0.6, T=1e-9, M=1))
 print(f"instant quench instead:    {success_probability(quench.final_populations, manifold):.6f}")

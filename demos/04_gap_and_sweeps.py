@@ -6,7 +6,6 @@ degenerate, so the gap there closes by construction.
 """
 
 from adiafact import (
-    MixerSpec,
     assemble_problem,
     compile_system,
     gap_profile,
@@ -18,7 +17,7 @@ system = compile_system(143)
 qmap, penalty = assemble_problem(system)
 problem = polynomial_to_diagonal(penalty, qmap)
 
-profile = gap_profile(MixerSpec(qmap.n, 0.6), problem, points=21, k=3)
+profile = gap_profile(problem, 0.6, points=21, k=3)
 print("three lowest energies along s (21 samples):")
 print("      s        E0         E1         E2")
 for s, row in zip(profile.s_values, profile.energies):

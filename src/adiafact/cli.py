@@ -22,8 +22,8 @@ from contextlib import contextmanager
 from typing import Optional
 
 from . import orchestrator
-from .compiler import compile_system, system_from_document, system_to_document
-from .engine import Schedule, gap_profile, run_schedule
+from .compiler import _frac_str, compile_system, system_from_document, system_to_document
+from .engine import _FLOAT_FMT, Schedule, gap_profile, run_schedule
 from .errors import (
     AdiafactError,
     EmptySystem,
@@ -31,13 +31,7 @@ from .errors import (
     NotFactorable,
     NumericalFailure,
 )
-from .hamiltonian import (
-    MixerSpec,
-    assemble_problem,
-    polynomial_to_diagonal,
-)
-
-_FLOAT_FMT = "%.12g"
+from .hamiltonian import assemble_problem, polynomial_to_diagonal
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,12 +146,12 @@ def _cmd_compile(args) -> int:
         writer = csv.writer(stream)
         writer.writerow(["index", "energy"])
         for index, energy in enumerate(problem.energies):
-            writer.writerow([index, f"{energy.numerator}/{energy.denominator}"])
+            writer.writerow([index, _frac_str(energy)])
     return 0
 
 
 def _load_problem(args):
-    """(system, qubit map, diagonal) of a loaded document, or of factor()'s split."""
+    """(system, penalty diagonal) of a loaded document, or of factor()'s split."""
     if getattr(args, "system", None):
         if args.widths:
             raise ValueError("--widths cannot be combined with --system")
@@ -169,30 +163,27 @@ def _load_problem(args):
                 f"target {args.target} does not match the document's n={system.target}"
             )
         qmap, penalty = assemble_problem(system, pairing=_pairing(args))
-        return system, qmap, polynomial_to_diagonal(penalty, qmap)
+        return system, polynomial_to_diagonal(penalty, qmap)
     if args.target is None:
         raise ValueError("a target (or --system) is required")
-    system, qmap, problem = orchestrator.select_split(
-        args.target, _widths(args), _pairing(args)
-    )
+    system, _, problem = orchestrator.select_split(args.target, _widths(args), _pairing(args))
     if problem is None:
         raise EmptySystem(f"{args.target}: nothing left to solve")
-    return system, qmap, problem
+    return system, problem
 
 
 def _cmd_simulate(args) -> int:
-    system, qmap, problem = _load_problem(args)
+    system, problem = _load_problem(args)
     checkpoints = tuple(args.checkpoints) if args.checkpoints else ()
     schedule = Schedule(g=args.g, T=args.T, M=args.M, checkpoints=checkpoints)
-    mixer = MixerSpec(qmap.n, args.g)
-    trace = run_schedule(mixer, problem, schedule)
+    trace = run_schedule(problem, schedule)
     manifold = orchestrator.ground_manifold(problem)
     summary = {
         "n": system.target,
         "widths": list(system.widths),
-        "qubits": qmap.n,
+        "qubits": problem.n,
         "ground_manifold": list(manifold.indices),
-        "ground_energy": f"{manifold.energy.numerator}/{manifold.energy.denominator}",
+        "ground_energy": _frac_str(manifold.energy),
         "success_probability": orchestrator.success_probability(
             trace.final_populations, manifold
         ),
@@ -207,9 +198,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _, qmap, problem = _load_problem(args)
-    mixer = MixerSpec(qmap.n, args.g)
-    profile = gap_profile(mixer, problem, points=args.points, k=args.levels)
+    _, problem = _load_problem(args)
+    profile = gap_profile(problem, args.g, points=args.points, k=args.levels)
     with _open_out(args.out) as stream:
         profile.to_csv(stream)
     return 0

@@ -120,6 +120,19 @@ def enumerate_width_splits(target: int) -> list[tuple[int, int]]:
     return splits
 
 
+def _carry_budgets(w_p: int, w_q: int) -> list[int]:
+    """Carry budget K_c of each column: z{c}_{c+1} .. z{c}_{c+K_c} exist."""
+    last_col = w_p + w_q - 1
+    incoming = [0] * (last_col + 1)
+    budgets = []
+    for c in range(last_col + 1):
+        max_lhs = max(0, min(w_p - 1, c) - max(0, c - w_q + 1) + 1) + incoming[c]
+        budgets.append(min(max(max_lhs.bit_length() - 1, 0), last_col - c))
+        for m in range(1, budgets[c] + 1):
+            incoming[c + m] += 1
+    return budgets
+
+
 def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
     """Lay out the multiplication table for target = p*q at the given widths.
 
@@ -140,30 +153,18 @@ def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
     """
     _validate_split(target, w_p, w_q)
 
-    def bit_polys(width: int, kind: str) -> list[Poly]:
-        one = Poly.constant(1)
-        out = [one]
-        for i in range(1, width - 1):
-            out.append(Poly.variable(VarId(kind, i)))
-        out.append(one)
-        return out
-
-    p_bits = bit_polys(w_p, "p")
-    q_bits = bit_polys(w_q, "q")
-    last_col = w_p + w_q - 1
-    incoming: dict[int, list[VarId]] = {c: [] for c in range(last_col + 1)}
+    one = Poly.constant(1)  # the pinned top and bottom bits of both factors
+    p_bits = [one] + [Poly.variable(VarId.p(i)) for i in range(1, w_p - 1)] + [one]
+    q_bits = [one] + [Poly.variable(VarId.q(i)) for i in range(1, w_q - 1)] + [one]
+    budgets = _carry_budgets(w_p, w_q)
+    incoming: dict[int, list[VarId]] = {c: [] for c in range(len(budgets))}
     equations = []
-    for c in range(last_col + 1):
+    for c, budget in enumerate(budgets):
         lhs = Poly()
-        n_products = 0
         for i in range(max(0, c - w_q + 1), min(w_p - 1, c) + 1):
             lhs = lhs + p_bits[i] * q_bits[c - i]
-            n_products += 1
         for carry in incoming[c]:
             lhs = lhs + Poly.variable(carry)
-        max_lhs = n_products + len(incoming[c])
-        budget = max_lhs.bit_length() - 1 if max_lhs >= 1 else 0
-        budget = min(budget, last_col - c)  # carries cannot spill past the last column
         rhs = Poly.constant((target >> c) & 1)
         for m in range(1, budget + 1):
             carry = VarId.carry(c, c + m)
@@ -563,13 +564,10 @@ def _validate_layout_rules(system: EquationSystem) -> None:
     for var, value in system.fixed.items():
         if value not in (0, 1):
             raise ValueError(f"malformed system document: {var} fixed to {value}, not 0 or 1")
-    last_col = w_p + w_q - 1
-    interior_top = {"p": w_p - 2, "q": w_q - 2}
-    for var in set(system.free_variables()) | set(system.fixed):
-        kind, a, b = var
-        inside = 0 <= a < b <= last_col if kind == "z" else 1 <= a <= interior_top[kind]
-        if not inside:
-            raise ValueError(
-                f"malformed system document: {var} lies outside the table at widths "
-                f"{system.widths}"
-            )
+    budgets = enumerate(_carry_budgets(w_p, w_q))
+    table = {VarId.carry(c, c + m) for c, budget in budgets for m in range(1, budget + 1)}
+    table.update(system.interior_variables())
+    outside = sorted(set(system.free_variables()).union(system.fixed) - table)
+    if outside:
+        raise ValueError(f"malformed system document: {outside[0]} lies outside the table "
+                         f"at widths {system.widths}")

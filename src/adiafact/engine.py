@@ -1,11 +1,12 @@
 """Discretized adiabatic evolution and spectra, by dense eigendecomposition.
 
-The schedule interpolates H(s) = (1 - s) * H0 + s * Hp linearly in s and
-applies the M step unitaries U_m = exp(-i * H(m/M) * T/M) in order to the
-mixer ground state.  Each exponential is formed from the eigensystem of
-the dense Hamiltonian at that step, so unitarity holds to roundoff and
-norms drift only through accumulated floating error.  Natural units
-throughout (hbar = 1): T and the inverse of g share one time scale.
+H(s) = (1 - s) * g * sum_i X_i + s * Hp is interpolated linearly in s, with
+g from the schedule, and the M step unitaries U_m = exp(-i * H(m/M) * T/M)
+are applied in order to the mixer ground state.  Each exponential is
+formed from the eigensystem of the dense Hamiltonian at that step, so
+unitarity holds to roundoff and norms drift only through accumulated
+floating error.  Natural units throughout (hbar = 1): T and the inverse
+of g share one time scale.
 
 Sizes are desk scale on purpose: the matrices are 2^n x 2^n dense arrays
 and n is capped (see hamiltonian.qubit_cap).
@@ -19,17 +20,8 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NumericalFailure,
-)
-from .hamiltonian import (
-    DiagonalOperator,
-    MixerSpec,
-    _check_dim,
-    interpolated_hamiltonian,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, NumericalFailure
+from .hamiltonian import DiagonalOperator, _check_dim, _check_field, interpolated_hamiltonian
 
 _FLOAT_FMT = "%.12g"
 
@@ -53,8 +45,7 @@ class Schedule:
             raise ValueError(f"total time must be positive, got {self.T}")
         if self.M < 1 or self.M != int(self.M):
             raise ValueError(f"step count must be a positive integer, got {self.M}")
-        if not self.g > 0:
-            raise ValueError(f"field strength must be positive, got {self.g}")
+        _check_field(self.g)
         for c in self.checkpoints:
             if not 0 <= c <= self.M:
                 raise ValueError(f"checkpoint {c} outside 0..{self.M}")
@@ -170,38 +161,32 @@ def propagate_step(state: np.ndarray, hamiltonian: np.ndarray, tau: float) -> np
     return basis @ (phases * (basis.conj().T @ state))
 
 
-def run_schedule(
-    mixer: MixerSpec, problem: DiagonalOperator, schedule: Schedule
-) -> EvolutionTrace:
+def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrace:
     """Evolve the mixer ground state through the discretized schedule.
 
-    Returns the populations at every requested checkpoint and the final
-    state.  Identical inputs produce identical traces: the evolution is
-    deterministic and no tolerance-based branching occurs.
+    The field strength is schedule.g.  Returns the populations at every
+    requested checkpoint and the final state.  Identical inputs produce
+    identical traces: the evolution is deterministic and no tolerance-based
+    branching occurs.
 
     Raises:
-        DimensionMismatch: mixer and problem qubit counts differ.
         NumericalFailure: a step failed or the norm drifted badly.
     """
-    if mixer.n != problem.n:
-        raise DimensionMismatch(
-            f"mixer acts on {mixer.n} qubits but the problem has {problem.n}"
-        )
     marks = set(schedule.resolved_checkpoints())
-    state = initial_state(mixer.n)
+    state = initial_state(problem.n)
     points = []
     if 0 in marks:
         points.append(TracePoint(0, 0.0, populations(state)))
     for step in range(1, schedule.M + 1):
         s = schedule.s_at(step)
-        hamiltonian = interpolated_hamiltonian(s, mixer, problem)
+        hamiltonian = interpolated_hamiltonian(s, schedule.g, problem)
         state = propagate_step(state, hamiltonian, schedule.tau)
         if step in marks:
             points.append(TracePoint(step, s, populations(state)))
     drift = abs(float(np.linalg.norm(state)) - 1.0)
     if drift > 1e-6:
         raise NumericalFailure(f"state norm drifted by {drift:.3e}")
-    return EvolutionTrace(mixer.n, schedule, tuple(points), state)
+    return EvolutionTrace(problem.n, schedule, tuple(points), state)
 
 
 def lowest_eigenvalues(hamiltonian: np.ndarray, k: int) -> np.ndarray:
@@ -219,20 +204,21 @@ def lowest_eigenvalues(hamiltonian: np.ndarray, k: int) -> np.ndarray:
 
 
 def gap_profile(
-    mixer: MixerSpec, problem: DiagonalOperator, points: int = 101, k: int = 3
+    problem: DiagonalOperator, g: float, points: int = 101, k: int = 3
 ) -> GapTrace:
-    """Sample the k lowest energies on a uniform s grid over [0, 1].
+    """Sample the k lowest energies of H(s) at field strength g on a uniform s grid.
 
     min_gap is the smallest E1 - E0 over sampled s < 1 (None for k = 1);
     at s = 1 a degenerate ground manifold closes the gap by construction,
     which is why that endpoint is excluded.
     """
+    _check_field(g)
     if points < 2:
         raise ValueError(f"need at least two sample points, got {points}")
     s_values = np.linspace(0.0, 1.0, points)
     rows = np.empty((points, k))
     for i, s in enumerate(s_values):
-        rows[i] = lowest_eigenvalues(interpolated_hamiltonian(s, mixer, problem), k)
+        rows[i] = lowest_eigenvalues(interpolated_hamiltonian(s, g, problem), k)
     min_gap = None
     if k >= 2:
         before_end = s_values < 1.0

@@ -1,4 +1,4 @@
-"""Problem and mixer operators for the compiled equation systems.
+"""Problem operators for the compiled equation systems, and the interpolated H(s).
 
 Each simplified equation contributes a penalty that vanishes exactly on
 its solutions.  Squaring the residual is the default; when the square
@@ -12,7 +12,9 @@ is used instead.  Over binary variables it equals
 and vanishes exactly where A*B + S does, while cutting the top monomial
 degree by one; integer residuals give integer penalties.  The mixer is
 the uniform transverse field g * sum_i X_i, whose ground state is the
-uniform-magnitude superposition used as the start of every schedule.
+uniform-magnitude superposition used as the start of every schedule; it
+exists only inside interpolated_hamiltonian(s, g, problem), which builds
+H(s) = (1 - s) * g * sum_i X_i + s * problem.
 
 Energies are int64 numerators over one common scale; float views are derived,
 so ground manifolds are identified by exact comparison, never by tolerance.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Mapping, Union
 
@@ -64,6 +66,11 @@ def _check_dim(n: int) -> None:
     cap = qubit_cap()
     if n > cap:
         raise DimensionTooLarge(f"{n} qubits exceed the cap of {cap} (2^{n} amplitudes)")
+
+
+def _check_field(g: float) -> None:
+    if not g > 0:
+        raise ValueError(f"field strength must be positive, got {g}")
 
 
 @dataclass(frozen=True)
@@ -280,46 +287,26 @@ def direct_cost_diagonal(target: int, w_x: int, w_y: int) -> DiagonalOperator:
     return DiagonalOperator(n, costs.reshape(-1))
 
 
-@dataclass(frozen=True)
-class MixerSpec:
-    """Uniform transverse field g * sum_i X_i on n qubits."""
-
-    n: int
-    g: float = 0.6
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got {self.n}")
-        _check_dim(self.n)
-        if not self.g > 0:
-            raise ValueError(f"field strength must be positive, got {self.g}")
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense form: entry g between basis states differing in exactly one bit."""
-        dim = self.dim
-        out = np.zeros((dim, dim))
-        rows = np.arange(dim)
-        for k in range(self.n):
-            out[rows, rows ^ (1 << k)] = self.g
-        out.setflags(write=False)
-        return out
+@lru_cache(maxsize=None)
+def _bit_flip_entries(n: int) -> np.ndarray:
+    """Flat indices of the 2^n x 2^n entries whose two states differ in exactly one bit."""
+    rows = np.arange(1 << n)[:, None]
+    flat = ((rows << n) | (rows ^ (1 << np.arange(n)))).ravel()
+    flat.setflags(write=False)
+    return flat
 
 
-def interpolated_hamiltonian(
-    s: float, mixer: MixerSpec, problem: DiagonalOperator
-) -> np.ndarray:
-    """(1 - s) * mixer + s * problem, as a dense real symmetric matrix."""
+def interpolated_hamiltonian(s: float, g: float, problem: DiagonalOperator) -> np.ndarray:
+    """(1 - s) * g * sum_i X_i + s * problem, as a dense real symmetric matrix.
+
+    The arguments and the qubit cap are checked before anything is allocated.
+    """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"interpolation parameter must lie in [0, 1], got {s}")
-    if mixer.n != problem.n:
-        raise DimensionMismatch(
-            f"mixer acts on {mixer.n} qubits but the problem has {problem.n}"
-        )
-    out = (1.0 - s) * mixer.matrix
-    np.fill_diagonal(out, out.diagonal() + s * problem.as_array)
-    return out
+    _check_field(g)
+    _check_dim(problem.n)
+    dim = problem.dim
+    out = np.zeros(dim * dim)
+    out[_bit_flip_entries(problem.n)] = (1.0 - s) * g
+    out[:: dim + 1] = s * problem.as_array
+    return out.reshape(dim, dim)

@@ -30,7 +30,6 @@ from .errors import (
 from .engine import EvolutionTrace, Schedule, gap_profile, run_schedule
 from .hamiltonian import (
     DiagonalOperator,
-    MixerSpec,
     QubitMap,
     _basis_values,
     assemble_problem,
@@ -245,15 +244,14 @@ def factor(
         )
     manifold = ground_manifold(problem)
     schedule = Schedule(g=g, T=T, M=M, checkpoints=checkpoints)
-    mixer = MixerSpec(qmap.n, g)
-    trace = run_schedule(mixer, problem, schedule)
+    trace = run_schedule(problem, schedule)
     pops = trace.final_populations
     best = max(manifold.indices, key=lambda i: pops[i])
     # zero energy certifies the equations, hence the product; check it anyway
     p, q = _verified(target, *decode_assignment(qmap.assignment_of(best), system))
     min_gap = None
     if gap_points:
-        min_gap = gap_profile(mixer, problem, points=gap_points, k=2).min_gap
+        min_gap = gap_profile(problem, g, points=gap_points, k=2).min_gap
     return FactorResult(
         target, p, q, widths=system.widths, mode="adiabatic",
         success_probability=success_probability(pops, manifold),
@@ -282,36 +280,34 @@ def sweep(
 ) -> list[SweepPoint]:
     """Rerun one compiled instance while varying a single schedule axis.
 
-    axis is "g", "T" or "M"; values replaces that parameter pointwise.
-    The instance is the split factor() anneals (select_split), selected
-    once; the minimal gap only depends on g, so it is cached per field
-    strength.
+    axis is "g", "T" or "M"; values replaces that parameter pointwise
+    (M values must be whole numbers).  The instance is the split factor()
+    anneals (select_split), selected once; the minimal gap only depends
+    on g, so it is cached per field strength.
 
     Raises:
         EmptySystem: the instance is fully solved by preprocessing, so
             there is no evolution to sweep.
         DimensionTooLarge, NotFactorable: no split to anneal (see select_split).
+        ValueError: an unknown axis, or an M value that is not a whole number.
     """
     if axis not in ("g", "T", "M"):
         raise ValueError(f"axis must be g, T or M, got {axis!r}")
-    _, qmap, problem = select_split(target, widths, pairing)
+    fractional = [v for v in values if axis == "M" and not float(v).is_integer()]
+    if fractional:
+        raise ValueError(f"step count must be a whole number, got {fractional[0]}")
+    _, _, problem = select_split(target, widths, pairing)
     if problem is None:
         raise EmptySystem(f"{target}: nothing left to solve")
     manifold = ground_manifold(problem)
     gaps: dict[float, Optional[float]] = {}
     points = []
     for value in values:
-        params = {"g": g, "T": T, "M": M}
-        params[axis] = value if axis != "M" else int(value)
-        mixer = MixerSpec(qmap.n, params["g"])
-        schedule = Schedule(g=params["g"], T=params["T"], M=params["M"])
-        trace = run_schedule(mixer, problem, schedule)
+        params = {"g": g, "T": T, "M": M, axis: int(value) if axis == "M" else value}
+        schedule = Schedule(**params)
+        trace = run_schedule(problem, schedule)
         prob = success_probability(trace.final_populations, manifold)
-        if params["g"] not in gaps:
-            gaps[params["g"]] = (
-                gap_profile(mixer, problem, points=gap_points, k=2).min_gap
-                if gap_points
-                else None
-            )
-        points.append(SweepPoint(float(value), prob, gaps[params["g"]]))
+        if gap_points and schedule.g not in gaps:
+            gaps[schedule.g] = gap_profile(problem, schedule.g, points=gap_points, k=2).min_gap
+        points.append(SweepPoint(float(value), prob, gaps.get(schedule.g)))
     return points

@@ -137,14 +137,21 @@ def simplified_solutions(system) -> set:
     return out
 
 
+def dense_mixer(n: int, g: float) -> np.ndarray:
+    """g * sum_i X_i on n qubits, entry by entry: g where two states differ in one bit."""
+    dim = 1 << n
+    mixer = np.zeros((dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            if bin(i ^ j).count("1") == 1:
+                mixer[i, j] = g
+    return mixer
+
+
 def expm_schedule(diag: np.ndarray, g: float, T: float, M: int) -> np.ndarray:
     """Reference evolution with scipy.linalg.expm, literal s_m = m/M rule."""
     dim = len(diag)
-    n = dim.bit_length() - 1
-    mixer = np.zeros((dim, dim))
-    rows = np.arange(dim)
-    for k in range(n):
-        mixer[rows, rows ^ (1 << k)] = g
+    mixer = dense_mixer(dim.bit_length() - 1, g)
     state = np.array(
         [(-1.0) ** bin(b).count("1") for b in range(dim)], dtype=complex
     ) / np.sqrt(dim)

@@ -15,7 +15,6 @@ import pytest
 from adiafact import (
     Infeasible,
     Monomial,
-    MixerSpec,
     Poly,
     Schedule,
     VarId,
@@ -117,7 +116,7 @@ def test_criterion_4_headline_simulation():
         qmap, penalty = assemble_problem(system)
         diag = polynomial_to_diagonal(penalty, qmap)
         schedule = Schedule(g=0.6, T=20.0, M=20)
-        trace = run_schedule(MixerSpec(qmap.n, schedule.g), diag, schedule)
+        trace = run_schedule(diag, schedule)
         prob = success_probability(trace.final_populations, ground_manifold(diag))
         elapsed = time.perf_counter() - t0
         assert abs(prob - 0.989) <= 0.005
@@ -129,7 +128,7 @@ def test_criterion_5_spectrum_shape():
         system = compile_system(143, (4, 4))
         qmap, penalty = assemble_problem(system, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
-        profile = gap_profile(MixerSpec(qmap.n, 0.6), diag, points=101, k=3)
+        profile = gap_profile(diag, 0.6, points=101, k=3)
 
         assert profile.energies[0, 0] == pytest.approx(-2.4, abs=1e-12)
         interior = profile.energies[profile.s_values < 1.0]
@@ -181,14 +180,13 @@ def test_criterion_8_numerical_invariants():
         system = compile_system(143, (4, 4))
         qmap, penalty = assemble_problem(system, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
-        mixer = MixerSpec(qmap.n, 0.6)
         dim = 1 << qmap.n
 
         # per-step unitarity of the synthesized propagator
         schedule = Schedule(g=0.6, T=20.0, M=20)
         eye = np.eye(dim, dtype=np.complex128)
         for step in range(1, schedule.M + 1):
-            h = interpolated_hamiltonian(schedule.s_at(step), mixer, diag)
+            h = interpolated_hamiltonian(schedule.s_at(step), schedule.g, diag)
             u = np.column_stack(
                 [propagate_step(eye[:, j], h, schedule.tau) for j in range(dim)]
             )
@@ -196,7 +194,7 @@ def test_criterion_8_numerical_invariants():
 
         # norm drift over a long schedule
         fine = Schedule(g=0.6, T=20.0, M=100, checkpoints=tuple(range(0, 101, 10)))
-        trace = run_schedule(mixer, diag, fine)
+        trace = run_schedule(diag, fine)
         assert abs(np.linalg.norm(trace.final_state) - 1.0) <= 1e-9
 
         # populations are a probability vector at every checkpoint
@@ -212,9 +210,7 @@ def test_criterion_8_numerical_invariants():
             sq_system = compile_system(target)
             sq_map, sq_penalty = assemble_problem(sq_system, pairing="none")
             sq_diag = polynomial_to_diagonal(sq_penalty, sq_map)
-            sq_trace = run_schedule(
-                MixerSpec(sq_map.n, 0.6), sq_diag, Schedule(g=0.6, T=20.0, M=20)
-            )
+            sq_trace = run_schedule(sq_diag, Schedule(g=0.6, T=20.0, M=20))
             pops = sq_trace.final_populations
 
             def swapped(var):

@@ -192,6 +192,17 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "sweep", "33", "--axis", "T", "--values", "10", "20")
         assert (code, out) == (1, "") and "nothing left to solve" in err
 
+    def test_fractional_step_count_is_refused_before_any_run(self, capsys):
+        # M=2.5 used to run as M=2 and be reported as 2.5
+        code, out, err = run_cli(
+            capsys, "sweep", "143", "--axis", "M", "--values", "2.5", "2", "--points", "0"
+        )
+        assert (code, out) == (1, "") and "2.5" in err
+        code, out, _ = run_cli(
+            capsys, "sweep", "143", "--axis", "M", "--values", "20", "--points", "0"
+        )
+        assert code == 0 and out.splitlines()[1].startswith("20,")
+
     def test_missing_system_file_exits_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--system", str(tmp_path / "no.json"))
         assert code == 1
@@ -210,6 +221,9 @@ class TestExitCodes:
         good = _document_143(capsys)
         stray_bit = json.loads(json.dumps(good["equations"]))
         stray_bit[0]["lhs"].append(["1/1", ["p9"]])
+        # column 0 of a (4, 4) table has no carry budget
+        stray_carry = json.loads(json.dumps(good["equations"]))
+        stray_carry[0]["lhs"].append(["1/1", ["z0_1"]])
         breaches = [
             {"fixed": {**good["fixed"], "z3_4": 7}},
             {"n": 144},
@@ -217,6 +231,8 @@ class TestExitCodes:
             {"widths": [1, 99]},
             {"equations": stray_bit},
             {"fixed": {**good["fixed"], "z6_9": 0}},
+            {"equations": stray_carry},
+            {"fixed": {**good["fixed"], "z0_5": 0}},
             {"forbidden_pairs": [["p1"]]},
             {"forbidden_pairs": [["p1", "q1", "q2"]]},
         ]

@@ -8,7 +8,6 @@ import pytest
 from adiafact import (
     DimensionMismatch,
     IndexOutOfRange,
-    MixerSpec,
     NumericalFailure,
     Schedule,
     assemble_problem,
@@ -23,7 +22,7 @@ from adiafact import (
     run_schedule,
 )
 
-from oracles import expm_schedule
+from oracles import dense_mixer, expm_schedule
 
 # frozen reference values, computed once with an independent
 # scipy.linalg.expm propagation of the same discretized schedule
@@ -87,16 +86,15 @@ class TestPropagateStep:
         # H = g * sigma_x, ground state (1,-1)/sqrt(2) with energy -g,
         # so one step multiplies by exp(+i g tau) exactly
         g, tau = 0.6, 0.7
-        mixer = MixerSpec(1, g)
         psi = initial_state(1)
-        out = propagate_step(psi, mixer.matrix, tau)
+        out = propagate_step(psi, dense_mixer(1, g), tau)
         assert np.allclose(out, np.exp(1j * g * tau) * psi, atol=1e-14)
 
     def test_unitarity(self, problem143):
         rng = np.random.default_rng(7)
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
         state /= np.linalg.norm(state)
-        h = interpolated_hamiltonian(0.37, MixerSpec(4, 0.6), problem143)
+        h = interpolated_hamiltonian(0.37, 0.6, problem143)
         out = propagate_step(state, h, 1.0)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
@@ -115,7 +113,7 @@ class TestPropagateStep:
 class TestRunSchedule:
     def test_final_state_matches_expm_reference(self, problem143):
         sched = Schedule()
-        trace = run_schedule(MixerSpec(4, sched.g), problem143, sched)
+        trace = run_schedule(problem143, sched)
         reference = expm_schedule(
             np.array([float(e) for e in problem143.energies]),
             sched.g,
@@ -124,39 +122,45 @@ class TestRunSchedule:
         )
         assert np.max(np.abs(trace.final_state - reference)) < 1e-12
 
+    def test_field_strength_comes_from_the_schedule(self, problem143):
+        sched = Schedule(g=0.3, T=7.0, M=9)
+        trace = run_schedule(problem143, sched)
+        reference = expm_schedule(problem143.as_array, 0.3, 7.0, 9)
+        assert np.max(np.abs(trace.final_state - reference)) < 1e-12
+
     def test_frozen_success_probability(self, problem143):
         sched = Schedule()
-        trace = run_schedule(MixerSpec(4, sched.g), problem143, sched)
+        trace = run_schedule(problem143, sched)
         pops = trace.final_populations
         assert pops[6] + pops[9] == pytest.approx(SUCCESS_143, abs=1e-12)
 
     def test_instant_quench_leaves_the_uniform_distribution(self, problem143):
         sched = Schedule(T=1e-9, M=1)
-        trace = run_schedule(MixerSpec(4, sched.g), problem143, sched)
+        trace = run_schedule(problem143, sched)
         pops = trace.final_populations
         assert np.allclose(pops, 1 / 16, atol=1e-9)
         assert pops[6] + pops[9] == pytest.approx(0.125, abs=1e-9)
 
     def test_slower_schedule_converges_further(self, problem143):
-        fast = run_schedule(MixerSpec(4, 0.6), problem143, Schedule())
-        slow = run_schedule(MixerSpec(4, 0.6), problem143, Schedule(T=100.0, M=100))
+        fast = run_schedule(problem143, Schedule())
+        slow = run_schedule(problem143, Schedule(T=100.0, M=100))
         def success(trace):
             return trace.final_populations[6] + trace.final_populations[9]
         assert success(slow) > success(fast)
         assert success(slow) == pytest.approx(0.9999387891, abs=1e-9)
 
     def test_norm_drift_stays_tiny(self, problem143):
-        trace = run_schedule(MixerSpec(4, 0.6), problem143, Schedule(T=100.0, M=100))
+        trace = run_schedule(problem143, Schedule(T=100.0, M=100))
         assert abs(np.linalg.norm(trace.final_state) - 1.0) <= 1e-9
 
     def test_populations_always_sum_to_one(self, problem143):
-        trace = run_schedule(MixerSpec(4, 0.6), problem143, Schedule())
+        trace = run_schedule(problem143, Schedule())
         for point in trace.points:
             assert point.populations.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_checkpoints_recorded_in_order(self, problem143):
         sched = Schedule(checkpoints=(0, 7, 20))
-        trace = run_schedule(MixerSpec(4, 0.6), problem143, sched)
+        trace = run_schedule(problem143, sched)
         assert [p.step for p in trace.points] == [0, 7, 20]
         assert [p.s for p in trace.points] == [0.0, 0.35, 1.0]
         assert np.allclose(trace.points[0].populations, 1 / 16)
@@ -164,32 +168,28 @@ class TestRunSchedule:
             trace.points[-1].populations, trace.final_populations
         )
 
-    def test_mismatched_sizes(self, problem143):
-        with pytest.raises(DimensionMismatch):
-            run_schedule(MixerSpec(3, 0.6), problem143, Schedule())
-
     def test_deterministic(self, problem143):
-        a = run_schedule(MixerSpec(4, 0.6), problem143, Schedule())
-        b = run_schedule(MixerSpec(4, 0.6), problem143, Schedule())
+        a = run_schedule(problem143, Schedule())
+        b = run_schedule(problem143, Schedule())
         assert np.array_equal(a.final_state, b.final_state)
 
 
 class TestSpectra:
     def test_lowest_eigenvalues_sorted_subset(self, problem143):
-        h = interpolated_hamiltonian(0.5, MixerSpec(4, 0.6), problem143)
+        h = interpolated_hamiltonian(0.5, 0.6, problem143)
         three = lowest_eigenvalues(h, 3)
         assert list(three) == sorted(three)
         assert np.allclose(three, np.linalg.eigvalsh(h)[:3])
 
     def test_k_range(self, problem143):
-        h = interpolated_hamiltonian(0.5, MixerSpec(4, 0.6), problem143)
+        h = interpolated_hamiltonian(0.5, 0.6, problem143)
         with pytest.raises(IndexOutOfRange):
             lowest_eigenvalues(h, 0)
         with pytest.raises(IndexOutOfRange):
             lowest_eigenvalues(h, 17)
 
     def test_gap_profile_endpoints(self, problem143):
-        trace = gap_profile(MixerSpec(4, 0.6), problem143, points=101, k=3)
+        trace = gap_profile(problem143, 0.6, points=101, k=3)
         assert trace.s_values[0] == 0.0 and trace.s_values[-1] == 1.0
         # mixer ground energy is -n*g at s=0
         assert trace.energies[0, 0] == pytest.approx(-2.4, abs=1e-12)
@@ -199,25 +199,28 @@ class TestSpectra:
         assert trace.energies[-1, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_gap_stays_open_before_the_end(self, problem143):
-        trace = gap_profile(MixerSpec(4, 0.6), problem143, points=101, k=2)
+        trace = gap_profile(problem143, 0.6, points=101, k=2)
         interior = trace.energies[:-1]
         assert np.all(interior[:, 1] - interior[:, 0] > 0)
         assert trace.min_gap == pytest.approx(MIN_GAP_143, rel=1e-9)
 
     def test_min_gap_none_for_single_level(self, problem143):
-        trace = gap_profile(MixerSpec(4, 0.6), problem143, points=11, k=1)
+        trace = gap_profile(problem143, 0.6, points=11, k=1)
         assert trace.min_gap is None
 
     def test_point_count_validation(self, problem143):
         with pytest.raises(ValueError):
-            gap_profile(MixerSpec(4, 0.6), problem143, points=1)
+            gap_profile(problem143, 0.6, points=1)
+
+    def test_field_must_be_positive(self, problem143):
+        for g in (0.0, -1.0):
+            with pytest.raises(ValueError, match="field strength"):
+                gap_profile(problem143, g, points=1)
 
 
 class TestCsv:
     def test_trace_csv_schema(self, problem143):
-        trace = run_schedule(
-            MixerSpec(4, 0.6), problem143, Schedule(checkpoints=(0, 20))
-        )
+        trace = run_schedule(problem143, Schedule(checkpoints=(0, 20)))
         buf = io.StringIO()
         trace.to_csv(buf)
         lines = buf.getvalue().strip().splitlines()
@@ -228,7 +231,7 @@ class TestCsv:
         assert float(first[3]) == pytest.approx(1 / 16)
 
     def test_gap_csv_schema(self, problem143):
-        trace = gap_profile(MixerSpec(4, 0.6), problem143, points=5, k=3)
+        trace = gap_profile(problem143, 0.6, points=5, k=3)
         buf = io.StringIO()
         trace.to_csv(buf)
         lines = buf.getvalue().strip().splitlines()
@@ -237,7 +240,7 @@ class TestCsv:
         assert lines[1].split(",")[1] == "-2.4"
 
     def test_float_format_keeps_twelve_digits(self, problem143):
-        trace = gap_profile(MixerSpec(4, 0.6), problem143, points=3, k=2)
+        trace = gap_profile(problem143, 0.6, points=3, k=2)
         buf = io.StringIO()
         trace.to_csv(buf)
         row = buf.getvalue().strip().splitlines()[2].split(",")

@@ -15,7 +15,6 @@ from adiafact import (
     InconsistentMap,
     Infeasible,
     Monomial,
-    MixerSpec,
     NotApplicable,
     Poly,
     QubitMap,
@@ -26,6 +25,7 @@ from adiafact import (
     compile_system,
     direct_cost_diagonal,
     enumerate_width_splits,
+    gap_profile,
     initial_state,
     interpolated_hamiltonian,
     penalty_polynomial,
@@ -35,7 +35,7 @@ from adiafact import (
     simplify,
 )
 
-from oracles import odd_semiprimes
+from oracles import dense_mixer, odd_semiprimes
 
 P1, P2, Q1, Q2 = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
 
@@ -289,8 +289,8 @@ class TestDirectCost:
 
 class TestMixerAndInterpolation:
     def test_matrix_is_symmetric_single_flip(self):
-        mixer = MixerSpec(3, 0.6)
-        matrix = mixer.matrix
+        zero = DiagonalOperator(3, np.zeros(8, dtype=np.int64))
+        matrix = interpolated_hamiltonian(0.0, 0.6, zero)
         assert np.array_equal(matrix, matrix.T)
         for i in range(8):
             for j in range(8):
@@ -299,24 +299,24 @@ class TestMixerAndInterpolation:
 
     def test_initial_state_is_mixer_ground_state(self):
         for n in (1, 2, 4):
-            mixer = MixerSpec(n, 0.6)
+            mixer = interpolated_hamiltonian(0.0, 0.6, DiagonalOperator(n, np.arange(1 << n)))
             psi = initial_state(n)
-            residual = mixer.matrix @ psi - (-n * 0.6) * psi
+            residual = mixer @ psi - (-n * 0.6) * psi
             assert np.max(np.abs(residual)) < 1e-12
 
     def test_field_must_be_positive(self):
+        diag = DiagonalOperator(2, np.zeros(4, dtype=np.int64))
         with pytest.raises(ValueError):
-            MixerSpec(2, 0.0)
+            interpolated_hamiltonian(0.5, 0.0, diag)
         with pytest.raises(ValueError):
-            MixerSpec(2, -1.0)
+            interpolated_hamiltonian(0.5, -1.0, diag)
 
     def test_interpolation_endpoints(self, system143):
         qmap, penalty = assemble_problem(system143, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
-        mixer = MixerSpec(4, 0.6)
-        h0 = interpolated_hamiltonian(0.0, mixer, diag)
-        h1 = interpolated_hamiltonian(1.0, mixer, diag)
-        assert np.array_equal(h0, mixer.matrix)
+        h0 = interpolated_hamiltonian(0.0, 0.6, diag)
+        h1 = interpolated_hamiltonian(1.0, 0.6, diag)
+        assert np.array_equal(h0, dense_mixer(4, 0.6))
         assert np.array_equal(h1, np.diag(diag.as_array))
         hermiticity = np.max(np.abs(h0 - h0.conj().T))
         assert hermiticity <= 1e-12
@@ -325,6 +325,26 @@ class TestMixerAndInterpolation:
         qmap, penalty = assemble_problem(system143, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
         with pytest.raises(ValueError):
-            interpolated_hamiltonian(1.5, MixerSpec(4, 0.6), diag)
-        with pytest.raises(DimensionMismatch):
-            interpolated_hamiltonian(0.5, MixerSpec(3, 0.6), diag)
+            interpolated_hamiltonian(1.5, 0.6, diag)
+        with pytest.raises(ValueError):
+            interpolated_hamiltonian(-0.1, 0.6, diag)
+
+    def test_matches_the_oracle_mixer_plus_the_diagonal(self):
+        rng = np.random.default_rng(3)
+        diagonals = [
+            DiagonalOperator(n, rng.integers(0, 40, 1 << n)) for n in (1, 3, 4)
+        ] + [DiagonalOperator(3, rng.integers(-20, 20, 8), scale=6)]
+        for diag in diagonals:
+            for g in (0.3, 0.6, 1.7):
+                for s in (0.0, 0.05, 0.37, 0.5, 0.9, 1.0):
+                    expected = (1 - s) * dense_mixer(diag.n, g) + np.diag(s * diag.as_array)
+                    h = interpolated_hamiltonian(s, g, diag)
+                    assert np.array_equal(h, expected), (diag.n, diag.scale, g, s)
+
+    def test_the_cap_is_checked_before_anything_is_built(self, monkeypatch):
+        four = DiagonalOperator(4, np.zeros(16, dtype=np.int64))
+        monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "3")
+        with pytest.raises(DimensionTooLarge):
+            interpolated_hamiltonian(0.5, 0.6, four)
+        with pytest.raises(DimensionTooLarge):
+            gap_profile(four, 0.6, points=3, k=2)

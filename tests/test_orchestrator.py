@@ -260,11 +260,11 @@ class TestOneSplitPolicy:
 
         problems = []
 
-        def run_schedule(mixer, problem, schedule):
+        def run_schedule(problem, schedule):
             problems.append(problem)
             return SimpleNamespace(final_populations=np.full(problem.dim, 1 / problem.dim))
 
-        def gap_profile(mixer, problem, points, k):
+        def gap_profile(problem, g, points, k):
             problems.append(problem)
             return SimpleNamespace(min_gap=None, to_csv=lambda stream: None)
 

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import adiafact
 
@@ -19,3 +20,14 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_all_lists_exactly_the_public_names_in_sorted_order():
+    # a removed export cannot leave a stale entry behind, nor a new one go unlisted
+    public = {
+        name
+        for name, value in vars(adiafact).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert adiafact.__all__ == sorted(adiafact.__all__)
+    assert set(adiafact.__all__) == public
