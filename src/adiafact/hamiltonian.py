@@ -14,7 +14,9 @@ degree by one; integer residuals give integer penalties.  The mixer is
 the uniform transverse field g * sum_i X_i, whose ground state is the
 uniform-magnitude superposition used as the start of every schedule; it
 exists only inside interpolated_hamiltonian(s, g, problem), which builds
-H(s) = (1 - s) * g * sum_i X_i + s * problem.
+H(s) = (1 - s) * g * sum_i X_i + s * problem as a dense matrix, and
+_apply_interpolated(s, g, problem, v), which applies H(s) to a vector
+without forming it.
 
 Energies are int64 numerators over one common scale; float views are derived,
 so ground manifolds are identified by exact comparison, never by tolerance.
@@ -22,6 +24,7 @@ so ground manifolds are identified by exact comparison, never by tolerance.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +74,8 @@ def _check_dim(n: int) -> None:
 def _check_field(g: float) -> None:
     if not g > 0:
         raise ValueError(f"field strength must be positive, got {g}")
+    if not math.isfinite(g):
+        raise ValueError(f"field strength must be finite, got {g}")
 
 
 @dataclass(frozen=True)
@@ -310,3 +315,23 @@ def interpolated_hamiltonian(s: float, g: float, problem: DiagonalOperator) -> n
     out[_bit_flip_entries(problem.n)] = (1.0 - s) * g
     out[:: dim + 1] = s * problem.as_array
     return out.reshape(dim, dim)
+
+
+def _apply_interpolated(
+    s: float, g: float, problem: DiagonalOperator, v: np.ndarray
+) -> np.ndarray:
+    """H(s) @ v without the matrix: s * E elementwise plus (1 - s) * g * sum_i X_i v.
+
+    X_i flips bit i, which is reversing the middle axis of v viewed as
+    (2^(n-1-i), 2, 2^i); n such gathers cost O(n * 2^n).  The caller has
+    checked s, g and the qubit cap.
+    """
+    n = problem.n
+    flipped = np.zeros_like(v)
+    for i in range(n):
+        shape = (1 << (n - 1 - i), 2, 1 << i)
+        view = flipped.reshape(shape)
+        view += v.reshape(shape)[:, ::-1, :]
+    flipped *= (1.0 - s) * g
+    flipped += (s * problem.as_array) * v
+    return flipped

@@ -203,6 +203,18 @@ class TestExitCodes:
         )
         assert code == 0 and out.splitlines()[1].startswith("20,")
 
+    def test_non_finite_schedule_inputs_exit_1(self, capsys):
+        # these used to exit 0 with NaN JSON or CSV, or 3 after numpy warnings
+        for argv in (
+            ("simulate", "143", "--T", "inf"),
+            ("sweep", "143", "--axis", "T", "--values", "inf"),
+            ("simulate", "143", "--g", "inf"),
+            ("spectrum", "143", "--g", "nan", "--points", "3"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("adiafact: ") and "Traceback" not in err, argv
+
     def test_missing_system_file_exits_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--system", str(tmp_path / "no.json"))
         assert code == 1

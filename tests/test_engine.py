@@ -1,6 +1,8 @@
 """Stepped evolution against an independent matrix-exponential reference."""
 
 import io
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from adiafact import (
     Schedule,
     assemble_problem,
     compile_system,
+    direct_cost_diagonal,
     gap_profile,
     initial_state,
     interpolated_hamiltonian,
@@ -20,7 +23,11 @@ from adiafact import (
     populations,
     propagate_step,
     run_schedule,
+    select_split,
 )
+from adiafact import engine
+from adiafact.engine import _lanczos_pays, _lanczos_step, _substep_length
+from adiafact.hamiltonian import _apply_interpolated
 
 from oracles import dense_mixer, expm_schedule
 
@@ -35,6 +42,21 @@ def problem143():
     system = compile_system(143, (4, 4))
     qmap, penalty = assemble_problem(system, pairing="first")
     return polynomial_to_diagonal(penalty, qmap)
+
+
+@pytest.fixture(scope="module")
+def registers():
+    """factor()'s registers of 5, 6, 7, 9 and 10 qubits, by target."""
+    return {target: select_split(target)[2] for target in (119, 77, 295, 323, 121)}
+
+
+def dense_run(problem, schedule):
+    """The schedule stepped through propagate_step on the dense H(s) only."""
+    state = initial_state(problem.n)
+    for step in range(1, schedule.M + 1):
+        h = interpolated_hamiltonian(schedule.s_at(step), schedule.g, problem)
+        state = propagate_step(state, h, schedule.tau)
+    return state
 
 
 class TestSchedule:
@@ -58,6 +80,14 @@ class TestSchedule:
             Schedule(g=-0.6)
         with pytest.raises(ValueError):
             Schedule(M=10, checkpoints=(11,))
+
+    def test_time_and_field_must_be_finite(self):
+        # a substep loop cannot finish on T = inf, and NaN would pass a plain "> 0" check
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="total time"):
+                Schedule(T=bad)
+            with pytest.raises(ValueError, match="field strength"):
+                Schedule(g=bad)
 
     def test_json_dict(self):
         d = Schedule(M=4).to_json_dict()
@@ -172,6 +202,126 @@ class TestRunSchedule:
         a = run_schedule(problem143, Schedule())
         b = run_schedule(problem143, Schedule())
         assert np.array_equal(a.final_state, b.final_state)
+
+
+class TestMatrixFreeSteps:
+    def test_small_registers_keep_the_dense_path(self):
+        # every register of sweep-small and 143, whatever the schedule
+        for n in range(1, 5):
+            for width_tau in (0.0, 1.0, 30.0, 1e4):
+                assert not _lanczos_pays(n, width_tau)
+
+    def test_wide_steps_keep_the_dense_path(self):
+        for n in range(1, 21):
+            for width_tau in (1e7, float("inf"), float("nan")):
+                assert not _lanczos_pays(n, width_tau)
+
+    def test_large_registers_go_matrix_free_at_the_default_schedule(self, registers):
+        for target in (323, 121):
+            problem = registers[target]
+            width = float(problem.max_energy() - problem.min_energy())
+            assert _lanczos_pays(problem.n, width)
+            assert _lanczos_pays(problem.n, 2 * 0.6 * problem.n)
+
+    @pytest.mark.parametrize("target", [119, 77, 295])
+    def test_matches_expm_reference(self, registers, monkeypatch, target):
+        problem = registers[target]
+        # T/M = 8 needs several Lanczos substeps per step
+        for sched in (Schedule(), Schedule(T=40.0, M=5)):
+            reference = expm_schedule(problem.as_array, sched.g, sched.T, sched.M)
+            dense = run_schedule(problem, sched)
+            with monkeypatch.context() as forced:
+                forced.setattr(engine, "_lanczos_pays", lambda n, width_tau: True)
+                lanczos = run_schedule(problem, sched)
+            assert dense.products == 0 and lanczos.products > 0
+            for trace in (dense, lanczos):
+                assert np.max(np.abs(trace.final_state - reference)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "target, sched", [(323, Schedule(T=16.0, M=4)), (121, Schedule(T=8.0, M=2))]
+    )
+    def test_large_registers_match_the_dense_propagator(self, registers, target, sched):
+        problem = registers[target]
+        width = float(problem.max_energy() - problem.min_energy())
+        matrix_free = [
+            _lanczos_pays(problem.n, (s * width + 2 * (1 - s) * sched.g * problem.n) * sched.tau)
+            for s in map(sched.s_at, range(1, sched.M + 1))
+        ]
+        # 323 mixes both paths within one run; 121 takes only matrix-free steps
+        assert any(matrix_free) and all(matrix_free) == (target == 121)
+        trace = run_schedule(problem, sched)
+        assert trace.products > 0
+        assert np.max(np.abs(trace.final_state - dense_run(problem, sched))) <= 1e-12
+
+    def test_each_step_is_unitary(self, registers):
+        problem = registers[119]
+        sched = Schedule()
+        eye = np.eye(problem.dim, dtype=np.complex128)
+        for step in range(1, sched.M + 1):
+            apply = partial(_apply_interpolated, sched.s_at(step), sched.g, problem)
+            u = np.column_stack(
+                [_lanczos_step(apply, eye[:, j], sched.tau)[0] for j in range(problem.dim)]
+            )
+            assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10
+
+    def test_repeated_runs_are_bitwise_identical(self, registers):
+        a = run_schedule(registers[323], Schedule(T=40.0, M=5))
+        b = run_schedule(registers[323], Schedule(T=40.0, M=5))
+        assert np.array_equal(a.final_state, b.final_state)
+        assert (a.products, a.norm_drift) == (b.products, b.norm_drift)
+
+    def test_no_dense_matrix_and_no_register_eigh(self, registers, problem143, monkeypatch):
+        def no_dense_matrix(*args):
+            raise AssertionError("dense H(s) built")
+
+        small_eigh = np.linalg.eigh
+
+        def krylov_sized_eigh(matrix):
+            if matrix.shape[0] > engine._KRYLOV_DIM:
+                raise AssertionError(f"eigh of a {matrix.shape[0]}-dimensional matrix")
+            return small_eigh(matrix)
+
+        monkeypatch.setattr(engine, "interpolated_hamiltonian", no_dense_matrix)
+        monkeypatch.setattr(engine.np.linalg, "eigh", krylov_sized_eigh)
+        for target in (323, 121):
+            trace = run_schedule(registers[target], Schedule())
+            assert trace.products > 0 and trace.norm_drift <= 1e-9
+        with pytest.raises(AssertionError, match="dense H"):
+            run_schedule(problem143, Schedule())
+
+    def test_wide_spectra_stay_bounded_and_exact(self):
+        # direct-cost diagonals span about 2e4: a Lanczos run would need
+        # thousands of substeps per step, so every step stays dense
+        for widths in ((3, 3), (4, 4)):
+            problem = direct_cost_diagonal(143, *widths)
+            started = time.perf_counter()
+            trace = run_schedule(problem, Schedule())
+            assert time.perf_counter() - started <= 2.0
+            assert trace.products == 0
+            assert np.array_equal(trace.final_state, dense_run(problem, Schedule()))
+
+    def test_trace_reports_norm_drift_and_products(self, registers, problem143):
+        dense = run_schedule(problem143, Schedule())
+        assert dense.products == 0
+        assert dense.norm_drift == abs(float(np.linalg.norm(dense.final_state)) - 1.0)
+        lanczos = run_schedule(registers[323], Schedule())
+        assert lanczos.products >= Schedule().M
+        assert lanczos.norm_drift == abs(float(np.linalg.norm(lanczos.final_state)) - 1.0)
+        assert lanczos.norm_drift <= 1e-9
+
+    def test_non_finite_lanczos_coefficient_fails(self):
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            _lanczos_step(lambda v: v * np.nan, initial_state(5), 1.0)
+
+    def test_nan_error_estimates_never_pass(self):
+        theta, vecs = np.linalg.eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(NumericalFailure, match="tolerance"):
+            _substep_length(theta, vecs, float("nan"), 1.0)
+
+    def test_norm_check_catches_nan(self, problem143, monkeypatch):
+        monkeypatch.setattr(engine, "propagate_step", lambda state, h, tau: state * np.nan)
+        with pytest.raises(NumericalFailure, match="norm"):
+            run_schedule(problem143, Schedule())
 
 
 class TestSpectra:

@@ -34,6 +34,7 @@ from adiafact import (
     qubit_cap,
     simplify,
 )
+from adiafact.hamiltonian import _apply_interpolated
 
 from oracles import dense_mixer, odd_semiprimes
 
@@ -311,6 +312,12 @@ class TestMixerAndInterpolation:
         with pytest.raises(ValueError):
             interpolated_hamiltonian(0.5, -1.0, diag)
 
+    def test_field_must_be_finite(self):
+        diag = DiagonalOperator(2, np.zeros(4, dtype=np.int64))
+        for g in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="field strength"):
+                interpolated_hamiltonian(0.5, g, diag)
+
     def test_interpolation_endpoints(self, system143):
         qmap, penalty = assemble_problem(system143, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
@@ -340,6 +347,17 @@ class TestMixerAndInterpolation:
                     expected = (1 - s) * dense_mixer(diag.n, g) + np.diag(s * diag.as_array)
                     h = interpolated_hamiltonian(s, g, diag)
                     assert np.array_equal(h, expected), (diag.n, diag.scale, g, s)
+
+    def test_matrix_free_product_matches_the_dense_matrix(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            diag = DiagonalOperator(n, rng.integers(-60, 60, 1 << n), scale=6)
+            for s in (0.0, 1.0, *rng.uniform(0.0, 1.0, 3)):
+                g = rng.uniform(0.05, 2.0)
+                v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                expected = interpolated_hamiltonian(s, g, diag) @ v
+                got = _apply_interpolated(s, g, diag, v)
+                assert np.max(np.abs(got - expected)) <= 1e-13, (n, s, g)
 
     def test_the_cap_is_checked_before_anything_is_built(self, monkeypatch):
         four = DiagonalOperator(4, np.zeros(16, dtype=np.int64))
