@@ -7,19 +7,17 @@ are applied in order to the mixer ground state.  Natural units throughout
 
 Each step is propagated one of two ways, both exact to roundoff:
 
-- dense: build the 2^n x 2^n H(s) and form the exponential from its
-  eigensystem (propagate_step), O(8^n) per step;
-- matrix-free: short-iteration Lanczos with adaptive substeps (Park &
-  Light 1986; Hochbruck & Lubich 1997), which needs only products H(s) @ v
-  at O(n * 2^n) each (hamiltonian._apply_interpolated).
+- dense: the eigensystem of the 2^n x 2^n H(s) (propagate_step), O(8^n);
+- matrix-free: a Chebyshev expansion (Tal-Ezer & Kosloff 1984) over the
+  spectral interval [s * E_min - (1 - s) * g * n, s * E_max + (1 - s) * g * n]
+  of H(s), one O(n * 2^n) product H(s) @ v (hamiltonian._apply_interpolated)
+  per Bessel coefficient J_k(r * tau) above roundoff, r the half-width.
 
-The choice is made before the step runs, from the register size n and
-the a-priori bound W(s) * tau on the step's spectral width, with
-W(s) = s * (E_max - E_min) + 2 * (1 - s) * g * n: a step goes matrix-free
-when its predicted substeps times the measured cost of one substep
-(_STEP_COST_MS) are below the measured cost of a dense step.  Registers
-of up to 7 qubits therefore always take the dense path, and so do steps
-whose width would need more substeps than a dense step costs.
+A step goes matrix-free when its term count times the measured cost of
+one product is below the measured cost of a dense step (_STEP_COST_MS);
+steps too wide to pay stay dense.  Registers of up to 4 qubits have no
+row and stay dense at any width: either path costs tens of microseconds
+there, and the dense one keeps their outputs fixed.
 
 Spectra (gap_profile) are dense eigenvalue solves.  Sizes are desk scale
 on purpose: n is capped (see hamiltonian.qubit_cap).
@@ -46,38 +44,25 @@ from .hamiltonian import (
 
 _FLOAT_FMT = "%.12g"
 
-# Lanczos substeps: at most _KRYLOV_DIM basis vectors each, accepted when
-# the a-posteriori error estimate is at most _SUBSTEP_TOL, with lengths
-# taken from the grid left * 2^(-k/4), k < _SUBSTEP_GRID (24 octaves).
-_KRYLOV_DIM = 30
-_SUBSTEP_TOL = 1e-13
-_SUBSTEP_GRID = 96
-# Spectral width W * h that one substep is predicted to cover.  Where a
-# step needed several substeps, each covered 12.8 to 30 (the 6-, 9- and
-# 10-qubit registers of 77, 323 and 121 and a 6-qubit direct-cost diagonal,
-# at T/M of 1, 8 and 10).
-_SUBSTEP_WIDTH = 12.0
+# A Chebyshev expansion ends at its last Bessel coefficient above _TERM_TOL.
+_TERM_TOL = 1e-16
 # Cost in milliseconds of one dense step (interpolated_hamiltonian plus
-# propagate_step) and of one full Lanczos substep (30 products), by register
-# size: medians of repeated runs, rounded, on 2 cores with 2 OpenBLAS
-# threads, numpy 2.4, Python 3.11.
-# Dense costs for 12 qubits (an 8.7 s eigh) and beyond (x8 per qubit) are
-# extrapolated, not run; larger registers use the 14-qubit row.
+# propagate_step) and of one product, measured as a whole Chebyshev step of
+# 32 to 58 terms divided by its products, by register size: medians of
+# repeated runs, rounded, on 2 cores with 2 OpenBLAS threads, numpy 2.4,
+# Python 3.11.  Dense costs for 12 qubits (an 8.7 s eigh) and beyond (x8 per
+# qubit) are extrapolated, not run; larger registers use the 14-qubit row.
 _STEP_COST_MS = {
-    1: (0.04, 0.15),
-    2: (0.034, 0.23),
-    3: (0.042, 0.42),
-    4: (0.072, 0.84),
-    5: (0.2, 1.8),
-    6: (0.6, 2.0),
-    7: (2.5, 2.5),
-    8: (10.2, 2.9),
-    9: (42.0, 3.0),
-    10: (200.0, 4.3),
-    11: (1370.0, 6.5),
-    12: (8700.0, 9.1),
-    13: (70000.0, 22.7),
-    14: (560000.0, 46.0),
+    5: (0.2, 0.036),
+    6: (0.6, 0.04),
+    7: (2.5, 0.035),
+    8: (10.2, 0.05),
+    9: (42.0, 0.072),
+    10: (200.0, 0.09),
+    11: (1370.0, 0.125),
+    12: (8700.0, 0.2),
+    13: (70000.0, 0.34),
+    14: (560000.0, 0.69),
 }
 
 
@@ -100,12 +85,15 @@ class Schedule:
             raise ValueError(f"total time must be positive, got {self.T}")
         if not math.isfinite(self.T):
             raise ValueError(f"total time must be finite, got {self.T}")
-        if self.M < 1 or self.M != int(self.M):
+        if not (self.M >= 1 and self.M % 1 == 0):
             raise ValueError(f"step count must be a positive integer, got {self.M}")
         _check_field(self.g)
         for c in self.checkpoints:
+            if not c % 1 == 0:
+                raise ValueError(f"checkpoint {c} is not a whole step count")
             if not 0 <= c <= self.M:
                 raise ValueError(f"checkpoint {c} outside 0..{self.M}")
+        object.__setattr__(self, "M", int(self.M))
 
     @property
     def tau(self) -> float:
@@ -220,85 +208,67 @@ def propagate_step(state: np.ndarray, hamiltonian: np.ndarray, tau: float) -> np
     return basis @ (phases * (basis.conj().T @ state))
 
 
-def _substep_length(
-    theta: np.ndarray, vecs: np.ndarray, residual: float, left: float
-) -> float:
-    """Longest grid length h <= left whose error estimate, and every shorter one's, passes.
+def _bessel_coefficients(x: float) -> np.ndarray:
+    """J_0(x), ..., J_K(x) for x >= 0, with K the last order above _TERM_TOL.
 
-    The estimate is residual * |e_m^T exp(-i T h) e_1|, with the small
-    tridiagonal T = vecs @ diag(theta) @ vecs.T.  NaN estimates never pass.
+    Miller's backward recurrence J_(k-1) = (2k / x) * J_k - J_(k+1), started
+    from 1 and 0 well past the last significant order, rescaled before it
+    can overflow and normalized by J_0 + 2 * (J_2 + J_4 + ...) = 1.  Below
+    x = 2 * _TERM_TOL, J_1 is negligible and J_0 is 1 to roundoff.
     """
-    lengths = left * 2.0 ** (-np.arange(_SUBSTEP_GRID) / 4)
-    ends = vecs[-1] * vecs[0]
-    estimates = residual * np.abs(np.exp(-1j * np.outer(lengths, theta)) @ ends)
-    failing = np.flatnonzero(~(estimates <= _SUBSTEP_TOL))
-    if failing.size == 0:
-        return left
-    if failing[-1] == _SUBSTEP_GRID - 1:
-        raise NumericalFailure(
-            f"Lanczos substep cannot meet its tolerance (estimate {estimates[-1]:.3e})"
-        )
-    return float(lengths[failing[-1] + 1])
+    if x <= 2 * _TERM_TOL:
+        return np.ones(1)
+    start = int(x + 20 + 12 * x ** (1 / 3))
+    values = [0.0] * start + [1.0, 0.0]
+    for k in range(start, 0, -1):
+        values[k - 1] = (2 * k / x) * values[k] - values[k + 1]
+        if abs(values[k - 1]) > 1e250:
+            values = [v * 1e-250 for v in values]
+    coeffs = np.array(values) / (values[0] + 2 * math.fsum(values[2::2]))
+    return coeffs[: np.flatnonzero(np.abs(coeffs) > _TERM_TOL)[-1] + 1]
 
 
-def _lanczos_step(apply, state: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
-    """exp(-i * H * tau) @ state by short-iteration Lanczos; returns (state, products).
+def _chebyshev_step(apply, state, tau, lo, hi) -> tuple[np.ndarray, int]:
+    """exp(-i * H * tau) @ state by a Chebyshev expansion; returns (state, products).
 
-    apply(v) returns H @ v for a real symmetric H; products counts its calls.
-    Each substep builds an orthonormal Krylov basis of at most _KRYLOV_DIM
-    vectors (full reorthogonalization, two Gram-Schmidt passes),
-    diagonalizes the small tridiagonal T exactly and advances by the
-    longest length its error estimate allows (_substep_length).  A basis
-    whose last coefficient falls below the tolerance spans an invariant
-    subspace to roundoff, and its estimate lets it cover the rest of the step.
+    apply(v) returns H @ v for a Hermitian H with spectrum in [lo, hi].  With
+    H = c + r * X (c, r the interval's centre and half-width), exp(-i * H * tau)
+    is exp(-i * c * tau) * sum_k a_k * J_k(r * tau) * T_k(X), with a_0 = 1 and
+    a_k = 2 * (-i)^k, and each vector T_k(X) @ state costs one product.
 
     Raises:
-        NumericalFailure: a non-finite Lanczos coefficient, or no substep
-            length meets the tolerance.
+        NumericalFailure: the propagated state is not finite.
     """
-    size = min(_KRYLOV_DIM, state.size)
-    basis = np.empty((size, state.size), dtype=np.complex128)
-    alpha = np.empty(size)
-    beta = np.empty(size)
-    products = 0
-    left = tau
-    while left > 0:
-        norm = float(np.linalg.norm(state))
-        basis[0] = state / norm
-        for j in range(size):
-            w = apply(basis[j])
-            products += 1
-            done = basis[: j + 1]
-            coeffs = (done @ w.conj()).conj()
-            alpha[j] = coeffs[j].real
-            w -= coeffs @ done
-            w -= (done @ w.conj()).conj() @ done
-            beta[j] = np.linalg.norm(w)
-            if not (np.isfinite(alpha[j]) and np.isfinite(beta[j])):
-                raise NumericalFailure(f"non-finite Lanczos coefficient at iteration {j}")
-            if beta[j] <= _SUBSTEP_TOL or j + 1 == size:
-                break
-            basis[j + 1] = w / beta[j]
-        k = j + 1
-        off = beta[: k - 1]
-        tridiagonal = np.diag(alpha[:k]) + np.diag(off, 1) + np.diag(off, -1)
-        try:
-            theta, vecs = np.linalg.eigh(tridiagonal)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"tridiagonal eigensolve failed: {exc}") from exc
-        h = _substep_length(theta, vecs, beta[k - 1] * norm, left)
-        state = norm * ((vecs @ (np.exp(-1j * theta * h) * vecs[0])) @ basis[:k])
-        left -= h
-    return state, products
+    centre, radius = (hi + lo) / 2, (hi - lo) / 2
+    coeffs = _bessel_coefficients(radius * tau)
+    weights = 2 * coeffs * np.array([1, -1j, -1, 1j])[np.arange(coeffs.size) % 4]
+    result = coeffs[0] * state
+    # T_1 = X T_0, then T_(k+1) = 2 X T_k - T_(k-1)
+    previous, current, factor = 0.0, state, 1.0
+    for weight in weights[1:]:
+        following = (apply(current) - centre * current) * (factor / radius) - previous
+        previous, current, factor = current, following, 2.0
+        result += weight * current
+    result *= np.exp(-1j * centre * tau)
+    if not np.isfinite(np.vdot(result, result).real):
+        raise NumericalFailure("Chebyshev step produced a non-finite state")
+    return result, coeffs.size - 1
 
 
-def _lanczos_pays(n: int, width_tau: float) -> bool:
-    """Whether the predicted Lanczos substeps cost less than one dense step.
+def _chebyshev_pays(n: int, width_tau: float) -> bool:
+    """Whether a Chebyshev step's products cost less than one dense step.
 
-    width_tau is W(s) * tau; a non-finite value predicts no saving.
+    width_tau is (hi - lo) * tau.  A step needs at least r * tau =
+    width_tau / 2 products, so a width too large to pay, or a non-finite
+    one, is refused before any coefficient is computed.
     """
-    dense_ms, substep_ms = _STEP_COST_MS[min(n, max(_STEP_COST_MS))]
-    return (1.0 + width_tau / _SUBSTEP_WIDTH) * substep_ms < dense_ms
+    if n < min(_STEP_COST_MS):
+        return False
+    dense_ms, product_ms = _STEP_COST_MS[min(n, max(_STEP_COST_MS))]
+    x = width_tau / 2
+    return x * product_ms < dense_ms and (
+        (_bessel_coefficients(x).size - 1) * product_ms < dense_ms
+    )
 
 
 def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrace:
@@ -316,15 +286,15 @@ def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrac
     points = []
     if 0 in marks:
         points.append(TracePoint(0, 0.0, populations(state)))
-    g, tau = schedule.g, schedule.tau
-    energy_width = float(problem.max_energy() - problem.min_energy())
+    g, tau, n = schedule.g, schedule.tau, problem.n
+    e_min, e_max = float(problem.min_energy()), float(problem.max_energy())
     products = 0
     for step in range(1, schedule.M + 1):
         s = schedule.s_at(step)
-        width = s * energy_width + 2.0 * (1.0 - s) * g * problem.n
-        if _lanczos_pays(problem.n, width * tau):
+        lo, hi = s * e_min - (1 - s) * g * n, s * e_max + (1 - s) * g * n
+        if _chebyshev_pays(n, (hi - lo) * tau):
             apply = partial(_apply_interpolated, s, g, problem)
-            state, used = _lanczos_step(apply, state, tau)
+            state, used = _chebyshev_step(apply, state, tau, lo, hi)
             products += used
         else:
             state = propagate_step(state, interpolated_hamiltonian(s, g, problem), tau)

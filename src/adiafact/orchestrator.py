@@ -244,14 +244,14 @@ def factor(
         )
     manifold = ground_manifold(problem)
     schedule = Schedule(g=g, T=T, M=M, checkpoints=checkpoints)
+    min_gap = None
+    if gap_points:
+        min_gap = gap_profile(problem, g, points=gap_points, k=2).min_gap
     trace = run_schedule(problem, schedule)
     pops = trace.final_populations
     best = max(manifold.indices, key=lambda i: pops[i])
     # zero energy certifies the equations, hence the product; check it anyway
     p, q = _verified(target, *decode_assignment(qmap.assignment_of(best), system))
-    min_gap = None
-    if gap_points:
-        min_gap = gap_profile(problem, g, points=gap_points, k=2).min_gap
     return FactorResult(
         target, p, q, widths=system.widths, mode="adiabatic",
         success_probability=success_probability(pops, manifold),
@@ -303,11 +303,10 @@ def sweep(
     gaps: dict[float, Optional[float]] = {}
     points = []
     for value in values:
-        params = {"g": g, "T": T, "M": M, axis: int(value) if axis == "M" else value}
-        schedule = Schedule(**params)
-        trace = run_schedule(problem, schedule)
-        prob = success_probability(trace.final_populations, manifold)
+        schedule = Schedule(**{"g": g, "T": T, "M": M, axis: value})
         if gap_points and schedule.g not in gaps:
             gaps[schedule.g] = gap_profile(problem, schedule.g, points=gap_points, k=2).min_gap
+        trace = run_schedule(problem, schedule)
+        prob = success_probability(trace.final_populations, manifold)
         points.append(SweepPoint(float(value), prob, gaps.get(schedule.g)))
     return points

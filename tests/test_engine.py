@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from adiafact import (
     DimensionMismatch,
@@ -26,7 +27,7 @@ from adiafact import (
     select_split,
 )
 from adiafact import engine
-from adiafact.engine import _lanczos_pays, _lanczos_step, _substep_length
+from adiafact.engine import _bessel_coefficients, _chebyshev_pays, _chebyshev_step
 from adiafact.hamiltonian import _apply_interpolated
 
 from oracles import dense_mixer, expm_schedule
@@ -48,6 +49,12 @@ def problem143():
 def registers():
     """factor()'s registers of 5, 6, 7, 9 and 10 qubits, by target."""
     return {target: select_split(target)[2] for target in (119, 77, 295, 323, 121)}
+
+
+def interval(problem, schedule, s):
+    """The spectral interval run_schedule gives the step at s."""
+    field = (1 - s) * schedule.g * problem.n
+    return s * float(problem.min_energy()) - field, s * float(problem.max_energy()) + field
 
 
 def dense_run(problem, schedule):
@@ -81,8 +88,22 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(M=10, checkpoints=(11,))
 
+    def test_whole_float_step_count_is_stored_as_int(self, problem143):
+        sched = Schedule(M=2.0)
+        assert type(sched.M) is int and sched.to_json_dict()["M"] == 2
+        assert type(sched.to_json_dict()["M"]) is int
+        a, b = run_schedule(problem143, sched), run_schedule(problem143, Schedule(M=2))
+        assert np.array_equal(a.final_state, b.final_state)
+        assert [p.step for p in a.points] == [p.step for p in b.points] == [0, 1, 2]
+
+    def test_fractional_checkpoint_is_refused(self):
+        # it would pass the range check and then never be recorded
+        with pytest.raises(ValueError, match="checkpoint 2.5"):
+            Schedule(M=4, checkpoints=(2.5,))
+        assert Schedule(M=4, checkpoints=(2.0,)).resolved_checkpoints() == (2,)
+
     def test_time_and_field_must_be_finite(self):
-        # a substep loop cannot finish on T = inf, and NaN would pass a plain "> 0" check
+        # no step count covers T = inf, and NaN would pass a plain "> 0" check
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="total time"):
                 Schedule(T=bad)
@@ -205,48 +226,65 @@ class TestRunSchedule:
 
 
 class TestMatrixFreeSteps:
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 1.0, 4.2, 60.0, 400.0, 3000.0])
+    def test_bessel_coefficients_match_scipy(self, x):
+        coeffs = _bessel_coefficients(x)
+        orders = np.arange(coeffs.size)
+        assert np.max(np.abs(coeffs - jv(orders, x))) <= 1e-13
+        # the expansion stops where the coefficients fall below roundoff
+        assert abs(coeffs[-1]) > engine._TERM_TOL
+        assert np.all(np.abs(jv(np.arange(coeffs.size, coeffs.size + 40), x)) <= 1e-15)
+        # at least r * tau terms, the bound _chebyshev_pays refuses wide steps by
+        assert coeffs.size - 1 >= x
+        if x == 0.0:
+            assert coeffs.tolist() == [1.0]
+
     def test_small_registers_keep_the_dense_path(self):
         # every register of sweep-small and 143, whatever the schedule
         for n in range(1, 5):
             for width_tau in (0.0, 1.0, 30.0, 1e4):
-                assert not _lanczos_pays(n, width_tau)
+                assert not _chebyshev_pays(n, width_tau)
 
-    def test_wide_steps_keep_the_dense_path(self):
+    def test_wide_steps_keep_the_dense_path(self, monkeypatch):
+        def no_coefficients(x):
+            raise AssertionError(f"coefficients computed for x={x}")
+
+        # refused from the width alone, without running the recurrence
+        monkeypatch.setattr(engine, "_bessel_coefficients", no_coefficients)
         for n in range(1, 21):
             for width_tau in (1e7, float("inf"), float("nan")):
-                assert not _lanczos_pays(n, width_tau)
+                assert not _chebyshev_pays(n, width_tau)
 
     def test_large_registers_go_matrix_free_at_the_default_schedule(self, registers):
         for target in (323, 121):
             problem = registers[target]
             width = float(problem.max_energy() - problem.min_energy())
-            assert _lanczos_pays(problem.n, width)
-            assert _lanczos_pays(problem.n, 2 * 0.6 * problem.n)
+            assert _chebyshev_pays(problem.n, width)
+            assert _chebyshev_pays(problem.n, 2 * 0.6 * problem.n)
 
     @pytest.mark.parametrize("target", [119, 77, 295])
     def test_matches_expm_reference(self, registers, monkeypatch, target):
         problem = registers[target]
-        # T/M = 8 needs several Lanczos substeps per step
+        # T/M = 8 takes expansions of 63 to 137 terms
         for sched in (Schedule(), Schedule(T=40.0, M=5)):
             reference = expm_schedule(problem.as_array, sched.g, sched.T, sched.M)
-            dense = run_schedule(problem, sched)
+            chosen = run_schedule(problem, sched)
             with monkeypatch.context() as forced:
-                forced.setattr(engine, "_lanczos_pays", lambda n, width_tau: True)
-                lanczos = run_schedule(problem, sched)
-            assert dense.products == 0 and lanczos.products > 0
-            for trace in (dense, lanczos):
+                forced.setattr(engine, "_chebyshev_pays", lambda n, width_tau: True)
+                matrix_free = run_schedule(problem, sched)
+            assert matrix_free.products > 0
+            for trace in (chosen, matrix_free):
                 assert np.max(np.abs(trace.final_state - reference)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "target, sched", [(323, Schedule(T=16.0, M=4)), (121, Schedule(T=8.0, M=2))]
+        "target, sched", [(323, Schedule(T=120.0, M=4)), (121, Schedule(T=8.0, M=2))]
     )
     def test_large_registers_match_the_dense_propagator(self, registers, target, sched):
         problem = registers[target]
-        width = float(problem.max_energy() - problem.min_energy())
-        matrix_free = [
-            _lanczos_pays(problem.n, (s * width + 2 * (1 - s) * sched.g * problem.n) * sched.tau)
-            for s in map(sched.s_at, range(1, sched.M + 1))
-        ]
+        matrix_free = []
+        for s in map(sched.s_at, range(1, sched.M + 1)):
+            lo, hi = interval(problem, sched, s)
+            matrix_free.append(_chebyshev_pays(problem.n, (hi - lo) * sched.tau))
         # 323 mixes both paths within one run; 121 takes only matrix-free steps
         assert any(matrix_free) and all(matrix_free) == (target == 121)
         trace = run_schedule(problem, sched)
@@ -258,10 +296,11 @@ class TestMatrixFreeSteps:
         sched = Schedule()
         eye = np.eye(problem.dim, dtype=np.complex128)
         for step in range(1, sched.M + 1):
-            apply = partial(_apply_interpolated, sched.s_at(step), sched.g, problem)
-            u = np.column_stack(
-                [_lanczos_step(apply, eye[:, j], sched.tau)[0] for j in range(problem.dim)]
-            )
+            s = sched.s_at(step)
+            apply = partial(_apply_interpolated, s, sched.g, problem)
+            lo, hi = interval(problem, sched, s)
+            columns = [_chebyshev_step(apply, e, sched.tau, lo, hi)[0] for e in eye.T]
+            u = np.column_stack(columns)
             assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10
 
     def test_repeated_runs_are_bitwise_identical(self, registers):
@@ -274,15 +313,11 @@ class TestMatrixFreeSteps:
         def no_dense_matrix(*args):
             raise AssertionError("dense H(s) built")
 
-        small_eigh = np.linalg.eigh
-
-        def krylov_sized_eigh(matrix):
-            if matrix.shape[0] > engine._KRYLOV_DIM:
-                raise AssertionError(f"eigh of a {matrix.shape[0]}-dimensional matrix")
-            return small_eigh(matrix)
+        def no_eigh(matrix):
+            raise AssertionError(f"eigh of a {matrix.shape[0]}-dimensional matrix")
 
         monkeypatch.setattr(engine, "interpolated_hamiltonian", no_dense_matrix)
-        monkeypatch.setattr(engine.np.linalg, "eigh", krylov_sized_eigh)
+        monkeypatch.setattr(engine.np.linalg, "eigh", no_eigh)
         for target in (323, 121):
             trace = run_schedule(registers[target], Schedule())
             assert trace.products > 0 and trace.norm_drift <= 1e-9
@@ -290,8 +325,8 @@ class TestMatrixFreeSteps:
             run_schedule(problem143, Schedule())
 
     def test_wide_spectra_stay_bounded_and_exact(self):
-        # direct-cost diagonals span about 2e4: a Lanczos run would need
-        # thousands of substeps per step, so every step stays dense
+        # direct-cost diagonals span about 2e4: a Chebyshev step would need
+        # thousands of products, so every step stays dense
         for widths in ((3, 3), (4, 4)):
             problem = direct_cost_diagonal(143, *widths)
             started = time.perf_counter()
@@ -304,19 +339,18 @@ class TestMatrixFreeSteps:
         dense = run_schedule(problem143, Schedule())
         assert dense.products == 0
         assert dense.norm_drift == abs(float(np.linalg.norm(dense.final_state)) - 1.0)
-        lanczos = run_schedule(registers[323], Schedule())
-        assert lanczos.products >= Schedule().M
-        assert lanczos.norm_drift == abs(float(np.linalg.norm(lanczos.final_state)) - 1.0)
-        assert lanczos.norm_drift <= 1e-9
+        matrix_free = run_schedule(registers[323], Schedule())
+        assert matrix_free.products >= Schedule().M
+        assert matrix_free.norm_drift == abs(float(np.linalg.norm(matrix_free.final_state)) - 1.0)
+        assert matrix_free.norm_drift <= 1e-9
 
-    def test_non_finite_lanczos_coefficient_fails(self):
+    def test_non_finite_product_fails(self, registers, monkeypatch):
         with pytest.raises(NumericalFailure, match="non-finite"):
-            _lanczos_step(lambda v: v * np.nan, initial_state(5), 1.0)
-
-    def test_nan_error_estimates_never_pass(self):
-        theta, vecs = np.linalg.eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(NumericalFailure, match="tolerance"):
-            _substep_length(theta, vecs, float("nan"), 1.0)
+            _chebyshev_step(lambda v: v * np.nan, initial_state(5), 1.0, -3.0, 3.0)
+        # the same failure inside a run, before the final norm check
+        monkeypatch.setattr(engine, "_apply_interpolated", lambda s, g, problem, v: v * np.nan)
+        with pytest.raises(NumericalFailure, match="Chebyshev"):
+            run_schedule(registers[323], Schedule())
 
     def test_norm_check_catches_nan(self, problem143, monkeypatch):
         monkeypatch.setattr(engine, "propagate_step", lambda state, h, tau: state * np.nan)

@@ -193,6 +193,18 @@ class TestFactor:
         result = factor(143, checkpoints=(0, 10, 20), gap_points=0)
         assert [p.step for p in result.trace.points] == [0, 10, 20]
 
+    def test_gap_point_count_is_checked_before_the_anneal(self, monkeypatch):
+        from adiafact import orchestrator
+
+        def no_anneal(*args):
+            raise AssertionError("the anneal ran before the gap profile")
+
+        monkeypatch.setattr(orchestrator, "run_schedule", no_anneal)
+        with pytest.raises(ValueError, match="two sample points"):
+            factor(323, gap_points=1)
+        with pytest.raises(ValueError, match="two sample points"):
+            sweep(323, "T", [10.0, 20.0], gap_points=1)
+
 
 class TestFactorAgainstArithmetic:
     # 133 and 145 compile to 11- and 12-qubit registers whose dense

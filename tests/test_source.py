@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -19,6 +20,26 @@ def test_no_assert_statements_in_the_package():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
+    assert found == []
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # scipy and the rest of the test extras stay out of the installed package
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
     assert found == []
 
 
