@@ -344,10 +344,25 @@ class TestMatrixFreeSteps:
         assert matrix_free.norm_drift == abs(float(np.linalg.norm(matrix_free.final_state)) - 1.0)
         assert matrix_free.norm_drift <= 1e-9
 
-    def test_non_finite_product_fails(self, registers, monkeypatch):
+    def test_non_finite_lanczos_coefficient_fails(self, monkeypatch):
+        # a non-finite product, then a non-finite expansion coefficient
         with pytest.raises(NumericalFailure, match="non-finite"):
             _chebyshev_step(lambda v: v * np.nan, initial_state(5), 1.0, -3.0, 3.0)
-        # the same failure inside a run, before the final norm check
+        monkeypatch.setattr(engine, "_bessel_coefficients", lambda x: np.array([1.0, np.nan]))
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            _chebyshev_step(lambda v: v, initial_state(5), 1.0, -3.0, 3.0)
+
+    def test_nan_error_estimates_never_pass(self, monkeypatch):
+        # a NaN in the measured step costs never selects the matrix-free path
+        for costs in ((np.nan, 0.036), (0.2, np.nan), (np.nan, np.nan)):
+            with monkeypatch.context() as patched:
+                patched.setattr(engine, "_STEP_COST_MS", {5: costs})
+                for n in (5, 9, 20):
+                    for width_tau in (0.0, 1.0, 30.0):
+                        assert not _chebyshev_pays(n, width_tau)
+
+    def test_non_finite_product_fails(self, registers, monkeypatch):
+        # a non-finite product inside a run fails before the final norm check
         monkeypatch.setattr(engine, "_apply_interpolated", lambda s, g, problem, v: v * np.nan)
         with pytest.raises(NumericalFailure, match="Chebyshev"):
             run_schedule(registers[323], Schedule())
