@@ -8,16 +8,17 @@ full width).  Each output column c contributes one balance equation
     sum_{i+j=c} P_i*Q_j + carries into c = N_c + sum_m 2^m * z_(c,c+m)
 
 with just enough carry bits to hold the column's largest possible value,
-and no carry reaching past the last column.  simplify() then drives a
-fixpoint of cheap propagation rules over the system:
+and no carry reaching past the last column.  simplify() then repeats
+passes of cheap propagation rules until one changes nothing.  A pass
+settles each live equation once: it deletes monomials that contain both
+members of a forbidden pair, substitutes the fixed variables, normalizes
+the sign, and drops the equation if it vanishes or equals one settled
+earlier in the pass.  Then the rules run on it:
 
-  * interval pruning per equation, with forbidden pairs tightening the
-    bounds of sums of exclusive linear terms,
+  * interval pruning, with forbidden pairs tightening the bounds of
+    sums of exclusive linear terms,
   * forcing whole equations that sit at an interval endpoint of zero,
-  * recording forbidden pairs from x + y = 1 constraints and deleting
-    monomials that contain both members of a pair,
-  * substituting fixed variables, discarding satisfied equations, and
-    deduplicating equal residuals.
+  * recording forbidden pairs from x + y = 1 constraints.
 
 Every step is a sound implication of the system together with the pairs
 recorded so far, so the solution set projected onto surviving variables
@@ -206,15 +207,12 @@ class _Propagator:
         self.rows: list[_Row] = []  # append-only, so a row's index is its creation order
         var_count = len(system.free_variables())
         for eq in system.equations:
-            self._push(eq.column, eq.residual)
+            self.rows.append(_Row(eq.column, eq.residual))
         # every pass fixes a variable, records a pair, or deletes material,
         # so the fixpoint arrives well inside this budget
         self._pass_budget = 4 * (var_count + len(self.rows)) + 8
 
     # -- bookkeeping -------------------------------------------------
-
-    def _push(self, column: Optional[int], poly: Poly) -> None:
-        self.rows.append(_Row(column, poly))
 
     def _live(self) -> Iterable[_Row]:
         return (row for row in self.rows if not row.dead)
@@ -289,70 +287,52 @@ class _Propagator:
         raise InvariantViolation("propagation did not reach a fixpoint within budget")
 
     def _pass(self) -> bool:
-        changed = self._normalize()
-        for row in list(self._live()):
+        changed = False
+        seen: set[Poly] = set()
+        for row in list(self._live()):  # rows pushed during the pass wait for the next
+            changed = self._settle(row) or changed
             if row.dead:
                 continue
-            poly = row.poly.substitute(self.fixed)
-            if poly != row.poly:
-                row.poly = poly
-                changed = True
-            if not poly:
+            if row.poly in seen:
                 row.dead = True
                 changed = True
                 continue
-            if poly.degree == 0:
-                raise Infeasible(self._explain(row, poly))
-            changed = self._apply_rules(row, poly) or changed
+            seen.add(row.poly)
+            changed = self._apply_rules(row) or changed
         return changed
 
-    def _normalize(self) -> bool:
-        changed = False
-        seen: dict[Poly, _Row] = {}
-        for row in self.rows:
-            if row.dead:
-                continue
-            poly = _canon_sign(self._strip_pairs(row.poly.substitute(self.fixed)))
-            if poly != row.poly:
-                row.poly = poly
-                changed = True
-            if not poly:
-                row.dead = True
-                changed = True
-                continue
-            if poly.degree == 0:
-                raise Infeasible(self._explain(row, poly))
-            if poly in seen:
-                row.dead = True
-                changed = True
-            else:
-                seen[poly] = row
-        return changed
+    def _settle(self, row: _Row) -> bool:
+        """Strip pairs, substitute fixed values, normalize the sign; True if the row changed."""
+        poly = _canon_sign(self._strip_pairs(row.poly).substitute(self.fixed))
+        if not poly:
+            row.dead = True
+            return True
+        if poly.degree == 0:
+            raise Infeasible(self._explain(row, poly))
+        if poly == row.poly:
+            return False
+        row.poly = poly
+        return True
 
     def _strip_pairs(self, poly: Poly) -> Poly:
         for pair in sorted(self.pairs, key=_pair_key):
-            if self._is_atom_of(poly, pair):
+            if len(poly) == 1 and set(next(poly.items())[0]) == pair:
                 continue  # keep the xy = 0 equation that backs the pair
             poly = poly.without_monomials(pair)
         return poly
 
-    @staticmethod
-    def _is_atom_of(poly: Poly, pair: frozenset) -> bool:
-        terms = list(poly.items())
-        return len(terms) == 1 and set(terms[0][0]) == set(pair)
-
-    def _apply_rules(self, row: _Row, poly: Poly) -> bool:
-        lo, hi = self._bounds(poly)
+    def _apply_rules(self, row: _Row) -> bool:
+        lo, hi = self._bounds(row.poly)
         if lo > 0 or hi < 0:
-            raise Infeasible(self._explain(row, poly))
-        plain_lo, plain_hi = poly.bounds()
+            raise Infeasible(self._explain(row, row.poly))
+        plain_lo, plain_hi = row.poly.bounds()
         if plain_hi == 0:
-            return self._force_extreme(row, poly, maximize=True)
+            return self._force_extreme(row, maximize=True)
         if plain_lo == 0:
-            return self._force_extreme(row, poly, maximize=False)
+            return self._force_extreme(row, maximize=False)
 
         changed = False
-        for var in poly.variables():
+        for var in row.poly.variables():  # the row's variables on entry
             if var in self.fixed:
                 continue
             feasible = []
@@ -363,27 +343,23 @@ class _Propagator:
                         if var in pair:
                             (other,) = set(pair) - {var}
                             trial.setdefault(other, 0)
-                reduced = poly.substitute(trial)
-                t_lo, t_hi = self._bounds(reduced)
+                t_lo, t_hi = self._bounds(row.poly.substitute(trial))
                 feasible.append(t_lo <= 0 <= t_hi)
             if not feasible[0] and not feasible[1]:
-                raise Infeasible(self._explain(row, poly))
+                raise Infeasible(self._explain(row, row.poly))
             if feasible[0] != feasible[1]:
                 self._fix(var, 0 if feasible[0] else 1)
                 changed = True
-                poly = _canon_sign(poly.substitute(self.fixed))
-                row.poly = poly
-                if not poly:
-                    row.dead = True
+                self._settle(row)
+                if row.dead:
                     return True
-                if poly.degree == 0:
-                    raise Infeasible(self._explain(row, poly))
 
-        changed = self._record_pair_sum(poly) or changed
+        changed = self._record_pair_sum(row.poly) or changed
         return changed
 
-    def _force_extreme(self, row: _Row, poly: Poly, maximize: bool) -> bool:
+    def _force_extreme(self, row: _Row, maximize: bool) -> bool:
         """The residual can only vanish at an interval endpoint: pin every term."""
+        poly = row.poly
         changed = False
         atoms = []
         for mono, coeff in poly.items():
@@ -399,11 +375,10 @@ class _Propagator:
                     changed = self._add_pair(*mono) or changed
                 atoms.append(mono)
         replacements = [Poly({mono: 1}) for mono in atoms]
-        if len(replacements) == 1 and replacements[0] == _canon_sign(poly):
+        if replacements == [poly]:
             return changed  # the row already is its own xy = 0 atom
         row.dead = True
-        for replacement in replacements:
-            self._push(row.column, replacement)
+        self.rows.extend(_Row(row.column, replacement) for replacement in replacements)
         return True
 
     def _record_pair_sum(self, poly: Poly) -> bool:
@@ -520,25 +495,35 @@ def system_to_document(system: EquationSystem) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """value itself if it is a JSON integer; a float, string or bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def system_from_document(doc: dict) -> EquationSystem:
-    """Inverse of system_to_document; column provenance is not retained."""
+    """Inverse of system_to_document; column provenance is not retained.
+
+    n, both widths and every fixed value must be JSON integers.
+    """
     try:
-        target = int(doc["n"])
-        widths = (int(doc["widths"][0]), int(doc["widths"][1]))
+        target = _json_int(doc["n"])
+        widths = (_json_int(doc["widths"][0]), _json_int(doc["widths"][1]))
         equations = tuple(
             ColumnEquation(_poly_from_terms(eq["lhs"]), _poly_from_terms(eq["rhs"]))
             for eq in doc["equations"]
         )
         fixed = {
-            VarId.parse(name): int(value) for name, value in doc.get("fixed", {}).items()
+            VarId.parse(name): _json_int(value) for name, value in doc.get("fixed", {}).items()
         }
         pairs = tuple(
             frozenset(VarId.parse(name) for name in pair)
             for pair in doc.get("forbidden_pairs", [])
         )
-    except (KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
+        declared = [VarId.parse(name) for name in doc.get("variables", [])]
+    except (KeyError, IndexError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed system document: {exc}") from exc
-    declared = [VarId.parse(name) for name in doc.get("variables", [])]
     system = EquationSystem(target, widths, equations, dict(sorted(fixed.items())), pairs)
     _validate_layout_rules(system)
     if declared and tuple(sorted(declared)) != system.free_variables():

@@ -189,14 +189,6 @@ class PseudoBooleanPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "PseudoBooleanPolynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        out = PseudoBooleanPolynomial.constant(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def evaluate(self, assignment: Mapping[VarId, int]) -> Rational:
         total = 0
         for mono, coeff in self._terms.items():

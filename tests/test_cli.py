@@ -248,10 +248,24 @@ class TestExitCodes:
             {"forbidden_pairs": [["p1"]]},
             {"forbidden_pairs": [["p1", "q1", "q2"]]},
         ]
-        for breach in breaches:
+        # documents of the wrong JSON types: n, the widths and fixed values
+        # must be integers, not floats, strings or bools
+        mistyped = [
+            {"variables": [5]},
+            {"fixed": []},
+            {"n": 143.7},
+            {"n": "143"},
+            {"widths": "44"},
+            {"widths": [4.0, 4]},
+            {"fixed": {**good["fixed"], "z3_4": 1.5}},
+            {"fixed": {**good["fixed"], "z3_4": True}},
+        ]
+        for breach in breaches + mistyped:
             path.write_text(json.dumps({**good, "variables": [], **breach}))
-            code, out, _ = run_cli(capsys, "simulate", "--system", str(path))
+            code, out, err = run_cli(capsys, "simulate", "--system", str(path))
             assert (code, out) == (1, ""), breach
+            assert "Traceback" not in err, breach
+            assert breach not in mistyped or "malformed system document" in err, breach
 
     def test_overflowing_coefficients_exit_1(self, capsys, tmp_path):
         # squared, these coefficients wrapped around int64 and moved the ground state

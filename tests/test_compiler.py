@@ -23,6 +23,7 @@ from adiafact import (
 )
 
 import oracles
+from compile_digest import compile_digest
 
 
 def poly_of(*terms):
@@ -210,6 +211,15 @@ class TestSimplifyGeneral:
         monkeypatch.setattr(compiler._Propagator, "_pass", lambda self: True)
         with pytest.raises(InvariantViolation, match="fixpoint"):
             simplify(build_layout(143, 4, 4))
+
+
+class TestCompileDigest:
+    def test_output_below_256_is_frozen(self):
+        # every document, equation column and verdict of the 640 splits of
+        # odd n in 9..255, 147 at widths (3, 5) among them; a propagator
+        # change that moves any of them must declare it and re-freeze this
+        digest = "d8c4a12ef86a2bd11b59c69efd0a26ec4e4634ad1174d5e98f091dfe377bcf41"
+        assert compile_digest(9, 255) == (digest, 640, 208)
 
 
 class TestSolutionPreservation:

@@ -100,7 +100,10 @@ class TestSchedule:
         # it would pass the range check and then never be recorded
         with pytest.raises(ValueError, match="checkpoint 2.5"):
             Schedule(M=4, checkpoints=(2.5,))
-        assert Schedule(M=4, checkpoints=(2.0,)).resolved_checkpoints() == (2,)
+        whole = Schedule(M=4, checkpoints=(2.0,))
+        assert whole.resolved_checkpoints() == (2,)
+        listed = whole.to_json_dict()["checkpoints"]
+        assert listed == [2] and type(listed[0]) is int
 
     def test_time_and_field_must_be_finite(self):
         # no step count covers T = inf, and NaN would pass a plain "> 0" check
