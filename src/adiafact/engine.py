@@ -19,8 +19,13 @@ steps too wide to pay stay dense.  Registers of up to 4 qubits have no
 row and stay dense at any width: either path costs tens of microseconds
 there, and the dense one keeps their outputs fixed.
 
-Spectra (gap_profile) are dense eigenvalue solves.  Sizes are desk scale
-on purpose: n is capped (see hamiltonian.qubit_cap).
+Spectra (gap_profile) take both endpoints from closed forms.  Their
+interior samples are dense eigenvalue solves, except for at most two
+levels on registers where a full Lanczos basis (_BASIS_CAP products) costs
+less than one dense step in the same table, 9 qubits and up: there a
+warm-started Lanczos with full reorthogonalization (_lanczos_lowest) runs
+on the same matrix-free products.  Sizes are desk scale on purpose: n is
+capped (see hamiltonian.qubit_cap).
 """
 
 from __future__ import annotations
@@ -64,6 +69,15 @@ _STEP_COST_MS = {
     13: (70000.0, 0.34),
     14: (560000.0, 0.69),
 }
+# A Lanczos sample of gap_profile stops when the residual estimates of its
+# Ritz pairs reach _RITZ_TOL, checked every _CHECK_STRIDE basis vectors;
+# a basis of _BASIS_CAP vectors without convergence fails.  Its start
+# vector carries seeded noise of norm _NOISE.
+_RITZ_TOL = 1e-10
+_CHECK_STRIDE = 4
+_BASIS_CAP = 400
+_NOISE = 1e-2
+_NOISE_SEED = 143
 
 
 @dataclass(frozen=True)
@@ -157,6 +171,7 @@ class GapTrace:
     s_values: np.ndarray
     energies: np.ndarray  # shape (len(s_values), k), ascending within a row
     min_gap: Optional[float]
+    products: int  # H @ v products of the Lanczos samples; 0 when every sample was dense
 
     @property
     def k(self) -> int:
@@ -256,6 +271,13 @@ def _chebyshev_step(apply, state, tau, lo, hi) -> tuple[np.ndarray, int]:
     return result, coeffs.size - 1
 
 
+def _step_costs(n: int) -> Optional[tuple[float, float]]:
+    """(dense_ms, product_ms) for an n-qubit register; None below the table."""
+    if n < min(_STEP_COST_MS):
+        return None
+    return _STEP_COST_MS[min(n, max(_STEP_COST_MS))]
+
+
 def _chebyshev_pays(n: int, width_tau: float) -> bool:
     """Whether a Chebyshev step's products cost less than one dense step.
 
@@ -263,9 +285,10 @@ def _chebyshev_pays(n: int, width_tau: float) -> bool:
     width_tau / 2 products, so a width too large to pay, or a non-finite
     one, is refused before any coefficient is computed.
     """
-    if n < min(_STEP_COST_MS):
+    costs = _step_costs(n)
+    if costs is None:
         return False
-    dense_ms, product_ms = _STEP_COST_MS[min(n, max(_STEP_COST_MS))]
+    dense_ms, product_ms = costs
     x = width_tau / 2
     return x * product_ms < dense_ms and (
         (_bessel_coefficients(x).size - 1) * product_ms < dense_ms
@@ -321,6 +344,74 @@ def lowest_eigenvalues(hamiltonian: np.ndarray, k: int) -> np.ndarray:
     return energies[:k]
 
 
+def _lanczos_pays(n: int) -> bool:
+    """Whether a full Lanczos basis costs less than one dense step (the table's dense sample)."""
+    costs = _step_costs(n)
+    return costs is not None and _BASIS_CAP * costs[1] < costs[0]
+
+
+def _lanczos_lowest(apply, start, k, first_check) -> tuple[np.ndarray, np.ndarray, int]:
+    """The k lowest Ritz values of a real symmetric H, their Ritz vectors and the basis size.
+
+    apply(v) returns H @ v.  The Krylov basis grown from start is fully
+    reorthogonalized (two Gram-Schmidt passes per vector), and its
+    tridiagonal projection is diagonalized from first_check vectors on,
+    every _CHECK_STRIDE vectors (every sixteenth of the basis once that is
+    more), until the residual estimates beta_m * |y_last| of the k lowest
+    Ritz pairs are at most _RITZ_TOL.  The basis size equals the number of
+    products.
+
+    Raises:
+        NumericalFailure: a non-finite product, or no convergence within
+            _BASIS_CAP vectors.
+    """
+    cap = min(_BASIS_CAP, start.size)
+    basis = np.empty((cap, start.size))
+    alpha, beta = np.empty(cap), np.empty(cap)
+    basis[0] = start / np.linalg.norm(start)
+    check = max(first_check, k)
+    for m in range(1, cap + 1):
+        w = apply(basis[m - 1])
+        alpha[m - 1] = basis[m - 1] @ w
+        for _ in range(2):
+            w -= basis[:m].T @ (basis[:m] @ w)
+        beta[m - 1] = norm = np.linalg.norm(w)
+        if not math.isfinite(norm):
+            raise NumericalFailure("Lanczos produced a non-finite vector")
+        if m >= check or m == cap or norm == 0.0:
+            # eigh reads only the lower triangle of the tridiagonal projection
+            try:
+                theta, y = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(beta[: m - 1], -1))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(f"tridiagonal eigensolve failed: {exc}") from exc
+            if np.all(norm * np.abs(y[-1, :k]) <= _RITZ_TOL):
+                return theta[:k], y[:, :k].T @ basis[:m], m
+            check = m + max(_CHECK_STRIDE, m // 16)
+        if m < cap:
+            basis[m] = w / norm
+    raise NumericalFailure(f"Lanczos did not converge within {cap} vectors")
+
+
+def _lanczos_samples(problem: DiagonalOperator, g: float, s_values, k: int):
+    """The k lowest energies of H(s) at each s in (0, 1), and the products spent.
+
+    Each sample starts from the sum of the previous sample's Ritz vectors
+    (the first from the mixer ground state) plus one fixed seeded noise
+    vector, and first checks convergence two vectors short of the previous
+    basis size, so that sizes can shrink as well as grow.
+    """
+    rows = np.empty((len(s_values), k))
+    noise = np.random.default_rng(_NOISE_SEED).standard_normal(problem.dim)
+    noise *= _NOISE / np.linalg.norm(noise)
+    start, size, products = initial_state(problem.n).real, 0, 0
+    for i, s in enumerate(s_values):
+        apply = partial(_apply_interpolated, s, g, problem)
+        rows[i], vectors, size = _lanczos_lowest(apply, start + noise, k, size - 2)
+        products += size
+        start = vectors.sum(axis=0)
+    return rows, products
+
+
 def gap_profile(
     problem: DiagonalOperator, g: float, points: int = 101, k: int = 3
 ) -> GapTrace:
@@ -329,16 +420,37 @@ def gap_profile(
     min_gap is the smallest E1 - E0 over sampled s < 1 (None for k = 1);
     at s = 1 a degenerate ground manifold closes the gap by construction,
     which is why that endpoint is excluded.
+
+    The endpoints are closed forms: at s = 0 the levels g * (2j - n) with
+    multiplicity C(n, j), at s = 1 the sorted diagonal.  Interior samples
+    are dense eigenvalue solves, or Lanczos (_lanczos_lowest) for k <= 2
+    on registers where a full basis costs less than a dense sample.  For
+    s < 1, H(s) is irreducible and, after the gauge Z on every qubit, has
+    no positive off-diagonal entry, so E0 is simple (Perron-Frobenius); a
+    single Krylov vector with a random component then yields E0 and the
+    value of E1 even when E1 is degenerate.  It can miss a degenerate
+    E1 = E2, so k >= 3 stays dense.
     """
     _check_field(g)
     if points < 2:
         raise ValueError(f"need at least two sample points, got {points}")
+    n = problem.n
+    _check_dim(n)
+    if not 1 <= k <= problem.dim:
+        raise IndexOutOfRange(f"k={k} outside 1..{problem.dim}")
     s_values = np.linspace(0.0, 1.0, points)
     rows = np.empty((points, k))
-    for i, s in enumerate(s_values):
-        rows[i] = lowest_eigenvalues(interpolated_hamiltonian(s, g, problem), k)
+    levels = g * np.arange(-n, n + 1, 2)
+    rows[0] = np.repeat(levels, [math.comb(n, j) for j in range(n + 1)])[:k]
+    rows[-1] = np.sort(problem.as_array)[:k]
+    products = 0
+    if k <= 2 and _lanczos_pays(n):
+        rows[1:-1], products = _lanczos_samples(problem, g, s_values[1:-1], k)
+    else:
+        for i in range(1, points - 1):
+            rows[i] = lowest_eigenvalues(interpolated_hamiltonian(s_values[i], g, problem), k)
     min_gap = None
     if k >= 2:
         before_end = s_values < 1.0
         min_gap = float(np.min(rows[before_end, 1] - rows[before_end, 0]))
-    return GapTrace(s_values, rows, min_gap)
+    return GapTrace(s_values, rows, min_gap, products)

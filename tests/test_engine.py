@@ -1,7 +1,7 @@
 """Stepped evolution against an independent matrix-exponential reference."""
 
 import io
-import time
+import math
 from functools import partial
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from scipy.special import jv
 
 from adiafact import (
+    DiagonalOperator,
     DimensionMismatch,
     IndexOutOfRange,
     NumericalFailure,
@@ -27,7 +28,13 @@ from adiafact import (
     select_split,
 )
 from adiafact import engine
-from adiafact.engine import _bessel_coefficients, _chebyshev_pays, _chebyshev_step
+from adiafact.engine import (
+    _bessel_coefficients,
+    _chebyshev_pays,
+    _chebyshev_step,
+    _lanczos_pays,
+    _lanczos_samples,
+)
 from adiafact.hamiltonian import _apply_interpolated
 
 from oracles import dense_mixer, expm_schedule
@@ -55,6 +62,18 @@ def interval(problem, schedule, s):
     """The spectral interval run_schedule gives the step at s."""
     field = (1 - s) * schedule.g * problem.n
     return s * float(problem.min_energy()) - field, s * float(problem.max_energy()) + field
+
+
+def dense_levels(problem, g, s_values, k):
+    """The k lowest eigenvalues at each s of the oracle mixer plus the diagonal."""
+    mixer = dense_mixer(problem.n, g)
+    return np.array(
+        [np.linalg.eigvalsh((1 - s) * mixer + np.diag(s * problem.as_array))[:k] for s in s_values]
+    )
+
+
+def no_dense_matrix(*args):
+    raise AssertionError("dense H(s) built")
 
 
 def dense_run(problem, schedule):
@@ -313,9 +332,6 @@ class TestMatrixFreeSteps:
         assert (a.products, a.norm_drift) == (b.products, b.norm_drift)
 
     def test_no_dense_matrix_and_no_register_eigh(self, registers, problem143, monkeypatch):
-        def no_dense_matrix(*args):
-            raise AssertionError("dense H(s) built")
-
         def no_eigh(matrix):
             raise AssertionError(f"eigh of a {matrix.shape[0]}-dimensional matrix")
 
@@ -327,16 +343,18 @@ class TestMatrixFreeSteps:
         with pytest.raises(AssertionError, match="dense H"):
             run_schedule(problem143, Schedule())
 
-    def test_wide_spectra_stay_bounded_and_exact(self):
+    def test_wide_spectra_stay_bounded_and_exact(self, monkeypatch):
         # direct-cost diagonals span about 2e4: a Chebyshev step would need
-        # thousands of products, so every step stays dense
+        # thousands of products, so every step stays dense, refused from the
+        # width alone without computing a single expansion coefficient
+        computed = []
+        monkeypatch.setattr(engine, "_bessel_coefficients", lambda x: computed.append(x))
         for widths in ((3, 3), (4, 4)):
             problem = direct_cost_diagonal(143, *widths)
-            started = time.perf_counter()
             trace = run_schedule(problem, Schedule())
-            assert time.perf_counter() - started <= 2.0
             assert trace.products == 0
             assert np.array_equal(trace.final_state, dense_run(problem, Schedule()))
+        assert computed == []
 
     def test_trace_reports_norm_drift_and_products(self, registers, problem143):
         dense = run_schedule(problem143, Schedule())
@@ -389,6 +407,10 @@ class TestSpectra:
             lowest_eigenvalues(h, 0)
         with pytest.raises(IndexOutOfRange):
             lowest_eigenvalues(h, 17)
+        # gap_profile checks k itself, since its endpoints need no solve
+        for k in (0, 17):
+            with pytest.raises(IndexOutOfRange, match=f"k={k} outside 1..16"):
+                gap_profile(problem143, 0.6, points=3, k=k)
 
     def test_gap_profile_endpoints(self, problem143):
         trace = gap_profile(problem143, 0.6, points=101, k=3)
@@ -418,6 +440,112 @@ class TestSpectra:
         for g in (0.0, -1.0):
             with pytest.raises(ValueError, match="field strength"):
                 gap_profile(problem143, g, points=1)
+
+
+class TestLanczosGapProfile:
+    @pytest.mark.parametrize("target", [323, 121])
+    def test_every_sample_matches_dense(self, registers, monkeypatch, target):
+        problem = registers[target]
+        monkeypatch.setattr(engine, "interpolated_hamiltonian", no_dense_matrix)
+        trace = gap_profile(problem, 0.6, points=51, k=2)
+        expected = dense_levels(problem, 0.6, trace.s_values, 2)
+        assert trace.products > 0
+        assert np.max(np.abs(trace.energies - expected)) <= 1e-12
+        gaps = expected[:-1, 1] - expected[:-1, 0]
+        assert abs(trace.min_gap - gaps.min()) <= 1e-12
+        ground = gap_profile(problem, 0.6, points=51, k=1)
+        assert ground.min_gap is None and ground.products > 0
+        assert np.max(np.abs(ground.energies[:, 0] - expected[:, 0])) <= 1e-12
+
+    def test_an_eleven_qubit_register_matches_dense(self):
+        problem = select_split(133)[2]
+        assert problem.n == 11
+        trace = gap_profile(problem, 0.6, points=5, k=2)
+        assert trace.products > 0
+        expected = dense_levels(problem, 0.6, trace.s_values[1:-1], 2)
+        assert np.max(np.abs(trace.energies[1:-1] - expected)) <= 1e-12
+
+    def test_symmetric_registers_match_dense(self):
+        # 121 = 11 * 11 squared without pairing keeps the p/q swap symmetry;
+        # a diagonal of (popcount - 3)^2 commutes with every qubit
+        # permutation, which makes E1 = E2 at every interior s
+        system = compile_system(121, (4, 4))
+        qmap, penalty = assemble_problem(system, pairing="none")
+        popcount = np.array([bin(b).count("1") for b in range(1 << 9)])
+        permutation_symmetric = DiagonalOperator(9, (popcount - 3) ** 2)
+        for problem in (polynomial_to_diagonal(penalty, qmap), permutation_symmetric):
+            trace = gap_profile(problem, 0.6, points=11, k=2)
+            assert trace.products > 0
+            expected = dense_levels(problem, 0.6, trace.s_values, 3)
+            assert np.max(np.abs(trace.energies - expected[:, :2])) <= 1e-12
+            if problem is permutation_symmetric:
+                interior = expected[1:-1]
+                assert np.max(np.abs(interior[:, 2] - interior[:, 1])) <= 1e-12
+
+    def test_direct_cost_gap_needs_more_than_the_basis_cap(self, monkeypatch):
+        # (143 - x*y)^2 over 5-bit x and y spans 6.7e5 with an x <-> y
+        # symmetry and E1 - E0 below 1e-11: the default basis cannot resolve
+        # it, and a basis as large as the register reproduces the dense levels
+        problem = direct_cost_diagonal(143, 5, 5)
+        with pytest.raises(NumericalFailure, match=f"within {engine._BASIS_CAP} vectors"):
+            gap_profile(problem, 0.6, points=51, k=2)
+        monkeypatch.setattr(engine, "_BASIS_CAP", problem.dim)
+        rows, products = _lanczos_samples(problem, 0.6, [0.5], 2)
+        assert 0 < products <= problem.dim
+        assert np.max(np.abs(rows - dense_levels(problem, 0.6, [0.5], 2))) <= 1e-9
+
+    def test_closed_form_endpoints_match_dense(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("eigenvalue solve at an endpoint")
+
+        monkeypatch.setattr(engine, "lowest_eigenvalues", no_solve)
+        monkeypatch.setattr(engine, "_lanczos_samples", no_solve)
+        rng = np.random.default_rng(5)
+        for n in range(2, 7):
+            problem = DiagonalOperator(n, rng.integers(-30, 30, 1 << n), scale=4)
+            for g in (0.3, 0.6, 1.7):
+                trace = gap_profile(problem, g, points=2, k=problem.dim)
+                expected = dense_levels(problem, g, (0.0, 1.0), problem.dim)
+                assert np.max(np.abs(trace.energies - expected)) <= 1e-12
+                # multiplicities: C(n, j) copies of g * (2j - n), the diagonal sorted
+                levels, counts = np.unique(trace.energies[0], return_counts=True)
+                assert np.array_equal(levels, g * np.arange(-n, n + 1, 2))
+                assert counts.tolist() == [math.comb(n, j) for j in range(n + 1)]
+                assert np.array_equal(trace.energies[1], np.sort(problem.as_array))
+                for k in range(1, n + 3):
+                    fewer = gap_profile(problem, g, points=2, k=k)
+                    assert np.array_equal(fewer.energies, trace.energies[:, :k])
+
+    def test_routing_keeps_small_registers_and_three_levels_dense(self, registers, problem143,
+                                                                  monkeypatch):
+        assert [n for n in range(1, 21) if _lanczos_pays(n)] == list(range(9, 21))
+        for costs in ((np.nan, 0.036), (0.2, np.nan)):
+            with monkeypatch.context() as patched:
+                patched.setattr(engine, "_STEP_COST_MS", {5: costs})
+                assert not any(_lanczos_pays(n) for n in (5, 9, 20))
+
+        def no_lanczos(*args):
+            raise AssertionError("Lanczos sample")
+
+        monkeypatch.setattr(engine, "_lanczos_samples", no_lanczos)
+        assert gap_profile(registers[323], 0.6, points=3, k=3).products == 0
+        for problem in (problem143, registers[295]):
+            assert gap_profile(problem, 0.6, points=11, k=2).products == 0
+
+    def test_repeated_profiles_are_bitwise_identical(self, registers):
+        a = gap_profile(registers[323], 0.6, points=11, k=2)
+        b = gap_profile(registers[323], 0.6, points=11, k=2)
+        assert np.array_equal(a.energies, b.energies) and a.products == b.products
+
+    def test_non_convergence_fails(self, registers, monkeypatch):
+        monkeypatch.setattr(engine, "_BASIS_CAP", 10)
+        with pytest.raises(NumericalFailure, match="did not converge within 10 vectors"):
+            _lanczos_samples(registers[323], 0.6, [0.5], 2)
+
+    def test_non_finite_product_fails(self, registers, monkeypatch):
+        monkeypatch.setattr(engine, "_apply_interpolated", lambda s, g, problem, v: v * np.nan)
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            gap_profile(registers[323], 0.6, points=3, k=2)
 
 
 class TestCsv:

@@ -34,6 +34,7 @@ from adiafact import (
     qubit_cap,
     simplify,
 )
+from adiafact import engine
 from adiafact.hamiltonian import _apply_interpolated
 
 from oracles import dense_mixer, odd_semiprimes
@@ -366,3 +367,12 @@ class TestMixerAndInterpolation:
             interpolated_hamiltonian(0.5, 0.6, four)
         with pytest.raises(DimensionTooLarge):
             gap_profile(four, 0.6, points=3, k=2)
+        # a register the Lanczos path would take fails before its basis exists
+        def no_basis(*args):
+            raise AssertionError("Lanczos basis allocated")
+
+        nine = DiagonalOperator(9, np.zeros(512, dtype=np.int64))
+        monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "8")
+        monkeypatch.setattr(engine, "_lanczos_samples", no_basis)
+        with pytest.raises(DimensionTooLarge, match="9 qubits exceed the cap of 8"):
+            gap_profile(nine, 0.6, points=3, k=2)
