@@ -392,7 +392,9 @@ def _lanczos_lowest(apply, start, k, first_check) -> tuple[np.ndarray, np.ndarra
     raise NumericalFailure(f"Lanczos did not converge within {cap} vectors")
 
 
-def _lanczos_samples(problem: DiagonalOperator, g: float, s_values, k: int):
+def _lanczos_samples(
+    problem: DiagonalOperator, g: float, s_values, k: int
+) -> tuple[np.ndarray, int]:
     """The k lowest energies of H(s) at each s in (0, 1), and the products spent.
 
     Each sample starts from the sum of the previous sample's Ritz vectors
