@@ -20,6 +20,20 @@ earlier in the pass.  Then the rules run on it:
   * forcing whole equations that sit at an interval endpoint of zero,
   * recording forbidden pairs from x + y = 1 constraints.
 
+Propagation is incremental.  An equation turns quiet when its evaluation
+(settle, then rules) starts, and wakes when something it reads changes:
+fixing a variable wakes the equations that mention it, and recording a
+pair wakes those that mention both members.  An equation split off by the
+endpoint rule starts awake.  A pass skips the settle and the rules of a
+quiet equation, which still takes part in the pass's duplicate check.
+Skipping is exact: settle and rules read only the equation's polynomial,
+the fixed values of its own variables and the pairs between them; settling
+is idempotent (substitution only removes variables, so it cannot make a
+product that a pair forbids); and an evaluation that changes nothing has
+no side effect.  So every pass returns what it would with every equation
+evaluated, and the pass count does not move.  The rules probe each trial
+assignment by merging the substituted terms, without building a polynomial.
+
 Every step is a sound implication of the system together with the pairs
 recorded so far, so the solution set projected onto surviving variables
 is preserved.  A pair is only ever recorded while an equation enforcing
@@ -188,12 +202,25 @@ def _pair_key(pair: frozenset) -> tuple:
 
 
 class _Row:
-    __slots__ = ("column", "poly", "dead")
+    """One live residual and what the propagator knows about it.
+
+    quiet is set when an evaluation starts and cleared by any later change
+    to what the row reads: a fixed value of one of its variables, or a
+    pair between two of them.  A quiet row would evaluate to no change.
+    variables is the set the current poly mentions.
+    """
+
+    __slots__ = ("column", "poly", "variables", "dead", "quiet")
 
     def __init__(self, column: Optional[int], poly: Poly):
         self.column = column
-        self.poly = poly
         self.dead = False
+        self.quiet = False
+        self.set_poly(poly)
+
+    def set_poly(self, poly: Poly) -> None:
+        self.poly = poly
+        self.variables = {var for mono, _ in poly.items() for var in mono}
 
 
 class _Propagator:
@@ -204,10 +231,12 @@ class _Propagator:
         self.widths = system.widths
         self.fixed: dict[VarId, int] = dict(system.fixed)
         self.pairs: set[frozenset] = set(system.forbidden_pairs)
+        self._pair_order: Optional[list[tuple[VarId, VarId]]] = None
         self.rows: list[_Row] = []  # append-only, so a row's index is its creation order
-        var_count = len(system.free_variables())
+        self._rows_of: dict[VarId, list[_Row]] = {}  # every row that ever mentioned the variable
         for eq in system.equations:
-            self.rows.append(_Row(eq.column, eq.residual))
+            self._push(_Row(eq.column, eq.residual))
+        var_count = len(set(self._rows_of).union(*self.pairs))  # as system.free_variables()
         # every pass fixes a variable, records a pair, or deletes material,
         # so the fixpoint arrives well inside this budget
         self._pass_budget = 4 * (var_count + len(self.rows)) + 8
@@ -217,6 +246,23 @@ class _Propagator:
     def _live(self) -> Iterable[_Row]:
         return (row for row in self.rows if not row.dead)
 
+    def _push(self, row: _Row) -> None:
+        self.rows.append(row)
+        for var in row.variables:
+            self._rows_of.setdefault(var, []).append(row)
+
+    def _wake(self, *variables: VarId) -> None:
+        """Clear quiet on every row that mentions all the given variables."""
+        for row in self._rows_of.get(variables[0], ()):
+            if row.variables.issuperset(variables):
+                row.quiet = False
+
+    def _sorted_pairs(self) -> list[tuple[VarId, VarId]]:
+        """Every pair as its _pair_key, in that order; rebuilt only after the pairs change."""
+        if self._pair_order is None:
+            self._pair_order = sorted(map(_pair_key, self.pairs))
+        return self._pair_order
+
     def _fix(self, var: VarId, value: int) -> bool:
         prev = self.fixed.get(var)
         if prev is not None:
@@ -224,8 +270,10 @@ class _Propagator:
                 raise Infeasible(f"{self.target}: {var} required to be both 0 and 1")
             return False
         self.fixed[var] = value
+        self._wake(var)  # also every row a discarded pair below could touch
         for pair in [p for p in self.pairs if var in p]:
             self.pairs.discard(pair)
+            self._pair_order = None
             if value == 1:
                 (other,) = set(pair) - {var}
                 self._fix(other, 0)
@@ -242,41 +290,56 @@ class _Propagator:
         if key in self.pairs:
             return False
         self.pairs.add(key)
+        self._pair_order = None
+        self._wake(x, y)
         return True
 
     # -- interval machinery ------------------------------------------
 
-    def _bounds(self, poly: Poly) -> tuple[Rational, Rational]:
-        """Value interval of the residual, one monomial at a time.
+    def _bounds(self, terms: Iterable[tuple[tuple, Rational]]) -> tuple[Rational, Rational]:
+        """Value interval of a residual given as distinct (monomial, coefficient) terms.
 
-        Forbidden pairs sharpen the bound for pairs of exclusive linear
-        terms of the same sign: at most one of the two can be active.
+        One monomial at a time; zero coefficients are skipped.  Forbidden
+        pairs sharpen the bound for pairs of exclusive linear terms of the
+        same sign: at most one of the two can be active, so the smaller
+        one is taken back off.  Pairs match greedily in _pair_key order.
+        Every sum is exact, so the order of the terms does not matter.
         """
-        lo = hi = poly.constant_term
+        lo = hi = 0
         lin_pos: dict[VarId, Rational] = {}
         lin_neg: dict[VarId, Rational] = {}
-        for mono, coeff in poly.items():
-            if not mono:
+        for mono, coeff in terms:
+            if not coeff:
                 continue
-            if mono.degree == 1:
+            if len(mono) == 1:
                 (lin_pos if coeff > 0 else lin_neg)[mono[0]] = coeff
+            elif not mono:
+                lo += coeff
+                hi += coeff
             elif coeff > 0:
                 hi += coeff
             else:
                 lo += coeff
-        used_hi: set[VarId] = set()
-        used_lo: set[VarId] = set()
-        for pair in sorted(self.pairs, key=_pair_key):
-            x, y = sorted(pair)
-            if x in lin_pos and y in lin_pos and not {x, y} & used_hi:
-                hi += max(lin_pos[x], lin_pos[y])
-                used_hi |= {x, y}
-            if x in lin_neg and y in lin_neg and not {x, y} & used_lo:
-                lo += min(lin_neg[x], lin_neg[y])
-                used_lo |= {x, y}
-        hi += sum(c for v, c in lin_pos.items() if v not in used_hi)
-        lo += sum(c for v, c in lin_neg.items() if v not in used_lo)
+        hi += sum(lin_pos.values())
+        lo += sum(lin_neg.values())
+        if len(lin_pos) > 1 or len(lin_neg) > 1:
+            for x, y in self._sorted_pairs():
+                if x in lin_pos and y in lin_pos:
+                    hi -= min(lin_pos.pop(x), lin_pos.pop(y))
+                if x in lin_neg and y in lin_neg:
+                    lo -= max(lin_neg.pop(x), lin_neg.pop(y))
         return lo, hi
+
+    def _probe_bounds(self, poly: Poly, trial: dict[VarId, int]) -> tuple[Rational, Rational]:
+        """_bounds(poly.substitute(trial).items()), without building the polynomial."""
+        merged: dict[tuple, Rational] = {}
+        for mono, coeff in poly.items():
+            if not trial.keys().isdisjoint(mono):
+                if 0 in map(trial.get, mono):
+                    continue  # a zero factor kills the term
+                mono = tuple(var for var in mono if var not in trial)
+            merged[mono] = merged.get(mono, 0) + coeff
+        return self._bounds(merged.items())
 
     # -- passes -------------------------------------------------------
 
@@ -290,15 +353,19 @@ class _Propagator:
         changed = False
         seen: set[Poly] = set()
         for row in list(self._live()):  # rows pushed during the pass wait for the next
-            changed = self._settle(row) or changed
-            if row.dead:
-                continue
+            awake = not row.quiet
+            if awake:
+                row.quiet = True  # until something the row reads changes
+                changed = self._settle(row) or changed
+                if row.dead:
+                    continue
             if row.poly in seen:
                 row.dead = True
                 changed = True
                 continue
             seen.add(row.poly)
-            changed = self._apply_rules(row) or changed
+            if awake:
+                changed = self._apply_rules(row) or changed
         return changed
 
     def _settle(self, row: _Row) -> bool:
@@ -311,18 +378,18 @@ class _Propagator:
             raise Infeasible(self._explain(row, poly))
         if poly == row.poly:
             return False
-        row.poly = poly
+        row.set_poly(poly)
         return True
 
     def _strip_pairs(self, poly: Poly) -> Poly:
-        for pair in sorted(self.pairs, key=_pair_key):
-            if len(poly) == 1 and set(next(poly.items())[0]) == pair:
+        for key in self._sorted_pairs():
+            if len(poly) == 1 and next(poly.items())[0] == key:
                 continue  # keep the xy = 0 equation that backs the pair
-            poly = poly.without_monomials(pair)
+            poly = poly.without_monomials(frozenset(key))
         return poly
 
     def _apply_rules(self, row: _Row) -> bool:
-        lo, hi = self._bounds(row.poly)
+        lo, hi = self._bounds(row.poly.items())
         if lo > 0 or hi < 0:
             raise Infeasible(self._explain(row, row.poly))
         plain_lo, plain_hi = row.poly.bounds()
@@ -343,7 +410,7 @@ class _Propagator:
                         if var in pair:
                             (other,) = set(pair) - {var}
                             trial.setdefault(other, 0)
-                t_lo, t_hi = self._bounds(row.poly.substitute(trial))
+                t_lo, t_hi = self._probe_bounds(row.poly, trial)
                 feasible.append(t_lo <= 0 <= t_hi)
             if not feasible[0] and not feasible[1]:
                 raise Infeasible(self._explain(row, row.poly))
@@ -378,7 +445,8 @@ class _Propagator:
         if replacements == [poly]:
             return changed  # the row already is its own xy = 0 atom
         row.dead = True
-        self.rows.extend(_Row(row.column, replacement) for replacement in replacements)
+        for replacement in replacements:
+            self._push(_Row(row.column, replacement))
         return True
 
     def _record_pair_sum(self, poly: Poly) -> bool:
@@ -408,7 +476,7 @@ class _Propagator:
         )
         equations = tuple(_reshape(row.poly, row.column) for row in rows)
         fixed = dict(sorted(self.fixed.items()))
-        pairs = tuple(sorted(self.pairs, key=_pair_key))
+        pairs = tuple(map(frozenset, self._sorted_pairs()))
         return EquationSystem(self.target, self.widths, equations, fixed, pairs)
 
 
@@ -472,6 +540,8 @@ def _poly_to_terms(poly: Poly) -> list:
 def _poly_from_terms(terms: list) -> Poly:
     acc = []
     for coeff, names in terms:
+        if not isinstance(coeff, str):
+            raise TypeError(f"coefficient {coeff!r} is not a string")
         value = Fraction(coeff)
         value = value.numerator if value.denominator == 1 else value
         acc.append((Monomial(VarId.parse(name) for name in names), value))
@@ -502,10 +572,18 @@ def _json_int(value) -> int:
     return value
 
 
+def _pair_from_names(names: list) -> frozenset:
+    pair = frozenset(VarId.parse(name) for name in names)
+    if len(names) != 2 or len(pair) != 2:
+        raise ValueError(f"forbidden pair {names} is not two distinct variables")
+    return pair
+
+
 def system_from_document(doc: dict) -> EquationSystem:
     """Inverse of system_to_document; column provenance is not retained.
 
-    n, both widths and every fixed value must be JSON integers.
+    n, both widths and every fixed value must be JSON integers, and every
+    coefficient a string such as "3/1".
     """
     try:
         target = _json_int(doc["n"])
@@ -517,12 +595,10 @@ def system_from_document(doc: dict) -> EquationSystem:
         fixed = {
             VarId.parse(name): _json_int(value) for name, value in doc.get("fixed", {}).items()
         }
-        pairs = tuple(
-            frozenset(VarId.parse(name) for name in pair)
-            for pair in doc.get("forbidden_pairs", [])
-        )
+        pairs = tuple(_pair_from_names(names) for names in doc.get("forbidden_pairs", []))
         declared = [VarId.parse(name) for name in doc.get("variables", [])]
-    except (KeyError, IndexError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as exc:
         raise ValueError(f"malformed system document: {exc}") from exc
     system = EquationSystem(target, widths, equations, dict(sorted(fixed.items())), pairs)
     _validate_layout_rules(system)
@@ -536,23 +612,24 @@ def _validate_layout_rules(system: EquationSystem) -> None:
 
     Raises:
         EvenInput, TooSmall, WidthMismatch: as build_layout would.
-        ValueError: a fixed value outside {0, 1}, a variable outside the
-            table, or a forbidden pair that is not two distinct variables.
+        ValueError: a fixed value outside {0, 1}, a fixed variable that an
+            equation or a forbidden pair still mentions, or a variable
+            outside the table.
     """
     w_p, w_q = system.widths
     _validate_split(system.target, w_p, w_q)
-    for pair in system.forbidden_pairs:
-        if len(pair) != 2:
-            names = sorted(str(v) for v in pair)
-            raise ValueError(f"malformed system document: forbidden pair {names} "
-                             "is not two distinct variables")
     for var, value in system.fixed.items():
         if value not in (0, 1):
             raise ValueError(f"malformed system document: {var} fixed to {value}, not 0 or 1")
+    free = set(system.free_variables())
+    stale = sorted(free.intersection(system.fixed))
+    if stale:
+        raise ValueError(f"malformed system document: {stale[0]} is fixed but an equation "
+                         "or a forbidden pair still mentions it")
     budgets = enumerate(_carry_budgets(w_p, w_q))
     table = {VarId.carry(c, c + m) for c, budget in budgets for m in range(1, budget + 1)}
     table.update(system.interior_variables())
-    outside = sorted(set(system.free_variables()).union(system.fixed) - table)
+    outside = sorted(free.union(system.fixed) - table)
     if outside:
         raise ValueError(f"malformed system document: {outside[0]} lies outside the table "
                          f"at widths {system.widths}")

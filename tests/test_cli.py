@@ -236,6 +236,9 @@ class TestExitCodes:
         # column 0 of a (4, 4) table has no carry budget
         stray_carry = json.loads(json.dumps(good["equations"]))
         stray_carry[0]["lhs"].append(["1/1", ["z0_1"]])
+        # a fixed variable that an equation or a pair still mentions: p1 sits
+        # in two equations and in the pair {p1, q1}
+        no_equations = {"equations": [], "forbidden_pairs": good["forbidden_pairs"]}
         breaches = [
             {"fixed": {**good["fixed"], "z3_4": 7}},
             {"n": 144},
@@ -247,9 +250,21 @@ class TestExitCodes:
             {"fixed": {**good["fixed"], "z0_5": 0}},
             {"forbidden_pairs": [["p1"]]},
             {"forbidden_pairs": [["p1", "q1", "q2"]]},
+            {"forbidden_pairs": [["p1", "p1", "q1"]]},
+            {"fixed": {**good["fixed"], "p1": 1}},
+            {**no_equations, "fixed": {**good["fixed"], "p1": 0}},
         ]
+        # build_layout's own typed errors refuse these; everything else is
+        # refused as a malformed system document
+        typed = [{"n": 144}, {"n": 3}, {"widths": [1, 99]}]
         # documents of the wrong JSON types: n, the widths and fixed values
-        # must be integers, not floats, strings or bools
+        # must be integers, not floats, strings or bools; coefficients must
+        # be rational strings and variable names parse
+        def with_first_term(term):
+            equations = json.loads(json.dumps(good["equations"]))
+            equations[0]["lhs"][0] = term
+            return {"equations": equations}
+
         mistyped = [
             {"variables": [5]},
             {"fixed": []},
@@ -259,13 +274,17 @@ class TestExitCodes:
             {"widths": [4.0, 4]},
             {"fixed": {**good["fixed"], "z3_4": 1.5}},
             {"fixed": {**good["fixed"], "z3_4": True}},
+            with_first_term([1.5, ["p1"]]),
+            with_first_term([1, ["p1"]]),
+            with_first_term(["abc", ["p1"]]),
+            with_first_term(["1/1", ["x9"]]),
         ]
         for breach in breaches + mistyped:
             path.write_text(json.dumps({**good, "variables": [], **breach}))
             code, out, err = run_cli(capsys, "simulate", "--system", str(path))
             assert (code, out) == (1, ""), breach
             assert "Traceback" not in err, breach
-            assert breach not in mistyped or "malformed system document" in err, breach
+            assert breach in typed or "malformed system document" in err, breach
 
     def test_overflowing_coefficients_exit_1(self, capsys, tmp_path):
         # squared, these coefficients wrapped around int64 and moved the ground state

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiafact import (
     EvenInput,
@@ -15,6 +17,7 @@ from adiafact import (
     VarId,
     WidthMismatch,
     build_layout,
+    compiler,
     compile_system,
     enumerate_width_splits,
     simplify,
@@ -220,6 +223,100 @@ class TestCompileDigest:
         # change that moves any of them must declare it and re-freeze this
         digest = "d8c4a12ef86a2bd11b59c69efd0a26ec4e4634ad1174d5e98f091dfe377bcf41"
         assert compile_digest(9, 255) == (digest, 640, 208)
+
+
+def _pass_log(monkeypatch) -> list:
+    """Record what every propagation pass returns, in order."""
+    log = []
+    original = compiler._Propagator._pass
+
+    def logged(self):
+        log.append(original(self))
+        return log[-1]
+
+    monkeypatch.setattr(compiler._Propagator, "_pass", logged)
+    return log
+
+
+_PROBE_VARS = [VarId.p(i) for i in range(1, 4)] + [VarId.q(i) for i in range(1, 4)]
+
+
+@st.composite
+def _probes(draw):
+    """A multilinear polynomial, a pair set and a one-variable trial with its partners."""
+    variables = _PROBE_VARS[: draw(st.integers(1, len(_PROBE_VARS)))]
+    monomials = st.sets(st.sampled_from(variables), max_size=4).map(Monomial)
+    coeffs = st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool)
+    var = draw(st.sampled_from(variables))
+    terms = draw(st.lists(st.tuples(monomials, coeffs), max_size=10))
+    # m and m*var with opposite coefficients cancel once var is set to 1
+    twins = draw(st.lists(st.tuples(monomials, coeffs), max_size=3))
+    terms += twins + [(mono * Monomial((var,)), -coeff) for mono, coeff in twins]
+    two = st.sets(st.sampled_from(variables), min_size=2, max_size=2).map(frozenset)
+    pairs = draw(st.sets(two, max_size=5)) if len(variables) > 1 else set()
+    trial = {var: draw(st.sampled_from((0, 1)))}
+    if trial[var]:
+        for pair in pairs:
+            if var in pair:
+                (other,) = pair - {var}
+                trial[other] = 0
+    return Poly(terms), pairs, trial
+
+
+class TestIncrementalPropagation:
+    """Quiet rows and the Poly-free probe change no result of the propagator."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_probes())
+    def test_probe_bounds_match_the_substituted_polynomial(self, probe):
+        poly, pairs, trial = probe
+        system = compiler.EquationSystem(143, (4, 4), (), {}, tuple(pairs))
+        propagator = compiler._Propagator(system)
+        expected = propagator._bounds(poly.substitute(trial).items())
+        assert propagator._probe_bounds(poly, trial) == expected
+
+    def test_probe_bounds_see_a_cancellation(self):
+        x, y, z, v = VarId.p(1), VarId.p(2), VarId.p(3), VarId.q(1)
+        pairs = (frozenset((x, y)), frozenset((y, z)))
+        propagator = compiler._Propagator(compiler.EquationSystem(143, (4, 4), (), {}, pairs))
+        poly = poly_of((1, [x, v]), (-1, [x]), (1, []))
+        assert propagator._probe_bounds(poly, {v: 1}) == (1, 1)
+        assert propagator._probe_bounds(poly, {v: 0}) == (0, 1)
+        # at v = 1 the x term vanishes, so it must not take y from the pair {y, z}
+        poly = poly_of((1, [x, v]), (-1, [x]), (-1, [y]), (-2, [z]))
+        assert propagator._probe_bounds(poly, {v: 1}) == (-2, 0)
+
+    def test_rows_kept_awake_give_the_same_output_and_passes(self, monkeypatch):
+        log = _pass_log(monkeypatch)
+        default = compile_digest(9, 255)
+        default_passes = list(log)
+        log.clear()
+        # every row evaluated in every pass, as without the quiet set
+        monkeypatch.setattr(compiler._Row, "quiet", property(lambda self: False,
+                                                             lambda self, value: None))
+        assert compile_digest(9, 255) == default
+        assert log == default_passes
+        assert default_passes.count(False) == 208  # one fixpoint per feasible split
+
+    @pytest.mark.parametrize("layout", [(143, 4, 4), (899, 5, 5)],
+                             ids=["143-4-4", "899-5-5"])
+    def test_the_fixpoint_pass_evaluates_no_row(self, monkeypatch, layout):
+        rules_per_pass = []
+        original_pass = compiler._Propagator._pass
+        original_rules = compiler._Propagator._apply_rules
+
+        def counted_pass(self):
+            rules_per_pass.append(0)
+            return original_pass(self)
+
+        def counted_rules(self, row):
+            rules_per_pass[-1] += 1
+            return original_rules(self, row)
+
+        monkeypatch.setattr(compiler._Propagator, "_pass", counted_pass)
+        monkeypatch.setattr(compiler._Propagator, "_apply_rules", counted_rules)
+        simplify(build_layout(*layout))
+        assert rules_per_pass[0] and rules_per_pass[-1] == 0
 
 
 class TestSolutionPreservation:
