@@ -13,17 +13,21 @@ print(f"width splits tried for {TARGET}, in order:")
 print("  ", enumerate_width_splits(TARGET))
 print()
 
-# raw layout at the balanced split: one balance equation per column
+# raw layout at the balanced split: one balance equation per column, stored
+# as its residual (left side minus right side); printing an equation moves
+# its positive variable terms to the left and everything else to the right,
+# so the target bit and the pinned 1*1 products meet as one constant
 raw = build_layout(TARGET, 4, 4)
 print(f"raw layout at widths (4, 4): {len(raw.equations)} column equations")
 for eq in raw.equations:
-    print(f"  column {eq.column}:  {eq.lhs} = {eq.rhs}")
+    note = "   (pinned bits only: always balanced)" if not eq.residual else ""
+    print(f"  column {eq.column}:  {eq}{note}")
 print()
 
 simplified = simplify(raw)
 print(f"after propagation: {len(simplified.equations)} equations remain")
 for eq in simplified.equations:
-    print(f"  {eq.lhs} = {eq.rhs}")
+    print(f"  {eq}")
 print()
 
 print("carry variables, all forced to constants:")

@@ -8,12 +8,15 @@ full width).  Each output column c contributes one balance equation
     sum_{i+j=c} P_i*Q_j + carries into c = N_c + sum_m 2^m * z_(c,c+m)
 
 with just enough carry bits to hold the column's largest possible value,
-and no carry reaching past the last column.  simplify() then repeats
-passes of cheap propagation rules until one changes nothing.  A pass
-settles each live equation once: it deletes monomials that contain both
-members of a forbidden pair, substitutes the fixed variables, normalizes
-the sign, and drops the equation if it vanishes or equals one settled
-earlier in the pass.  Then the rules run on it:
+and no carry reaching past the last column.  Each equation is stored as
+its residual, left side minus right side: the propagator reduces it, the
+penalty squares it, and lhs and rhs are views for display and documents.
+simplify() then repeats passes of cheap propagation rules until one
+changes nothing.  A pass settles each live equation once: it deletes
+monomials that contain both members of a forbidden pair, substitutes the
+fixed variables, normalizes the sign, and drops the equation if it
+vanishes or equals one settled earlier in the pass.  Then the rules run
+on it:
 
   * interval pruning, with forbidden pairs tightening the bounds of
     sums of exclusive linear terms,
@@ -54,20 +57,26 @@ from .pseudobool import Monomial, Poly, Rational, VarId
 
 @dataclass(frozen=True)
 class ColumnEquation:
-    """One balance constraint lhs == rhs.
+    """One balance constraint, stored as its residual: the equation is residual == 0.
 
     column records which table column produced the equation; reductions
     keep the column of their source, and equations loaded from a document
-    carry None.
+    carry None.  lhs and rhs are derived views that write the equation as
+    lhs == rhs: the positive non-constant terms on the left, every other
+    term negated on the right.
     """
 
-    lhs: Poly
-    rhs: Poly
+    residual: Poly
     column: Optional[int] = None
 
     @property
-    def residual(self) -> Poly:
-        return self.lhs - self.rhs
+    def lhs(self) -> Poly:
+        return Poly({mono: coeff for mono, coeff in self.residual.items() if mono and coeff > 0})
+
+    @property
+    def rhs(self) -> Poly:
+        terms = self.residual.items()
+        return Poly({mono: -coeff for mono, coeff in terms if not mono or coeff < 0})
 
     def __str__(self) -> str:
         return f"{self.lhs} = {self.rhs}"
@@ -159,8 +168,8 @@ def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
     Returns:
         The unsimplified system: one equation per output column, carry
         budgets K_c = floor(log2(max lhs)) capped so no carry leaves the
-        table.  Trivially satisfied columns (e.g. column 0: 1 = 1) are
-        kept; simplify() discards them.
+        table.  Trivially satisfied columns (e.g. column 0: 1 = 1, residual
+        0) are kept; simplify() discards them.
 
     Raises:
         EvenInput, TooSmall: bad target.
@@ -168,24 +177,22 @@ def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
     """
     _validate_split(target, w_p, w_q)
 
-    one = Poly.constant(1)  # the pinned top and bottom bits of both factors
-    p_bits = [one] + [Poly.variable(VarId.p(i)) for i in range(1, w_p - 1)] + [one]
-    q_bits = [one] + [Poly.variable(VarId.q(i)) for i in range(1, w_q - 1)] + [one]
+    pinned = ()  # the top and bottom bits of both factors are 1
+    p_bits = [pinned] + [(VarId.p(i),) for i in range(1, w_p - 1)] + [pinned]
+    q_bits = [pinned] + [(VarId.q(i),) for i in range(1, w_q - 1)] + [pinned]
     budgets = _carry_budgets(w_p, w_q)
     incoming: dict[int, list[VarId]] = {c: [] for c in range(len(budgets))}
     equations = []
     for c, budget in enumerate(budgets):
-        lhs = Poly()
+        # residual: products and incoming carries, minus target bit and outgoing carries
+        terms = [((), -((target >> c) & 1))] + [((carry,), 1) for carry in incoming[c]]
         for i in range(max(0, c - w_q + 1), min(w_p - 1, c) + 1):
-            lhs = lhs + p_bits[i] * q_bits[c - i]
-        for carry in incoming[c]:
-            lhs = lhs + Poly.variable(carry)
-        rhs = Poly.constant((target >> c) & 1)
+            terms.append((p_bits[i] + q_bits[c - i], 1))
         for m in range(1, budget + 1):
             carry = VarId.carry(c, c + m)
             incoming[c + m].append(carry)
-            rhs = rhs + (1 << m) * Poly.variable(carry)
-        equations.append(ColumnEquation(lhs, rhs, column=c))
+            terms.append(((carry,), -(1 << m)))
+        equations.append(ColumnEquation(Poly(terms), column=c))
     return EquationSystem(target, (w_p, w_q), tuple(equations), {}, ())
 
 
@@ -474,21 +481,10 @@ class _Propagator:
         rows = sorted(
             self._live(), key=lambda r: r.column if r.column is not None else 1 << 30
         )
-        equations = tuple(_reshape(row.poly, row.column) for row in rows)
+        equations = tuple(ColumnEquation(row.poly, row.column) for row in rows)
         fixed = dict(sorted(self.fixed.items()))
         pairs = tuple(map(frozenset, self._sorted_pairs()))
         return EquationSystem(self.target, self.widths, equations, fixed, pairs)
-
-
-def _reshape(residual: Poly, column: Optional[int]) -> ColumnEquation:
-    lhs: dict[Monomial, Rational] = {}
-    rhs: dict[Monomial, Rational] = {}
-    for mono, coeff in residual.items():
-        if coeff > 0 and mono:
-            lhs[mono] = coeff
-        else:
-            rhs[mono] = -coeff
-    return ColumnEquation(Poly(lhs), Poly(rhs), column)
 
 
 def simplify(system: EquationSystem) -> EquationSystem:
@@ -537,15 +533,20 @@ def _poly_to_terms(poly: Poly) -> list:
     return [[_frac_str(coeff), [str(v) for v in mono]] for mono, coeff in poly.items()]
 
 
-def _poly_from_terms(terms: list) -> Poly:
-    acc = []
-    for coeff, names in terms:
-        if not isinstance(coeff, str):
-            raise TypeError(f"coefficient {coeff!r} is not a string")
-        value = Fraction(coeff)
-        value = value.numerator if value.denominator == 1 else value
-        acc.append((Monomial(VarId.parse(name) for name in names), value))
-    return Poly(acc)
+def _residual_from_document(equation: dict) -> Poly:
+    """lhs - rhs of one document equation, built from a single term list."""
+    terms = []
+    for side, sign in (("lhs", 1), ("rhs", -1)):
+        for coeff, names in equation[side]:
+            if not isinstance(coeff, str):
+                raise TypeError(f"coefficient {coeff!r} is not a string")
+            value = Fraction(coeff)
+            value = value.numerator if value.denominator == 1 else value
+            variables = [VarId.parse(name) for name in names]
+            if len(set(variables)) != len(variables):
+                raise ValueError(f"monomial {names} names a variable twice")
+            terms.append((Monomial(variables), sign * value))
+    return Poly(terms)
 
 
 def system_to_document(system: EquationSystem) -> dict:
@@ -582,28 +583,34 @@ def _pair_from_names(names: list) -> frozenset:
 def system_from_document(doc: dict) -> EquationSystem:
     """Inverse of system_to_document; column provenance is not retained.
 
-    n, both widths and every fixed value must be JSON integers, and every
-    coefficient a string such as "3/1".
+    n and every fixed value must be JSON integers, widths a list of exactly
+    two, and every coefficient a string such as "3/1".  A monomial may name
+    each variable once.  The variables list is optional; when present, even
+    empty, it must list exactly the free variables.
     """
     try:
         target = _json_int(doc["n"])
+        if not isinstance(doc["widths"], list) or len(doc["widths"]) != 2:
+            raise ValueError(f"widths {doc['widths']!r} are not a list of two integers")
         widths = (_json_int(doc["widths"][0]), _json_int(doc["widths"][1]))
         equations = tuple(
-            ColumnEquation(_poly_from_terms(eq["lhs"]), _poly_from_terms(eq["rhs"]))
-            for eq in doc["equations"]
+            ColumnEquation(_residual_from_document(eq)) for eq in doc["equations"]
         )
         fixed = {
             VarId.parse(name): _json_int(value) for name, value in doc.get("fixed", {}).items()
         }
         pairs = tuple(_pair_from_names(names) for names in doc.get("forbidden_pairs", []))
-        declared = [VarId.parse(name) for name in doc.get("variables", [])]
+        declared = None
+        if "variables" in doc:
+            declared = tuple(sorted(VarId.parse(name) for name in doc["variables"]))
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             ZeroDivisionError) as exc:
         raise ValueError(f"malformed system document: {exc}") from exc
     system = EquationSystem(target, widths, equations, dict(sorted(fixed.items())), pairs)
     _validate_layout_rules(system)
-    if declared and tuple(sorted(declared)) != system.free_variables():
-        raise ValueError("declared variables do not match the equations")
+    if declared is not None and declared != system.free_variables():
+        raise ValueError("malformed system document: declared variables do not match "
+                         "the equations")
     return system
 
 

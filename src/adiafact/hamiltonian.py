@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
-from .compiler import ColumnEquation, EquationSystem
+from .compiler import EquationSystem
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -166,19 +166,12 @@ class DiagonalOperator:
         return tuple(np.flatnonzero(self.numerators == floor).tolist())
 
 
-def _residual(source: Union[ColumnEquation, Poly]) -> Poly:
-    return source.residual if isinstance(source, ColumnEquation) else source
-
-
-def penalty_polynomial(equation: Union[ColumnEquation, Poly]) -> Poly:
-    """Squared residual: nonnegative, zero exactly on the equation's solutions."""
-    residual = _residual(equation)
+def penalty_polynomial(residual: Poly) -> Poly:
+    """Squared residual: nonnegative, zero exactly where the residual vanishes."""
     return residual * residual
 
 
-def quadratize_equation(
-    equation: Union[ColumnEquation, Poly], pairing: str = "last"
-) -> Poly:
+def quadratize_equation(residual: Poly, pairing: str = "last") -> Poly:
     """Penalty for residual A*B + S built without squaring the product.
 
     pairing picks which two-variable product becomes (A, B): "last" takes
@@ -188,7 +181,6 @@ def quadratize_equation(
         NotApplicable: no two-variable product to pair, or non-integer
             coefficients (the identity needs integer-valued S).
     """
-    residual = _residual(equation)
     if any(coeff.denominator != 1 for _, coeff in residual.items()):
         raise NotApplicable("quadratization needs integer coefficients")
     products = [mono for mono, _ in residual.items() if mono.degree == 2]
@@ -227,16 +219,16 @@ def assemble_problem(
     qmap = QubitMap.from_system(system)
     if qmap.n == 0:
         raise EmptySystem(f"{system.target}: nothing left to solve")
-    total = Poly()
+    terms = []
     for eq in system.equations:
-        penalty = penalty_polynomial(eq)
+        penalty = penalty_polynomial(eq.residual)
         if pairing != "none" and penalty.degree > 2:
             try:
-                penalty = quadratize_equation(eq, pairing)
+                penalty = quadratize_equation(eq.residual, pairing)
             except NotApplicable:
                 pass  # no pairable product; keep the plain square
-        total = total + penalty
-    return qmap, total
+        terms.extend(penalty.items())
+    return qmap, Poly(terms)
 
 
 def polynomial_to_diagonal(poly: Poly, qmap: QubitMap) -> DiagonalOperator:

@@ -33,6 +33,7 @@ from .hamiltonian import (
     QubitMap,
     _basis_values,
     assemble_problem,
+    penalty_polynomial,
     polynomial_to_diagonal,
     qubit_cap,
 )
@@ -96,13 +97,9 @@ def decode_assignment(
 
 def _system_objective(system: EquationSystem) -> Poly:
     """Sum of squared residuals plus pair products: zero exactly on solutions."""
-    total = Poly()
-    for eq in system.equations:
-        residual = eq.residual
-        total = total + residual * residual
-    for pair in system.forbidden_pairs:
-        total = total + Poly({Monomial(pair): 1})
-    return total
+    terms = [term for eq in system.equations for term in penalty_polynomial(eq.residual).items()]
+    terms += [(Monomial(pair), 1) for pair in system.forbidden_pairs]
+    return Poly(terms)
 
 
 def brute_force_min(

@@ -229,8 +229,9 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "simulate", "--system", str(path))
         assert code == 1 and "malformed" in err
         # documents build_layout could not have produced; the optional variable
-        # list is emptied so that only the layout rules can refuse them
+        # list is left out so that only the layout rules can refuse them
         good = _document_143(capsys)
+        declared = good.pop("variables")
         stray_bit = json.loads(json.dumps(good["equations"]))
         stray_bit[0]["lhs"].append(["1/1", ["p9"]])
         # column 0 of a (4, 4) table has no carry budget
@@ -278,9 +279,16 @@ class TestExitCodes:
             with_first_term([1, ["p1"]]),
             with_first_term(["abc", ["p1"]]),
             with_first_term(["1/1", ["x9"]]),
+            # a monomial names each variable once; p1*p1 is no table term
+            with_first_term(["1/1", ["p1", "p1"]]),
+            # widths are exactly two integers
+            {"widths": [4, 4, 99]},
+            # a variables list that is present must match, even when empty
+            {"variables": []},
+            {"variables": declared[:-1]},
         ]
         for breach in breaches + mistyped:
-            path.write_text(json.dumps({**good, "variables": [], **breach}))
+            path.write_text(json.dumps({**good, **breach}))
             code, out, err = run_cli(capsys, "simulate", "--system", str(path))
             assert (code, out) == (1, ""), breach
             assert "Traceback" not in err, breach

@@ -75,26 +75,32 @@ class TestLayout:
         system = build_layout(143, 4, 4)
         assert len(system.equations) == 8
         c0 = system.equations[0]
-        assert c0.lhs == Poly.constant(1) and c0.rhs == Poly.constant(1)
+        # 1 = 1: the pinned bits' product balances target bit 0
+        assert c0.column == 0 and c0.residual == Poly.constant(1) - Poly.constant(1)
 
     def test_143_column_1(self):
         eq = build_layout(143, 4, 4).equations[1]
-        assert eq.lhs == poly_of((1, [VarId.p(1)]), (1, [VarId.q(1)]))
-        assert eq.rhs == poly_of((1, []), (2, [VarId.carry(1, 2)]))
+        # p1 + q1 = 1 + 2*z1_2
+        assert eq.residual == poly_of(
+            (1, [VarId.p(1)]), (1, [VarId.q(1)]),
+            (-1, []), (-2, [VarId.carry(1, 2)]),
+        )
 
     def test_143_column_3(self):
         eq = build_layout(143, 4, 4).equations[3]
-        assert eq.lhs == poly_of(
+        # 2 + p1*q2 + p2*q1 + z2_3 = 1 + 2*z3_4 + 4*z3_5
+        assert eq.residual == poly_of(
             (2, []),
             (1, [VarId.p(1), VarId.q(2)]),
             (1, [VarId.p(2), VarId.q(1)]),
             (1, [VarId.carry(2, 3)]),
+            (-1, []),
+            (-2, [VarId.carry(3, 4)]),
+            (-4, [VarId.carry(3, 5)]),
         )
-        assert eq.rhs == poly_of(
-            (1, []),
-            (2, [VarId.carry(3, 4)]),
-            (4, [VarId.carry(3, 5)]),
-        )
+        # the views: positive variable terms on the left, the rest negated on the right
+        assert str(eq) == "z2_3 + p1*q2 + p2*q1 = -1 + 2*z3_4 + 4*z3_5"
+        assert eq.lhs - eq.rhs == eq.residual
 
     def test_143_carry_set_matches_budgets(self):
         system = build_layout(143, 4, 4)
@@ -180,11 +186,10 @@ class TestSimplifyGeneral:
     def test_single_equation_example(self):
         # p1 + q1 = 1 + 2z: z must be 0, pair {p1, q1} recorded
         p1, q1, z = VarId.p(1), VarId.q(1), VarId.carry(1, 2)
-        eq_lhs = poly_of((1, [p1]), (1, [q1]))
-        eq_rhs = poly_of((1, []), (2, [z]))
+        residual = poly_of((1, [p1]), (1, [q1]), (-1, []), (-2, [z]))
         from adiafact import ColumnEquation, EquationSystem
 
-        system = EquationSystem(143, (4, 4), (ColumnEquation(eq_lhs, eq_rhs, 1),), {}, ())
+        system = EquationSystem(143, (4, 4), (ColumnEquation(residual, 1),), {}, ())
         reduced = simplify(system)
         assert reduced.fixed == {z: 0}
         assert reduced.forbidden_pairs == (frozenset((p1, q1)),)
@@ -335,6 +340,17 @@ class TestSolutionPreservation:
                 assert not oracle
                 continue
             assert oracles.simplified_solutions(system) == oracle
+
+    @pytest.mark.parametrize("target", [15, 21, 25, 35, 143, 225])
+    def test_raw_layout_solutions_are_the_column_arithmetic(self, target):
+        # the unsimplified table, at most 17 variables, solved by enumeration;
+        # 225 = 15*15 fills whole columns, so its solutions use weight-4 carries
+        for w_p, w_q in enumerate_width_splits(target):
+            oracle = {
+                tuple(sorted(sol.items()))
+                for sol in oracles.column_solutions(target, w_p, w_q)
+            }
+            assert oracles.simplified_solutions(build_layout(target, w_p, w_q)) == oracle
 
     def test_oracle_accepts_exactly_the_factorizations(self):
         # grade-school columns accept (p, q) iff p*q hits the target
