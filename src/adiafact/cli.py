@@ -19,6 +19,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Optional
 
 from . import orchestrator
@@ -256,10 +257,15 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process, on the first main() call, not at import."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -10,11 +10,14 @@ Each step is propagated one of two ways, both exact to roundoff:
 - dense: the eigensystem of the 2^n x 2^n H(s) (propagate_step), O(8^n);
 - matrix-free: a Chebyshev expansion (Tal-Ezer & Kosloff 1984) over the
   spectral interval [s * E_min - (1 - s) * g * n, s * E_max + (1 - s) * g * n]
-  of H(s), one O(n * 2^n) product H(s) @ v (hamiltonian._apply_interpolated)
-  per Bessel coefficient J_k(r * tau) above roundoff, r the half-width.
+  of H(s), one product H(s) @ v per Bessel coefficient J_k(r * tau) above
+  roundoff, r the half-width.  The product (hamiltonian._apply_interpolated)
+  applies the mixer as two small dense flip-sum matrix products, one per
+  block of qubits, so it costs two BLAS calls rather than one pass per qubit.
 
 A step goes matrix-free when its term count times the measured cost of
-one product is below the measured cost of a dense step (_STEP_COST_MS);
+one product is below the measured cost of a dense step (_STEP_COST_MS,
+measured by tests/step_costs.py);
 steps too wide to pay stay dense.  Registers of up to 4 qubits have no
 row and stay dense at any width: either path costs tens of microseconds
 there, and the dense one keeps their outputs fixed.
@@ -53,21 +56,21 @@ _FLOAT_FMT = "%.12g"
 _TERM_TOL = 1e-16
 # Cost in milliseconds of one dense step (interpolated_hamiltonian plus
 # propagate_step) and of one product, measured as a whole Chebyshev step of
-# 32 to 58 terms divided by its products, by register size: medians of
-# repeated runs, rounded, on 2 cores with 2 OpenBLAS threads, numpy 2.4,
-# Python 3.11.  Dense costs for 12 qubits (an 8.7 s eigh) and beyond (x8 per
-# qubit) are extrapolated, not run; larger registers use the 14-qubit row.
+# about 40 terms divided by its products, by register size: medians of four
+# runs of tests/step_costs.py, rounded, on 2 cores with 2 OpenBLAS threads,
+# numpy 2.4, Python 3.11.  Dense costs for 12 qubits and beyond are
+# extrapolated at x8 per qubit, not run; larger registers use the 14-qubit row.
 _STEP_COST_MS = {
-    5: (0.2, 0.036),
-    6: (0.6, 0.04),
-    7: (2.5, 0.035),
-    8: (10.2, 0.05),
-    9: (42.0, 0.072),
-    10: (200.0, 0.09),
-    11: (1370.0, 0.125),
-    12: (8700.0, 0.2),
-    13: (70000.0, 0.34),
-    14: (560000.0, 0.69),
+    5: (0.19, 0.027),
+    6: (0.65, 0.025),
+    7: (2.45, 0.03),
+    8: (9.7, 0.033),
+    9: (44.0, 0.038),
+    10: (269.0, 0.051),
+    11: (1690.0, 0.079),
+    12: (13500.0, 0.14),
+    13: (108000.0, 0.3),
+    14: (865000.0, 0.61),
 }
 # A Lanczos sample of gap_profile stops when the residual estimates of its
 # Ritz pairs reach _RITZ_TOL, checked every _CHECK_STRIDE basis vectors;

@@ -16,7 +16,11 @@ uniform-magnitude superposition used as the start of every schedule; it
 exists only inside interpolated_hamiltonian(s, g, problem), which builds
 H(s) = (1 - s) * g * sum_i X_i + s * problem as a dense matrix, and
 _apply_interpolated(s, g, problem, v), which applies H(s) to a vector
-without forming it.
+without forming it.  That product splits the qubits into a low and a high
+block of at most _FLIP_BLOCK qubits each and applies the mixer of each
+block as one matrix product with its small 0/1 flip-sum matrix, so an
+n-qubit product is two BLAS calls (plus one pass per qubit between the
+blocks above 2 * _FLIP_BLOCK qubits) instead of n passes.
 
 Energies are int64 numerators over one common scale; float views are derived,
 so ground manifolds are identified by exact comparison, never by tolerance.
@@ -293,6 +297,28 @@ def _bit_flip_entries(n: int) -> np.ndarray:
     return flat
 
 
+# Largest block of qubits whose flips one matrix product applies, so the flip-sum
+# matrices are at most 2^_FLIP_BLOCK square.  Per product, blocks of 5 and 6
+# cost the same within noise at 9 to 16 qubits, and 7 up to 1.3 times more from
+# 12 qubits on (2 cores, 2 OpenBLAS threads).
+_FLIP_BLOCK = 6
+
+
+@lru_cache(maxsize=None)
+def _flip_sum_matrix(bits: int, width: int) -> np.ndarray:
+    """kron(F, I_width) for F the 2^bits x 2^bits matrix of sum_i X_i over bits qubits.
+
+    F holds 1 where two states differ in exactly one bit and 0 elsewhere;
+    for bits = 0 it is the 1 x 1 zero (an empty sum).
+    """
+    dim = 1 << bits
+    flips = np.zeros(dim * dim)
+    flips[_bit_flip_entries(bits)] = 1.0
+    matrix = np.kron(flips.reshape(dim, dim), np.eye(width))
+    matrix.setflags(write=False)
+    return matrix
+
+
 def interpolated_hamiltonian(s: float, g: float, problem: DiagonalOperator) -> np.ndarray:
     """(1 - s) * g * sum_i X_i + s * problem, as a dense real symmetric matrix.
 
@@ -314,16 +340,36 @@ def _apply_interpolated(
 ) -> np.ndarray:
     """H(s) @ v without the matrix: s * E elementwise plus (1 - s) * g * sum_i X_i v.
 
-    X_i flips bit i, which is reversing the middle axis of v viewed as
-    (2^(n-1-i), 2, 2^i); n such gathers cost O(n * 2^n).  The caller has
-    checked s, g and the qubit cap.
+    sum_i X_i is applied in two blocks of qubits.  With v viewed as a
+    matrix V whose columns run over the `low` least significant bits, the
+    flips inside that block are one product V @ F_low; with v viewed as
+    2^high rows over the most significant bits, those of the high block
+    are one product F_high @ V.  F_b is the 2^b x 2^b flip-sum matrix
+    (_flip_sum_matrix).  Blocks are balanced and at most _FLIP_BLOCK
+    qubits, so a product costs O(2^n * 2^_FLIP_BLOCK); a qubit i between
+    the blocks (above 2 * _FLIP_BLOCK qubits) is flipped on its own, as
+    the reversal of the middle axis of v viewed as (2^(n-1-i), 2, 2^i).
+    A complex v runs through its float64 view of interleaved real and
+    imaginary parts: the low block multiplies by kron(F_low, I_2) and has
+    one qubit fewer, so no matrix exceeds 2^_FLIP_BLOCK square.  The
+    caller has checked s, g and the qubit cap.
     """
     n = problem.n
-    flipped = np.zeros_like(v)
-    for i in range(n):
-        shape = (1 << (n - 1 - i), 2, 1 << i)
-        view = flipped.reshape(shape)
-        view += v.reshape(shape)[:, ::-1, :]
+    width = 2 if np.iscomplexobj(v) else 1  # float64 entries per amplitude
+    v = np.ascontiguousarray(v, dtype=np.complex128 if width == 2 else np.float64)
+    x = v.view(np.float64)
+    low = min((n + 1) // 2, _FLIP_BLOCK + 1 - width)
+    high = min(n - low, _FLIP_BLOCK)
+    flipped = (x.reshape(-1, width << low) @ _flip_sum_matrix(low, width)).reshape(-1)
+    scratch = (_flip_sum_matrix(high, 1) @ x.reshape(1 << high, -1)).reshape(-1)
+    flipped += scratch
+    for i in range(low, n - high):
+        shape = (1 << (n - 1 - i), 2, width << i)
+        flipped.reshape(shape)[...] += x.reshape(shape)[:, ::-1, :]
+    # scratch is reused for s * E * v: two state-sized allocations per product
+    flipped, scratch = flipped.view(v.dtype), scratch.view(v.dtype)
     flipped *= (1.0 - s) * g
-    flipped += (s * problem.as_array) * v
+    np.multiply(problem.as_array, v, out=scratch)
+    scratch *= s
+    flipped += scratch
     return flipped

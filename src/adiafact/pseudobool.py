@@ -65,17 +65,24 @@ class VarId(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "VarId":
-        """Inverse of str(); accepts p<i>, q<i> and z<from>_<to>."""
+        """Inverse of str(); accepts p<i>, q<i> and z<from>_<to> in canonical form only.
+
+        int() also reads "01", " 1" and "+1", so a name is refused unless
+        it prints back as itself.
+        """
         kind = text[:1]
+        var = None
         try:
             if kind in ("p", "q"):
-                return cls(kind, int(text[1:]))
-            if kind == "z":
+                var = cls(kind, int(text[1:]))
+            elif kind == "z":
                 frm, to = text[1:].split("_")
-                return cls.carry(int(frm), int(to))
+                var = cls.carry(int(frm), int(to))
         except ValueError:
             pass
-        raise ValueError(f"cannot parse variable name {text!r}")
+        if var is None or str(var) != text:
+            raise ValueError(f"cannot parse variable name {text!r}")
+        return var
 
 
 class Monomial(tuple):

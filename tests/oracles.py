@@ -148,6 +148,16 @@ def dense_mixer(n: int, g: float) -> np.ndarray:
     return mixer
 
 
+def flip_sum(v: np.ndarray) -> np.ndarray:
+    """sum_i X_i applied to v, index by index: out[b] = sum_i v[b ^ (1 << i)]."""
+    dim = len(v)
+    index = np.arange(dim)
+    out = np.zeros_like(v)
+    for i in range(dim.bit_length() - 1):
+        out += v[index ^ (1 << i)]
+    return out
+
+
 def expm_schedule(diag: np.ndarray, g: float, T: float, M: int) -> np.ndarray:
     """Reference evolution with scipy.linalg.expm, literal s_m = m/M rule."""
     dim = len(diag)

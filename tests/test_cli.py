@@ -287,7 +287,19 @@ class TestExitCodes:
             {"variables": []},
             {"variables": declared[:-1]},
         ]
-        for breach in breaches + mistyped:
+        # names that int() reads but that are not the canonical str(VarId),
+        # each respelt everywhere it occurs so that only the spelling is wrong
+        def respelt(name, spelling):
+            return json.loads(json.dumps(good).replace(f'"{name}"', f'"{spelling}"'))
+
+        noncanonical = [
+            respelt("p1", "p01"),
+            respelt("p1", "p 1"),
+            respelt("p1", "p+1"),
+            respelt("q1", "q1 "),
+            respelt("z1_2", "z1_02"),
+        ]
+        for breach in breaches + mistyped + noncanonical:
             path.write_text(json.dumps({**good, **breach}))
             code, out, err = run_cli(capsys, "simulate", "--system", str(path))
             assert (code, out) == (1, ""), breach
@@ -310,6 +322,30 @@ class TestExitCodes:
         monkeypatch.setattr(compiler._Propagator, "_pass", lambda self: True)
         code, _, err = run_cli(capsys, "compile", "143")
         assert code == 1 and "fixpoint" in err
+
+
+class TestParserReuse:
+    CALLS = (
+        ("compile", "143", "--no-such-option"),
+        ("compile", "143", "--widths", "4", "4"),
+        ("sweep", "35", "--axis", "T", "--values", "10", "12", "--points", "5"),
+    )
+
+    def test_later_calls_match_a_first_call(self, capsys, monkeypatch):
+        from adiafact import cli
+
+        firsts = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            firsts.append(run_cli(capsys, *argv))
+        assert firsts[0][0] == 1 and "unrecognized arguments" in firsts[0][2]
+        assert firsts[1][0] == 0 and firsts[2][0] == 0
+        builds, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        assert [run_cli(capsys, *argv) for argv in self.CALLS] == firsts
+        assert len(builds) == 1
+        cli._parser.cache_clear()
 
 
 def _document_143(capsys):

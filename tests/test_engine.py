@@ -299,7 +299,7 @@ class TestMatrixFreeSteps:
                 assert np.max(np.abs(trace.final_state - reference)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "target, sched", [(323, Schedule(T=120.0, M=4)), (121, Schedule(T=8.0, M=2))]
+        "target, sched", [(323, Schedule(T=200.0, M=4)), (121, Schedule(T=8.0, M=2))]
     )
     def test_large_registers_match_the_dense_propagator(self, registers, target, sched):
         problem = registers[target]

@@ -37,7 +37,7 @@ from adiafact import (
 from adiafact import engine
 from adiafact.hamiltonian import _apply_interpolated
 
-from oracles import dense_mixer, odd_semiprimes
+from oracles import dense_mixer, flip_sum, odd_semiprimes
 
 P1, P2, Q1, Q2 = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
 
@@ -359,6 +359,25 @@ class TestMixerAndInterpolation:
                 expected = interpolated_hamiltonian(s, g, diag) @ v
                 got = _apply_interpolated(s, g, diag, v)
                 assert np.max(np.abs(got - expected)) <= 1e-13, (n, s, g)
+
+    def test_blocked_product_matches_the_flip_sum_oracle(self, monkeypatch):
+        # 1..16 qubits cover one block, two blocks and per-qubit flips between them
+        monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "16")
+        rng = np.random.default_rng(29)
+        for n in range(1, 17):
+            dim = 1 << n
+            diag = DiagonalOperator(n, rng.integers(-60, 60, dim), scale=6)
+            real = rng.normal(size=dim)
+            pairs = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+            # columns of a row-major array are strided, not contiguous
+            vectors = (real, real + 1j * rng.normal(size=dim), pairs[:, 1], pairs.real[:, 0])
+            for s in (0.0, 1.0, rng.uniform(0.0, 1.0)):
+                g = rng.uniform(0.05, 2.0)
+                for v in vectors:
+                    expected = s * diag.as_array * v + (1 - s) * g * flip_sum(v)
+                    got = _apply_interpolated(s, g, diag, v)
+                    assert got.dtype == v.dtype and got.shape == v.shape
+                    assert np.max(np.abs(got - expected)) <= 1e-13, (n, s, v.dtype)
 
     def test_the_cap_is_checked_before_anything_is_built(self, monkeypatch):
         four = DiagonalOperator(4, np.zeros(16, dtype=np.int64))

@@ -18,6 +18,10 @@ def test_varid_str_roundtrip():
         assert VarId.parse(str(var)) == var
     with pytest.raises(ValueError):
         VarId.parse("x3")
+    # int() reads all of these; only the canonical spelling names a variable
+    for text in ("p01", "p 1", "p+1", "q1 ", " q1", "z1_02", "z01_2", "z1_ 2", "p1_0", "p"):
+        with pytest.raises(ValueError):
+            VarId.parse(text)
     with pytest.raises(ValueError):
         VarId.carry(4, 2)
 
