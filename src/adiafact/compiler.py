@@ -48,11 +48,10 @@ faithful to the full constraint set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import EvenInput, Infeasible, InvariantViolation, TooSmall, WidthMismatch
-from .pseudobool import Monomial, Poly, Rational, VarId
+from .pseudobool import Monomial, Poly, VarId
 
 
 @dataclass(frozen=True)
@@ -303,7 +302,7 @@ class _Propagator:
 
     # -- interval machinery ------------------------------------------
 
-    def _bounds(self, terms: Iterable[tuple[tuple, Rational]]) -> tuple[Rational, Rational]:
+    def _bounds(self, terms: Iterable[tuple[tuple, int]]) -> tuple[int, int]:
         """Value interval of a residual given as distinct (monomial, coefficient) terms.
 
         One monomial at a time; zero coefficients are skipped.  Forbidden
@@ -313,8 +312,8 @@ class _Propagator:
         Every sum is exact, so the order of the terms does not matter.
         """
         lo = hi = 0
-        lin_pos: dict[VarId, Rational] = {}
-        lin_neg: dict[VarId, Rational] = {}
+        lin_pos: dict[VarId, int] = {}
+        lin_neg: dict[VarId, int] = {}
         for mono, coeff in terms:
             if not coeff:
                 continue
@@ -337,9 +336,9 @@ class _Propagator:
                     lo -= max(lin_neg.pop(x), lin_neg.pop(y))
         return lo, hi
 
-    def _probe_bounds(self, poly: Poly, trial: dict[VarId, int]) -> tuple[Rational, Rational]:
+    def _probe_bounds(self, poly: Poly, trial: dict[VarId, int]) -> tuple[int, int]:
         """_bounds(poly.substitute(trial).items()), without building the polynomial."""
-        merged: dict[tuple, Rational] = {}
+        merged: dict[tuple, int] = {}
         for mono, coeff in poly.items():
             if not trial.keys().isdisjoint(mono):
                 if 0 in map(trial.get, mono):
@@ -525,8 +524,16 @@ def compile_system(target: int, widths: Optional[tuple[int, int]] = None) -> Equ
 # -- JSON document ----------------------------------------------------
 
 
-def _frac_str(value: Rational) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _frac_str(value: int) -> str:
+    return f"{value}/1"
+
+
+def _frac_parse(text) -> int:
+    """Inverse of _frac_str; int() also reads "+3" and "03", so text must print back as itself."""
+    numerator = text.removesuffix("/1") if isinstance(text, str) else ""
+    if not numerator.removeprefix("-").isdecimal() or _frac_str(int(numerator)) != text:
+        raise ValueError(f"coefficient {text!r} is not an integer written k/1")
+    return int(numerator)
 
 
 def _poly_to_terms(poly: Poly) -> list:
@@ -538,10 +545,7 @@ def _residual_from_document(equation: dict) -> Poly:
     terms = []
     for side, sign in (("lhs", 1), ("rhs", -1)):
         for coeff, names in equation[side]:
-            if not isinstance(coeff, str):
-                raise TypeError(f"coefficient {coeff!r} is not a string")
-            value = Fraction(coeff)
-            value = value.numerator if value.denominator == 1 else value
+            value = _frac_parse(coeff)
             variables = [VarId.parse(name) for name in names]
             if len(set(variables)) != len(variables):
                 raise ValueError(f"monomial {names} names a variable twice")
@@ -550,7 +554,7 @@ def _residual_from_document(equation: dict) -> Poly:
 
 
 def system_to_document(system: EquationSystem) -> dict:
-    """Serialize to the interchange document (exact rationals as num/den strings)."""
+    """Serialize to the interchange document (integer coefficients written "k/1")."""
     return {
         "n": system.target,
         "widths": list(system.widths),
@@ -584,9 +588,10 @@ def system_from_document(doc: dict) -> EquationSystem:
     """Inverse of system_to_document; column provenance is not retained.
 
     n and every fixed value must be JSON integers, widths a list of exactly
-    two, and every coefficient a string such as "3/1".  A monomial may name
-    each variable once.  The variables list is optional; when present, even
-    empty, it must list exactly the free variables.
+    two, and every coefficient an integer k spelt "k/1" ("1/3", "6/2", "3"
+    and "+3/1" are refused).  A monomial may name each variable once.  The
+    variables list is optional; when present, even empty, it must list
+    exactly the free variables.
     """
     try:
         target = _json_int(doc["n"])
@@ -603,8 +608,7 @@ def system_from_document(doc: dict) -> EquationSystem:
         declared = None
         if "variables" in doc:
             declared = tuple(sorted(VarId.parse(name) for name in doc["variables"]))
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-            ZeroDivisionError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"malformed system document: {exc}") from exc
     system = EquationSystem(target, widths, equations, dict(sorted(fixed.items())), pairs)
     _validate_layout_rules(system)

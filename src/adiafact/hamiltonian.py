@@ -22,8 +22,8 @@ block as one matrix product with its small 0/1 flip-sum matrix, so an
 n-qubit product is two BLAS calls (plus one pass per qubit between the
 blocks above 2 * _FLIP_BLOCK qubits) instead of n passes.
 
-Energies are int64 numerators over one common scale; float views are derived,
-so ground manifolds are identified by exact comparison, never by tolerance.
+Energies are exact int64 integers; float views are derived, so ground
+manifolds are identified by exact comparison, never by tolerance.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from typing import Mapping
 
 import numpy as np
@@ -47,7 +45,7 @@ from .errors import (
     NotApplicable,
     UnmappedVariable,
 )
-from .pseudobool import Poly, Rational, VarId
+from .pseudobool import Poly, VarId
 
 _CAP_ENV = "ADIAFACT_MAX_QUBITS"
 _DEFAULT_CAP = 14
@@ -127,18 +125,20 @@ class QubitMap:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalOperator:
-    """2^n exact energies numerators[i] / scale; equality is identity, never array-wise."""
+    """2^n exact integer energies; equality is identity, never array-wise."""
 
     n: int
     numerators: np.ndarray
-    scale: int = 1
 
     def __post_init__(self):
-        values = np.asarray(self.numerators, dtype=np.int64)
+        values = np.asarray(self.numerators)
         if values.shape != (1 << self.n,):
             raise DimensionMismatch(
                 f"{values.size} energies for {self.n} qubits (need {1 << self.n})"
             )
+        if not (np.issubdtype(values.dtype, np.integer) and np.can_cast(values.dtype, np.int64)):
+            raise ValueError(f"energies must be integers that fit int64, got {values.dtype}")
+        values = values.astype(np.int64, copy=False)
         values.setflags(write=False)
         object.__setattr__(self, "numerators", values)
 
@@ -146,24 +146,21 @@ class DiagonalOperator:
     def dim(self) -> int:
         return 1 << self.n
 
-    def _exact(self, numerator) -> Rational:
-        return int(numerator) if self.scale == 1 else Fraction(int(numerator), self.scale)
-
     @cached_property
-    def energies(self) -> tuple[Rational, ...]:
-        return tuple(self._exact(v) for v in self.numerators.tolist())
+    def energies(self) -> tuple[int, ...]:
+        return tuple(self.numerators.tolist())
 
     @cached_property
     def as_array(self) -> np.ndarray:
-        values = self.numerators / self.scale
+        values = self.numerators.astype(np.float64)
         values.setflags(write=False)
         return values
 
-    def min_energy(self) -> Rational:
-        return self._exact(self.numerators.min())
+    def min_energy(self) -> int:
+        return int(self.numerators.min())
 
-    def max_energy(self) -> Rational:
-        return self._exact(self.numerators.max())
+    def max_energy(self) -> int:
+        return int(self.numerators.max())
 
     def ground_indices(self) -> tuple[int, ...]:
         floor = self.numerators.min()
@@ -179,14 +176,12 @@ def quadratize_equation(residual: Poly, pairing: str = "last") -> Poly:
     """Penalty for residual A*B + S built without squaring the product.
 
     pairing picks which two-variable product becomes (A, B): "last" takes
-    the lexicographically last product term, "first" the first.
+    the lexicographically last product term, "first" the first.  The
+    identity needs an integer-valued S, which integer coefficients give.
 
     Raises:
-        NotApplicable: no two-variable product to pair, or non-integer
-            coefficients (the identity needs integer-valued S).
+        NotApplicable: no two-variable product to pair.
     """
-    if any(coeff.denominator != 1 for _, coeff in residual.items()):
-        raise NotApplicable("quadratization needs integer coefficients")
     products = [mono for mono, _ in residual.items() if mono.degree == 2]
     if not products:
         raise NotApplicable("no two-variable product term to pair")
@@ -241,23 +236,25 @@ def polynomial_to_diagonal(poly: Poly, qmap: QubitMap) -> DiagonalOperator:
     Raises:
         UnmappedVariable: the polynomial mentions a variable outside the map.
         DimensionTooLarge: the map exceeds the qubit cap.
-        ValueError: the coefficients are too large for an int64 diagonal.
+        ValueError: a coefficient is not an int, or too large for an int64 diagonal.
     """
     unmapped = set(poly.variables()) - set(qmap.variables)
     if unmapped:
         raise UnmappedVariable(f"no qubit for {sorted(unmapped)}")
     _check_dim(qmap.n)
-    return DiagonalOperator(qmap.n, *_basis_values(poly, qmap.variables))
+    return DiagonalOperator(qmap.n, _basis_values(poly, qmap.variables))
 
 
-def _basis_values(poly: Poly, variables: tuple[VarId, ...]) -> tuple[np.ndarray, int]:
-    """(numerators, scale): poly at basis index i is numerators[i] / scale exactly.
+def _basis_values(poly: Poly, variables: tuple[VarId, ...]) -> np.ndarray:
+    """poly at every basis index, exactly; variables[0] is the most significant bit.
 
-    variables[0] is the most significant bit.  Raises ValueError when the
-    scaled coefficients could overflow int64.
+    Raises ValueError when a coefficient is not an int or the values could
+    overflow int64.
     """
-    scale = lcm(*(coeff.denominator for _, coeff in poly.items()))
-    terms = [(mono, int(coeff * scale)) for mono, coeff in poly.items()]
+    terms = list(poly.items())
+    stray = next((coeff for _, coeff in terms if not isinstance(coeff, int)), None)
+    if stray is not None:
+        raise ValueError(f"polynomial coefficient {stray!r} is not an integer")
     if sum(abs(coeff) for _, coeff in terms) >= 1 << 63:
         raise ValueError("polynomial coefficients too large for an int64 diagonal")
     n = len(variables)
@@ -267,7 +264,7 @@ def _basis_values(poly: Poly, variables: tuple[VarId, ...]) -> tuple[np.ndarray,
     for mono, coeff in terms:
         mask = sum(weight[var] for var in mono)
         values[(index & mask) == mask] += coeff
-    return values, scale
+    return values
 
 
 def direct_cost_diagonal(target: int, w_x: int, w_y: int) -> DiagonalOperator:
@@ -275,6 +272,7 @@ def direct_cost_diagonal(target: int, w_x: int, w_y: int) -> DiagonalOperator:
 
     Basis index is (x << w_y) | y.  This is the comparison scheme whose
     spectral range grows with target^2, unlike the table compilation.
+    Raises ValueError when the largest cost could overflow int64.
     """
     if target < 1:
         raise ValueError(f"target must be positive, got {target}")
@@ -282,6 +280,8 @@ def direct_cost_diagonal(target: int, w_x: int, w_y: int) -> DiagonalOperator:
         raise ValueError(f"widths must be positive, got ({w_x}, {w_y})")
     n = w_x + w_y
     _check_dim(n)
+    if max(target, ((1 << w_x) - 1) * ((1 << w_y) - 1) - target) ** 2 >= 1 << 63:
+        raise ValueError("direct costs too large for an int64 diagonal")
     x = np.arange(1 << w_x, dtype=np.int64)
     y = np.arange(1 << w_y, dtype=np.int64)
     costs = (target - np.outer(x, y)) ** 2

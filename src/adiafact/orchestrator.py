@@ -37,7 +37,7 @@ from .hamiltonian import (
     polynomial_to_diagonal,
     qubit_cap,
 )
-from .pseudobool import Monomial, Poly, Rational, VarId
+from .pseudobool import Monomial, Poly, VarId
 
 ENUMERATION_LIMIT = 24
 
@@ -45,7 +45,7 @@ ENUMERATION_LIMIT = 24
 @dataclass(frozen=True)
 class GroundManifold:
     indices: tuple[int, ...]
-    energy: Rational
+    energy: int
 
 
 def ground_manifold(problem: DiagonalOperator) -> GroundManifold:
@@ -104,7 +104,7 @@ def _system_objective(system: EquationSystem) -> Poly:
 
 def brute_force_min(
     objective: Union[Poly, EquationSystem], limit: int = ENUMERATION_LIMIT
-) -> tuple[Rational, tuple[dict, ...]]:
+) -> tuple[int, tuple[dict, ...]]:
     """Exact minimum of a polynomial (or a system's violation measure) by enumeration.
 
     For an EquationSystem the objective is the sum of squared residuals
@@ -116,14 +116,14 @@ def brute_force_min(
 
     Raises:
         TooManyVariables: more than limit variables to enumerate.
-        ValueError: coefficients too large for exact int64 evaluation.
+        ValueError: a coefficient is not an int, or too large for exact int64 evaluation.
     """
     poly = _system_objective(objective) if isinstance(objective, EquationSystem) else objective
     variables = poly.variables()
     if len(variables) > limit:
         raise TooManyVariables(f"{len(variables)} variables exceed the limit of {limit}")
     qmap = QubitMap(variables)
-    diagonal = DiagonalOperator(qmap.n, *_basis_values(poly, variables))
+    diagonal = DiagonalOperator(qmap.n, _basis_values(poly, variables))
     argmins = tuple(qmap.assignment_of(index) for index in diagonal.ground_indices())
     return diagonal.min_energy(), argmins
 

@@ -1,21 +1,17 @@
 """Exact multilinear polynomials over binary variables.
 
 Everything the compiler manipulates is a polynomial in {0,1}-valued
-variables with rational coefficients.  Idempotence x*x = x is applied on
+variables with integer coefficients.  Idempotence x*x = x is applied on
 every multiplication, so monomials stay squarefree and each polynomial
 has a unique normal form: a map from sorted variable tuples to nonzero
-coefficients.  Coefficients are plain ints unless an input is truly
-rational, in which case fractions.Fraction arithmetic keeps them exact;
-either way ground-state energies are compared against exact zero.
+coefficients.  Coefficients are plain Python ints, so arithmetic never
+rounds and ground-state energies are compared against exact zero.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Union
-
-Rational = Union[int, Fraction]
 
 _KIND_NAMES = {"p": "p", "q": "q", "z": "z"}
 
@@ -114,13 +110,13 @@ def _termkey(item):
 
 
 class PseudoBooleanPolynomial:
-    """Immutable multilinear polynomial with exact (int or Fraction) coefficients."""
+    """Immutable multilinear polynomial with exact integer coefficients."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[dict, Iterable, None] = None):
         # the one place terms are accumulated, zeros dropped and the order fixed
-        acc: dict[Monomial, Rational] = {}
+        acc: dict[Monomial, int] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for mono, coeff in items:
@@ -134,21 +130,21 @@ class PseudoBooleanPolynomial:
         self._terms = dict(sorted(acc.items(), key=_termkey))
 
     @classmethod
-    def constant(cls, value: Rational) -> "PseudoBooleanPolynomial":
+    def constant(cls, value: int) -> "PseudoBooleanPolynomial":
         return cls({ONE: value} if value else None)
 
     @classmethod
     def variable(cls, var: VarId) -> "PseudoBooleanPolynomial":
         return cls({Monomial((var,)): 1})
 
-    def items(self) -> Iterator[tuple[Monomial, Rational]]:
+    def items(self) -> Iterator[tuple[Monomial, int]]:
         return iter(self._terms.items())
 
-    def coefficient(self, mono: Monomial) -> Rational:
+    def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)
 
     @property
-    def constant_term(self) -> Rational:
+    def constant_term(self) -> int:
         return self._terms.get(ONE, 0)
 
     def __len__(self) -> int:
@@ -183,7 +179,7 @@ class PseudoBooleanPolynomial:
         return PseudoBooleanPolynomial({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "PseudoBooleanPolynomial":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return PseudoBooleanPolynomial()
             return PseudoBooleanPolynomial({m: c * other for m, c in self._terms.items()})
@@ -196,7 +192,7 @@ class PseudoBooleanPolynomial:
 
     __rmul__ = __mul__
 
-    def evaluate(self, assignment: Mapping[VarId, int]) -> Rational:
+    def evaluate(self, assignment: Mapping[VarId, int]) -> int:
         total = 0
         for mono, coeff in self._terms.items():
             for var in mono:
@@ -229,7 +225,7 @@ class PseudoBooleanPolynomial:
             return self
         return PseudoBooleanPolynomial(kept)
 
-    def bounds(self) -> tuple[Rational, Rational]:
+    def bounds(self) -> tuple[int, int]:
         """Value interval treating each monomial as an independent 0/1 term.
 
         Coarse by design: correlations between monomials are ignored, so
@@ -248,7 +244,7 @@ class PseudoBooleanPolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, PseudoBooleanPolynomial):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self._terms == ({ONE: other} if other else {})
         return NotImplemented
 
@@ -278,7 +274,7 @@ class PseudoBooleanPolynomial:
 def _coerce(value) -> PseudoBooleanPolynomial:
     if isinstance(value, PseudoBooleanPolynomial):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return PseudoBooleanPolynomial.constant(value)
     if isinstance(value, VarId):
         return PseudoBooleanPolynomial.variable(value)

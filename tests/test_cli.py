@@ -1,5 +1,6 @@
 """Command line behavior: outputs, round trips, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -41,6 +42,17 @@ class TestCompile:
         assert len(lines) == 17
         energies = [int(row.split(",")[1].split("/")[0]) for row in lines[1:]]
         assert energies == [5, 2, 4, 1, 4, 3, 0, 1, 2, 0, 3, 1, 1, 1, 1, 3]
+
+    def test_csv_diagonals_are_frozen(self, capsys):
+        # sha256 over "N code\n" + stdout per target; the CSV is all integers,
+        # so the digest does not depend on the platform
+        digest = hashlib.sha256()
+        for target in (35, 77, 121, 143, 323, 899, 3599):
+            code, out, _ = run_cli(capsys, "compile", str(target), "--format", "csv")
+            digest.update(f"{target} {code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "c44ba5a62b90553b29e42f92f92e170edaeeda3dd24da0e41fb05c2eaa48ff91"
+        )
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
@@ -260,7 +272,7 @@ class TestExitCodes:
         typed = [{"n": 144}, {"n": 3}, {"widths": [1, 99]}]
         # documents of the wrong JSON types: n, the widths and fixed values
         # must be integers, not floats, strings or bools; coefficients must
-        # be rational strings and variable names parse
+        # be integers spelt k/1 and variable names parse
         def with_first_term(term):
             equations = json.loads(json.dumps(good["equations"]))
             equations[0]["lhs"][0] = term
@@ -281,6 +293,9 @@ class TestExitCodes:
             with_first_term(["1/1", ["x9"]]),
             # a monomial names each variable once; p1*p1 is no table term
             with_first_term(["1/1", ["p1", "p1"]]),
+            # a coefficient has one spelling, "k/1" for its integer k
+            *(with_first_term([spelling, ["p1"]]) for spelling in
+              ("1/3", "2/6", "6/2", "3", "+3/1", "03/1", " 3/1", "1/0", "1.5")),
             # widths are exactly two integers
             {"widths": [4, 4, 99]},
             # a variables list that is present must match, even when empty

@@ -1,7 +1,6 @@
 """Table layout and constraint propagation."""
 
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -397,10 +396,20 @@ class TestDocument:
         loaded = system_from_document(system_to_document(system))
         for eq in loaded.equations:
             assert all(type(c) is int for _, c in eq.residual.items())
-        doc = system_to_document(system)
-        doc["equations"][0]["lhs"][0][0] = "2/6"
-        coeff = system_from_document(doc).equations[0].lhs.items()
-        assert next(coeff)[1] == Fraction(1, 3)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(min_value=-2**80, max_value=2**80))
+    def test_every_integer_coefficient_loads_and_writes_back(self, k):
+        # "k/1" is the one spelling; the constant of p1 + q1 = 1 takes any k
+        doc = system_to_document(compile_system(143, (4, 4)))
+        doc["equations"][0]["rhs"] = [[f"{k}/1", []]]
+        loaded = system_from_document(doc)
+        constant = loaded.equations[0].rhs.constant_term
+        assert type(constant) is int and constant == k
+        written = system_to_document(loaded)
+        if not k:
+            doc["equations"][0]["rhs"] = []  # a zero term drops out as it loads
+        assert written == doc
 
     def test_malformed_document(self):
         with pytest.raises(ValueError):

@@ -502,7 +502,7 @@ class TestLanczosGapProfile:
         monkeypatch.setattr(engine, "_lanczos_samples", no_solve)
         rng = np.random.default_rng(5)
         for n in range(2, 7):
-            problem = DiagonalOperator(n, rng.integers(-30, 30, 1 << n), scale=4)
+            problem = DiagonalOperator(n, rng.integers(-30, 30, 1 << n))
             for g in (0.3, 0.6, 1.7):
                 trace = gap_profile(problem, g, points=2, k=problem.dim)
                 expected = dense_levels(problem, g, (0.0, 1.0), problem.dim)

@@ -91,8 +91,6 @@ class TestPenalty:
     def test_quadratization_requires_a_product(self):
         with pytest.raises(NotApplicable):
             quadratize_equation(poly_of((1, [P1]), (1, [Q1]), (-1, [])))
-        with pytest.raises(NotApplicable):
-            quadratize_equation(poly_of((Fraction(1, 2), [P1, Q1])))
 
     def test_pairing_selects_first_or_last_product(self):
         residual = poly_of((1, [P1, Q2]), (1, [P2, Q1]), (-1, []))
@@ -178,13 +176,13 @@ class TestDiagonal:
             point = qmap.assignment_of(index)
             assert diag.energies[index] == penalty.evaluate(point)
 
-    def test_random_rational_polynomials_match_pointwise_evaluation(self):
+    def test_random_integer_polynomials_match_pointwise_evaluation(self):
         rng = random.Random(11)
         qmap = QubitMap((P1, P2, Q1))
         for _ in range(30):
             poly = Poly(
                 (Monomial(rng.sample(qmap.variables, rng.randint(0, 3))),
-                 Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                 rng.randint(-99, 99))
                 for _ in range(rng.randint(0, 6))
             )
             diag = polynomial_to_diagonal(poly, qmap)
@@ -194,19 +192,26 @@ class TestDiagonal:
     def test_storage_is_a_read_only_int64_array(self, system143):
         qmap, penalty = assemble_problem(system143, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
-        assert diag.numerators.dtype == np.int64 and diag.scale == 1
+        assert diag.numerators.dtype == np.int64
         assert not diag.numerators.flags.writeable
         assert all(type(e) is int for e in diag.energies)
         assert diag.ground_indices() == (6, 9)
         assert all(type(i) is int for i in diag.ground_indices())
 
-    def test_fractional_coefficients_stay_exact(self):
-        poly = poly_of((Fraction(1, 3), [P1]), (Fraction(-1, 6), []))
-        diag = polynomial_to_diagonal(poly, QubitMap((P1,)))
-        assert diag.energies == (Fraction(-1, 6), Fraction(1, 6))
-        assert diag.scale == 6 and diag.numerators.tolist() == [-1, 1]
-        assert diag.min_energy() == Fraction(-1, 6)
-        assert diag.as_array.tolist() == [-1 / 6, 1 / 6]
+    def test_fractional_coefficients_are_refused(self):
+        # a Poly built from raw terms can still carry a Fraction or a float
+        for coeff in (Fraction(1, 3), Fraction(6, 2), 0.5):
+            with pytest.raises(ValueError, match="not an integer"):
+                polynomial_to_diagonal(poly_of((coeff, [P1]), (1, [])), QubitMap((P1,)))
+
+    def test_non_integer_energies_are_refused(self):
+        # int64 storage would truncate 0.5 to a false zero-energy ground state,
+        # and wrap the uint64 2^64 - 1 to a false -1
+        wraps = np.array([2**64 - 1, 0], dtype=np.uint64)
+        for energies in (np.array([0.5, 1.7]), np.array([0.0, 1.0]), [0.5, 1], [2**70, 0], wraps):
+            with pytest.raises(ValueError, match="integers"):
+                DiagonalOperator(1, energies)
+        assert DiagonalOperator(1, np.array([3, -2], dtype=np.int8)).energies == (3, -2)
 
     def test_equality_is_identity(self, system143):
         qmap, penalty = assemble_problem(system143, pairing="first")
@@ -279,8 +284,17 @@ class TestDirectCost:
     def test_143_spectral_range(self):
         diag = direct_cost_diagonal(143, 4, 4)
         assert diag.min_energy() == 0
-        assert diag.max_energy() == Fraction(20449)  # (143 - 0*0)^2
-        assert type(diag.max_energy()) is int and diag.scale == 1
+        assert diag.max_energy() == 20449  # (143 - 0*0)^2
+        assert type(diag.max_energy()) is int and type(diag.min_energy()) is int
+
+    def test_costs_that_could_overflow_int64_are_refused(self):
+        # (10**10 - 9)^2 wrapped around int64, and 2**70 overflowed inside numpy
+        for target in (10**10, 2**70, 3037000500):
+            with pytest.raises(ValueError, match="too large for an int64 diagonal"):
+                direct_cost_diagonal(target, 2, 2)
+        # 3037000499^2 is the largest square below 2^63
+        assert direct_cost_diagonal(3037000499, 1, 1).max_energy() == 3037000499**2
+        assert direct_cost_diagonal(10**9, 2, 2).min_energy() == (10**9 - 9) ** 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -341,18 +355,18 @@ class TestMixerAndInterpolation:
         rng = np.random.default_rng(3)
         diagonals = [
             DiagonalOperator(n, rng.integers(0, 40, 1 << n)) for n in (1, 3, 4)
-        ] + [DiagonalOperator(3, rng.integers(-20, 20, 8), scale=6)]
+        ] + [DiagonalOperator(3, rng.integers(-20, 20, 8))]
         for diag in diagonals:
             for g in (0.3, 0.6, 1.7):
                 for s in (0.0, 0.05, 0.37, 0.5, 0.9, 1.0):
                     expected = (1 - s) * dense_mixer(diag.n, g) + np.diag(s * diag.as_array)
                     h = interpolated_hamiltonian(s, g, diag)
-                    assert np.array_equal(h, expected), (diag.n, diag.scale, g, s)
+                    assert np.array_equal(h, expected), (diag.n, g, s)
 
     def test_matrix_free_product_matches_the_dense_matrix(self):
         rng = np.random.default_rng(17)
         for n in range(1, 9):
-            diag = DiagonalOperator(n, rng.integers(-60, 60, 1 << n), scale=6)
+            diag = DiagonalOperator(n, rng.integers(-60, 60, 1 << n))
             for s in (0.0, 1.0, *rng.uniform(0.0, 1.0, 3)):
                 g = rng.uniform(0.05, 2.0)
                 v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -366,7 +380,7 @@ class TestMixerAndInterpolation:
         rng = np.random.default_rng(29)
         for n in range(1, 17):
             dim = 1 << n
-            diag = DiagonalOperator(n, rng.integers(-60, 60, dim), scale=6)
+            diag = DiagonalOperator(n, rng.integers(-60, 60, dim))
             real = rng.normal(size=dim)
             pairs = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
             # columns of a row-major array are strided, not contiguous

@@ -23,10 +23,8 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_package_imports_only_stdlib_and_numpy():
-    # scipy and the rest of the test extras stay out of the installed package
-    allowed = set(sys.stdlib_module_names) | {"numpy"}
-    found = []
+def _absolute_imports():
+    """(location, top-level module) for every absolute import in the package."""
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -35,12 +33,20 @@ def test_package_imports_only_stdlib_and_numpy():
                 names = [node.module]
             else:
                 continue
-            found += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] not in allowed
-            ]
+            for name in names:
+                yield f"{path.name}:{node.lineno}", name.split(".")[0]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # scipy and the rest of the test extras stay out of the installed package
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = [f"{where} {name}" for where, name in _absolute_imports() if name not in allowed]
     assert found == []
+
+
+def test_package_does_not_import_fractions():
+    # every coefficient and energy is an int, from the layout to the diagonal
+    assert [where for where, name in _absolute_imports() if name == "fractions"] == []
 
 
 def test_all_lists_exactly_the_public_names_in_sorted_order():
