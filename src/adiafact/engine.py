@@ -15,20 +15,21 @@ Each step is propagated one of two ways, both exact to roundoff:
   applies the mixer as two small dense flip-sum matrix products, one per
   block of qubits, so it costs two BLAS calls rather than one pass per qubit.
 
-A step goes matrix-free when its term count times the measured cost of
-one product is below the measured cost of a dense step (_STEP_COST_MS,
-measured by tests/step_costs.py);
-steps too wide to pay stay dense.  Registers of up to 4 qubits have no
-row and stay dense at any width: either path costs tens of microseconds
-there, and the dense one keeps their outputs fixed.
+One rule picks the path for every step and every spectrum sample
+(_matrix_free_pays).  A dense solve of the 2^n-square H(s) costs O(8^n) and
+one product O(2^n), so a dense step costs about 4^n / _DENSE_DIVISOR
+products; a Chebyshev step needs one product per term plus
+_STEP_OVERHEAD products' worth of recurrence and setup, and goes matrix-free
+when that sum is the smaller.  Registers of up to 4 qubits stay dense at
+any width, and steps too wide to pay stay dense.
 
 Spectra (gap_profile) take both endpoints from closed forms.  Their
 interior samples are dense eigenvalue solves, except for at most two
-levels on registers where a full Lanczos basis (_BASIS_CAP products) costs
-less than one dense step in the same table, 9 qubits and up: there a
-warm-started Lanczos with full reorthogonalization (_lanczos_lowest) runs
-on the same matrix-free products.  Sizes are desk scale on purpose: n is
-capped (see hamiltonian.qubit_cap).
+levels on registers where a full Lanczos basis (_BASIS_CAP products) pays
+by the same rule, 9 qubits and up: there a warm-started Lanczos with full
+reorthogonalization (_lanczos_lowest) runs on the same matrix-free
+products.  Sizes are desk scale on purpose: n is capped (see
+hamiltonian.qubit_cap).
 """
 
 from __future__ import annotations
@@ -54,28 +55,22 @@ _FLOAT_FMT = "%.12g"
 
 # A Chebyshev expansion ends at its last Bessel coefficient above _TERM_TOL.
 _TERM_TOL = 1e-16
-# Cost in milliseconds of one dense step (interpolated_hamiltonian plus
-# propagate_step) and of one product, measured as a whole Chebyshev step of
-# about 40 terms divided by its products, by register size: medians of four
-# runs of tests/step_costs.py, rounded, on 2 cores with 2 OpenBLAS threads,
-# numpy 2.4, Python 3.11.  Dense costs for 12 qubits and beyond are
-# extrapolated at x8 per qubit, not run; larger registers use the 14-qubit row.
-_STEP_COST_MS = {
-    5: (0.19, 0.027),
-    6: (0.65, 0.025),
-    7: (2.45, 0.03),
-    8: (9.7, 0.033),
-    9: (44.0, 0.038),
-    10: (269.0, 0.051),
-    11: (1690.0, 0.079),
-    12: (13500.0, 0.14),
-    13: (108000.0, 0.3),
-    14: (865000.0, 0.61),
-}
+# _matrix_free_pays prices a dense step (interpolated_hamiltonian plus
+# propagate_step) of n qubits at 4^n / _DENSE_DIVISOR products.  Both costs
+# timed at 5 to 11 qubits (2 cores, 2 OpenBLAS threads, numpy 2.4) give
+# divisors between 136 and 253.  170 lies in that range and above 163, the
+# least divisor that keeps a full Lanczos basis (_BASIS_CAP products) dense
+# at 8 qubits, where the dense sample is the faster.  Every matrix-free run
+# is charged _STEP_OVERHEAD products more for its setup, which keeps
+# registers of up to 4 qubits dense at any width.
+_DENSE_DIVISOR = 170
+_STEP_OVERHEAD = 2
 # A Lanczos sample of gap_profile stops when the residual estimates of its
 # Ritz pairs reach _RITZ_TOL, checked every _CHECK_STRIDE basis vectors;
-# a basis of _BASIS_CAP vectors without convergence fails.  Its start
-# vector carries seeded noise of norm _NOISE.
+# a basis of _BASIS_CAP vectors without convergence fails.  gap_profile
+# takes Lanczos samples where a full basis pays by _matrix_free_pays, from
+# 9 qubits up (400 * 170 < 4^9).  Its start vector carries seeded noise of
+# norm _NOISE.
 _RITZ_TOL = 1e-10
 _CHECK_STRIDE = 4
 _BASIS_CAP = 400
@@ -247,19 +242,19 @@ def _bessel_coefficients(x: float) -> np.ndarray:
     return coeffs[: np.flatnonzero(np.abs(coeffs) > _TERM_TOL)[-1] + 1]
 
 
-def _chebyshev_step(apply, state, tau, lo, hi) -> tuple[np.ndarray, int]:
-    """exp(-i * H * tau) @ state by a Chebyshev expansion; returns (state, products).
+def _chebyshev_step(apply, state, tau, lo, hi, coeffs) -> np.ndarray:
+    """exp(-i * H * tau) @ state by a Chebyshev expansion.
 
-    apply(v) returns H @ v for a Hermitian H with spectrum in [lo, hi].  With
-    H = c + r * X (c, r the interval's centre and half-width), exp(-i * H * tau)
-    is exp(-i * c * tau) * sum_k a_k * J_k(r * tau) * T_k(X), with a_0 = 1 and
+    apply(v) returns H @ v for a Hermitian H with spectrum in [lo, hi], and
+    coeffs are _bessel_coefficients(r * tau).  With H = c + r * X (c, r the
+    interval's centre and half-width), exp(-i * H * tau) is
+    exp(-i * c * tau) * sum_k a_k * J_k(r * tau) * T_k(X), with a_0 = 1 and
     a_k = 2 * (-i)^k, and each vector T_k(X) @ state costs one product.
 
     Raises:
         NumericalFailure: the propagated state is not finite.
     """
     centre, radius = (hi + lo) / 2, (hi - lo) / 2
-    coeffs = _bessel_coefficients(radius * tau)
     weights = 2 * coeffs * np.array([1, -1j, -1, 1j])[np.arange(coeffs.size) % 4]
     result = coeffs[0] * state
     # T_1 = X T_0, then T_(k+1) = 2 X T_k - T_(k-1)
@@ -271,31 +266,15 @@ def _chebyshev_step(apply, state, tau, lo, hi) -> tuple[np.ndarray, int]:
     result *= np.exp(-1j * centre * tau)
     if not np.isfinite(np.vdot(result, result).real):
         raise NumericalFailure("Chebyshev step produced a non-finite state")
-    return result, coeffs.size - 1
+    return result
 
 
-def _step_costs(n: int) -> Optional[tuple[float, float]]:
-    """(dense_ms, product_ms) for an n-qubit register; None below the table."""
-    if n < min(_STEP_COST_MS):
-        return None
-    return _STEP_COST_MS[min(n, max(_STEP_COST_MS))]
+def _matrix_free_pays(n: int, products: float) -> bool:
+    """Whether a matrix-free run of this many products beats one dense step of n qubits.
 
-
-def _chebyshev_pays(n: int, width_tau: float) -> bool:
-    """Whether a Chebyshev step's products cost less than one dense step.
-
-    width_tau is (hi - lo) * tau.  A step needs at least r * tau =
-    width_tau / 2 products, so a width too large to pay, or a non-finite
-    one, is refused before any coefficient is computed.
+    False for a non-finite count, so such a step or sample stays dense.
     """
-    costs = _step_costs(n)
-    if costs is None:
-        return False
-    dense_ms, product_ms = costs
-    x = width_tau / 2
-    return x * product_ms < dense_ms and (
-        (_bessel_coefficients(x).size - 1) * product_ms < dense_ms
-    )
+    return (products + _STEP_OVERHEAD) * _DENSE_DIVISOR < 4**n
 
 
 def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrace:
@@ -319,10 +298,14 @@ def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrac
     for step in range(1, schedule.M + 1):
         s = schedule.s_at(step)
         lo, hi = s * e_min - (1 - s) * g * n, s * e_max + (1 - s) * g * n
-        if _chebyshev_pays(n, (hi - lo) * tau):
+        # a step takes at least r * tau products: too wide a step is refused
+        # before any coefficient is computed
+        x = (hi - lo) / 2 * tau
+        coeffs = _bessel_coefficients(x) if _matrix_free_pays(n, x) else None
+        if coeffs is not None and _matrix_free_pays(n, coeffs.size - 1):
             apply = partial(_apply_interpolated, s, g, problem)
-            state, used = _chebyshev_step(apply, state, tau, lo, hi)
-            products += used
+            state = _chebyshev_step(apply, state, tau, lo, hi, coeffs)
+            products += coeffs.size - 1
         else:
             state = propagate_step(state, interpolated_hamiltonian(s, g, problem), tau)
         if step in marks:
@@ -345,12 +328,6 @@ def lowest_eigenvalues(hamiltonian: np.ndarray, k: int) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolve failed: {exc}") from exc
     return energies[:k]
-
-
-def _lanczos_pays(n: int) -> bool:
-    """Whether a full Lanczos basis costs less than one dense step (the table's dense sample)."""
-    costs = _step_costs(n)
-    return costs is not None and _BASIS_CAP * costs[1] < costs[0]
 
 
 def _lanczos_lowest(apply, start, k, first_check) -> tuple[np.ndarray, np.ndarray, int]:
@@ -429,7 +406,8 @@ def gap_profile(
     The endpoints are closed forms: at s = 0 the levels g * (2j - n) with
     multiplicity C(n, j), at s = 1 the sorted diagonal.  Interior samples
     are dense eigenvalue solves, or Lanczos (_lanczos_lowest) for k <= 2
-    on registers where a full basis costs less than a dense sample.  For
+    on registers where a full basis costs less than a dense sample
+    (_matrix_free_pays).  For
     s < 1, H(s) is irreducible and, after the gauge Z on every qubit, has
     no positive off-diagonal entry, so E0 is simple (Perron-Frobenius); a
     single Krylov vector with a random component then yields E0 and the
@@ -449,7 +427,7 @@ def gap_profile(
     rows[0] = np.repeat(levels, [math.comb(n, j) for j in range(n + 1)])[:k]
     rows[-1] = np.sort(problem.as_array)[:k]
     products = 0
-    if k <= 2 and _lanczos_pays(n):
+    if k <= 2 and _matrix_free_pays(n, _BASIS_CAP):
         rows[1:-1], products = _lanczos_samples(problem, g, s_values[1:-1], k)
     else:
         for i in range(1, points - 1):

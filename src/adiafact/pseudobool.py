@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Union
 
-_KIND_NAMES = {"p": "p", "q": "q", "z": "z"}
+_KINDS = {"p", "q", "z"}
 
 
 class VarId(tuple):
@@ -29,7 +29,7 @@ class VarId(tuple):
     __slots__ = ()
 
     def __new__(cls, kind: str, a: int, b: int = 0):
-        if kind not in _KIND_NAMES:
+        if kind not in _KINDS:
             raise ValueError(f"unknown variable kind {kind!r}")
         return super().__new__(cls, (kind, a, b))
 
@@ -233,7 +233,7 @@ class PseudoBooleanPolynomial:
         """
         lo = hi = self.constant_term
         for mono, coeff in self._terms.items():
-            if mono is ONE or not mono:
+            if not mono:
                 continue
             if coeff > 0:
                 hi += coeff
@@ -257,7 +257,7 @@ class PseudoBooleanPolynomial:
         parts = []
         for mono, coeff in self._terms.items():
             body = str(mono)
-            if mono is ONE or not mono:
+            if not mono:
                 text = str(abs(coeff))
             elif abs(coeff) == 1:
                 text = body

@@ -30,10 +30,9 @@ from adiafact import (
 from adiafact import engine
 from adiafact.engine import (
     _bessel_coefficients,
-    _chebyshev_pays,
     _chebyshev_step,
-    _lanczos_pays,
     _lanczos_samples,
+    _matrix_free_pays,
 )
 from adiafact.hamiltonian import _apply_interpolated
 
@@ -74,6 +73,23 @@ def dense_levels(problem, g, s_values, k):
 
 def no_dense_matrix(*args):
     raise AssertionError("dense H(s) built")
+
+
+def routed_run(problem, schedule):
+    """run_schedule's trace and the path of each step, "C" Chebyshev or "d" dense."""
+    paths = []
+
+    def spy(path, function):
+        def wrapped(*args):
+            paths.append(path)
+            return function(*args)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(engine, "_chebyshev_step", spy("C", engine._chebyshev_step))
+        patched.setattr(engine, "propagate_step", spy("d", engine.propagate_step))
+        trace = run_schedule(problem, schedule)
+    return trace, "".join(paths)
 
 
 def dense_run(problem, schedule):
@@ -256,7 +272,7 @@ class TestMatrixFreeSteps:
         # the expansion stops where the coefficients fall below roundoff
         assert abs(coeffs[-1]) > engine._TERM_TOL
         assert np.all(np.abs(jv(np.arange(coeffs.size, coeffs.size + 40), x)) <= 1e-15)
-        # at least r * tau terms, the bound _chebyshev_pays refuses wide steps by
+        # at least r * tau terms, the bound run_schedule refuses wide steps by
         assert coeffs.size - 1 >= x
         if x == 0.0:
             assert coeffs.tolist() == [1.0]
@@ -265,24 +281,44 @@ class TestMatrixFreeSteps:
         # every register of sweep-small and 143, whatever the schedule
         for n in range(1, 5):
             for width_tau in (0.0, 1.0, 30.0, 1e4):
-                assert not _chebyshev_pays(n, width_tau)
+                x = width_tau / 2
+                assert not _matrix_free_pays(n, x)
+                assert not _matrix_free_pays(n, _bessel_coefficients(x).size - 1)
 
     def test_wide_steps_keep_the_dense_path(self, monkeypatch):
         def no_coefficients(x):
             raise AssertionError(f"coefficients computed for x={x}")
 
-        # refused from the width alone, without running the recurrence
+        # refused from the width alone, without running the recurrence: 1e7
+        # (5e6 products) outweighs a dense step up to the default 14-qubit
+        # cap, but not from 15 qubits, where one costs 4^15 / 170 = 6.3e6
         monkeypatch.setattr(engine, "_bessel_coefficients", no_coefficients)
         for n in range(1, 21):
             for width_tau in (1e7, float("inf"), float("nan")):
-                assert not _chebyshev_pays(n, width_tau)
+                assert _matrix_free_pays(n, width_tau / 2) == (width_tau == 1e7 and n >= 15)
+        # and a run of such steps never asks for their coefficients
+        wide = DiagonalOperator(5, np.arange(32) * 10**6)
+        assert run_schedule(wide, Schedule()).products == 0
 
     def test_large_registers_go_matrix_free_at_the_default_schedule(self, registers):
         for target in (323, 121):
             problem = registers[target]
             width = float(problem.max_energy() - problem.min_energy())
-            assert _chebyshev_pays(problem.n, width)
-            assert _chebyshev_pays(problem.n, 2 * 0.6 * problem.n)
+            for x in (width / 2, 0.6 * problem.n):
+                assert _matrix_free_pays(problem.n, _bessel_coefficients(x).size - 1)
+
+    # a change to the cost rule or the product kernel that moves a route of
+    # the benchmark's anneal registers shows here
+    @pytest.mark.parametrize(
+        "target, dense_steps", [(143, 20), (899, 20), (3599, 20), (77, 20), (323, 0), (121, 0)]
+    )
+    def test_routes_at_the_default_schedule(self, target, dense_steps):
+        problem = select_split(target)[2]
+        trace, paths = routed_run(problem, Schedule())
+        assert len(paths) == 20 and paths.count("d") == dense_steps
+        assert (trace.products > 0) == (dense_steps < 20)
+        # gap_profile(k=2) samples by Lanczos from 9 qubits up
+        assert (gap_profile(problem, 0.6, points=3, k=2).products > 0) == (problem.n >= 9)
 
     @pytest.mark.parametrize("target", [119, 77, 295])
     def test_matches_expm_reference(self, registers, monkeypatch, target):
@@ -292,24 +328,20 @@ class TestMatrixFreeSteps:
             reference = expm_schedule(problem.as_array, sched.g, sched.T, sched.M)
             chosen = run_schedule(problem, sched)
             with monkeypatch.context() as forced:
-                forced.setattr(engine, "_chebyshev_pays", lambda n, width_tau: True)
+                forced.setattr(engine, "_matrix_free_pays", lambda n, products: True)
                 matrix_free = run_schedule(problem, sched)
             assert matrix_free.products > 0
             for trace in (chosen, matrix_free):
                 assert np.max(np.abs(trace.final_state - reference)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "target, sched", [(323, Schedule(T=200.0, M=4)), (121, Schedule(T=8.0, M=2))]
+        "target, sched", [(323, Schedule(T=300.0, M=4)), (121, Schedule(T=8.0, M=2))]
     )
     def test_large_registers_match_the_dense_propagator(self, registers, target, sched):
         problem = registers[target]
-        matrix_free = []
-        for s in map(sched.s_at, range(1, sched.M + 1)):
-            lo, hi = interval(problem, sched, s)
-            matrix_free.append(_chebyshev_pays(problem.n, (hi - lo) * sched.tau))
+        trace, paths = routed_run(problem, sched)
         # 323 mixes both paths within one run; 121 takes only matrix-free steps
-        assert any(matrix_free) and all(matrix_free) == (target == 121)
-        trace = run_schedule(problem, sched)
+        assert "C" in paths and ("d" not in paths) == (target == 121)
         assert trace.products > 0
         assert np.max(np.abs(trace.final_state - dense_run(problem, sched))) <= 1e-12
 
@@ -321,7 +353,8 @@ class TestMatrixFreeSteps:
             s = sched.s_at(step)
             apply = partial(_apply_interpolated, s, sched.g, problem)
             lo, hi = interval(problem, sched, s)
-            columns = [_chebyshev_step(apply, e, sched.tau, lo, hi)[0] for e in eye.T]
+            coeffs = _bessel_coefficients((hi - lo) / 2 * sched.tau)
+            columns = [_chebyshev_step(apply, e, sched.tau, lo, hi, coeffs) for e in eye.T]
             u = np.column_stack(columns)
             assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10
 
@@ -365,22 +398,25 @@ class TestMatrixFreeSteps:
         assert matrix_free.norm_drift == abs(float(np.linalg.norm(matrix_free.final_state)) - 1.0)
         assert matrix_free.norm_drift <= 1e-9
 
-    def test_non_finite_lanczos_coefficient_fails(self, monkeypatch):
+    def test_non_finite_chebyshev_coefficient_fails(self):
         # a non-finite product, then a non-finite expansion coefficient
         with pytest.raises(NumericalFailure, match="non-finite"):
-            _chebyshev_step(lambda v: v * np.nan, initial_state(5), 1.0, -3.0, 3.0)
-        monkeypatch.setattr(engine, "_bessel_coefficients", lambda x: np.array([1.0, np.nan]))
+            _chebyshev_step(lambda v: v * np.nan, initial_state(5), 1.0, -3.0, 3.0,
+                            _bessel_coefficients(3.0))
         with pytest.raises(NumericalFailure, match="non-finite"):
-            _chebyshev_step(lambda v: v, initial_state(5), 1.0, -3.0, 3.0)
+            _chebyshev_step(lambda v: v, initial_state(5), 1.0, -3.0, 3.0, np.array([1.0, np.nan]))
 
-    def test_nan_error_estimates_never_pass(self, monkeypatch):
-        # a NaN in the measured step costs never selects the matrix-free path
-        for costs in ((np.nan, 0.036), (0.2, np.nan), (np.nan, np.nan)):
-            with monkeypatch.context() as patched:
-                patched.setattr(engine, "_STEP_COST_MS", {5: costs})
-                for n in (5, 9, 20):
-                    for width_tau in (0.0, 1.0, 30.0):
-                        assert not _chebyshev_pays(n, width_tau)
+    def test_coefficients_are_computed_once_per_step(self, registers, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return _bessel_coefficients(x)
+
+        monkeypatch.setattr(engine, "_bessel_coefficients", counted)
+        trace = run_schedule(registers[323], Schedule())
+        assert len(calls) == Schedule().M == 20
+        assert trace.products == sum(_bessel_coefficients(x).size - 1 for x in calls)
 
     def test_non_finite_product_fails(self, registers, monkeypatch):
         # a non-finite product inside a run fails before the final norm check
@@ -518,11 +554,8 @@ class TestLanczosGapProfile:
 
     def test_routing_keeps_small_registers_and_three_levels_dense(self, registers, problem143,
                                                                   monkeypatch):
-        assert [n for n in range(1, 21) if _lanczos_pays(n)] == list(range(9, 21))
-        for costs in ((np.nan, 0.036), (0.2, np.nan)):
-            with monkeypatch.context() as patched:
-                patched.setattr(engine, "_STEP_COST_MS", {5: costs})
-                assert not any(_lanczos_pays(n) for n in (5, 9, 20))
+        pays = [n for n in range(1, 21) if _matrix_free_pays(n, engine._BASIS_CAP)]
+        assert pays == list(range(9, 21))
 
         def no_lanczos(*args):
             raise AssertionError("Lanczos sample")
