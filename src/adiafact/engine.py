@@ -12,8 +12,9 @@ Each step is propagated one of two ways, both exact to roundoff:
   spectral interval [s * E_min - (1 - s) * g * n, s * E_max + (1 - s) * g * n]
   of H(s), one product H(s) @ v per Bessel coefficient J_k(r * tau) above
   roundoff, r the half-width.  The product (hamiltonian._apply_interpolated)
-  applies the mixer as two small dense flip-sum matrix products, one per
-  block of qubits, so it costs two BLAS calls rather than one pass per qubit.
+  applies the mixer as one small dense flip-sum matrix product per block of
+  at most six qubits: two products up to 12 qubits, one more for each
+  further six.
 
 One rule picks the path for every step and every spectrum sample
 (_matrix_free_pays).  A dense solve of the 2^n-square H(s) costs O(8^n) and
@@ -21,15 +22,17 @@ one product O(2^n), so a dense step costs about 4^n / _DENSE_DIVISOR
 products; a Chebyshev step needs one product per term plus
 _STEP_OVERHEAD products' worth of recurrence and setup, and goes matrix-free
 when that sum is the smaller.  Registers of up to 4 qubits stay dense at
-any width, and steps too wide to pay stay dense.
+any width, and steps too wide to pay stay dense, refused from a lower
+bound on their term count (_term_floor) before any coefficient is computed.
 
 Spectra (gap_profile) take both endpoints from closed forms.  Their
 interior samples are dense eigenvalue solves, except for at most two
 levels on registers where a full Lanczos basis (_BASIS_CAP products) pays
 by the same rule, 9 qubits and up: there a warm-started Lanczos with full
 reorthogonalization (_lanczos_lowest) runs on the same matrix-free
-products.  Sizes are desk scale on purpose: n is capped (see
-hamiltonian.qubit_cap).
+products.  A sample whose spectrum is too wide for that basis to resolve
+sends the rest of its profile dense.  Sizes are desk scale on purpose: n
+is capped (see hamiltonian.qubit_cap).
 """
 
 from __future__ import annotations
@@ -67,15 +70,28 @@ _DENSE_DIVISOR = 170
 _STEP_OVERHEAD = 2
 # A Lanczos sample of gap_profile stops when the residual estimates of its
 # Ritz pairs reach _RITZ_TOL, checked every _CHECK_STRIDE basis vectors;
-# a basis of _BASIS_CAP vectors without convergence fails.  gap_profile
-# takes Lanczos samples where a full basis pays by _matrix_free_pays, from
-# 9 qubits up (400 * 170 < 4^9).  Its start vector carries seeded noise of
-# norm _NOISE.
+# a basis of _BASIS_CAP vectors without convergence sends the rest of the
+# profile dense.  gap_profile takes Lanczos samples where a full basis pays
+# by _matrix_free_pays, from 9 qubits up (400 * 170 < 4^9).  Its start
+# vector carries seeded noise of norm _NOISE.
 _RITZ_TOL = 1e-10
 _CHECK_STRIDE = 4
 _BASIS_CAP = 400
 _NOISE = 1e-2
 _NOISE_SEED = 143
+
+
+class _BasisFull(NumericalFailure):
+    """A Lanczos sample filled its basis without converging.
+
+    products counts the basis vectors spent; _lanczos_samples adds the
+    samples before it, and sets rows to the energies those found.
+    """
+
+    def __init__(self, message: str, products: int):
+        super().__init__(message)
+        self.products = products
+        self.rows = None
 
 
 @dataclass(frozen=True)
@@ -169,7 +185,9 @@ class GapTrace:
     s_values: np.ndarray
     energies: np.ndarray  # shape (len(s_values), k), ascending within a row
     min_gap: Optional[float]
-    products: int  # H @ v products of the Lanczos samples; 0 when every sample was dense
+    # H @ v products of the Lanczos samples, the full basis of one that fell
+    # back to dense included; 0 when every sample was dense
+    products: int
 
     @property
     def k(self) -> int:
@@ -188,7 +206,13 @@ def initial_state(n: int) -> np.ndarray:
         raise ValueError(f"need at least one qubit, got {n}")
     _check_dim(n)
     dim = 1 << n
-    signs = np.array([1.0 if bin(b).count("1") % 2 == 0 else -1.0 for b in range(dim)])
+    # fold the bits of every index onto bit 0, which ends up holding the parity
+    parity = np.arange(dim)
+    shift = 1
+    while shift < n:
+        parity ^= parity >> shift
+        shift <<= 1
+    signs = (1 - 2 * (parity & 1)).astype(np.float64)
     return (signs / np.sqrt(dim)).astype(np.complex128)
 
 
@@ -240,6 +264,16 @@ def _bessel_coefficients(x: float) -> np.ndarray:
             values = [v * 1e-250 for v in values]
     coeffs = np.array(values) / (values[0] + 2 * math.fsum(values[2::2]))
     return coeffs[: np.flatnonzero(np.abs(coeffs) > _TERM_TOL)[-1] + 1]
+
+
+def _term_floor(x: float) -> float:
+    """A lower bound on the term count K of _bessel_coefficients(x).
+
+    K is 0 up to x = 2 * _TERM_TOL and at least x + 10 * x^(1/3) above it
+    (checked against scipy's jv on a grid of x up to 5000); non-finite
+    for a non-finite x.
+    """
+    return 0.0 if x <= 2 * _TERM_TOL else x + 10 * x ** (1 / 3)
 
 
 def _chebyshev_step(apply, state, tau, lo, hi, coeffs) -> np.ndarray:
@@ -298,10 +332,10 @@ def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrac
     for step in range(1, schedule.M + 1):
         s = schedule.s_at(step)
         lo, hi = s * e_min - (1 - s) * g * n, s * e_max + (1 - s) * g * n
-        # a step takes at least r * tau products: too wide a step is refused
+        # a step too wide to pay is refused from the floor of its term count,
         # before any coefficient is computed
         x = (hi - lo) / 2 * tau
-        coeffs = _bessel_coefficients(x) if _matrix_free_pays(n, x) else None
+        coeffs = _bessel_coefficients(x) if _matrix_free_pays(n, _term_floor(x)) else None
         if coeffs is not None and _matrix_free_pays(n, coeffs.size - 1):
             apply = partial(_apply_interpolated, s, g, problem)
             state = _chebyshev_step(apply, state, tau, lo, hi, coeffs)
@@ -342,8 +376,8 @@ def _lanczos_lowest(apply, start, k, first_check) -> tuple[np.ndarray, np.ndarra
     products.
 
     Raises:
-        NumericalFailure: a non-finite product, or no convergence within
-            _BASIS_CAP vectors.
+        NumericalFailure: a non-finite product.
+        _BasisFull: no convergence within _BASIS_CAP vectors.
     """
     cap = min(_BASIS_CAP, start.size)
     basis = np.empty((cap, start.size))
@@ -369,7 +403,7 @@ def _lanczos_lowest(apply, start, k, first_check) -> tuple[np.ndarray, np.ndarra
             check = m + max(_CHECK_STRIDE, m // 16)
         if m < cap:
             basis[m] = w / norm
-    raise NumericalFailure(f"Lanczos did not converge within {cap} vectors")
+    raise _BasisFull(f"Lanczos did not converge within {cap} vectors", cap)
 
 
 def _lanczos_samples(
@@ -381,6 +415,11 @@ def _lanczos_samples(
     (the first from the mixer ground state) plus one fixed seeded noise
     vector, and first checks convergence two vectors short of the previous
     basis size, so that sizes can shrink as well as grow.
+
+    Raises:
+        NumericalFailure: a non-finite product.
+        _BasisFull: a sample did not converge; it carries the rows found
+            before it and every product spent.
     """
     rows = np.empty((len(s_values), k))
     noise = np.random.default_rng(_NOISE_SEED).standard_normal(problem.dim)
@@ -388,7 +427,11 @@ def _lanczos_samples(
     start, size, products = initial_state(problem.n).real, 0, 0
     for i, s in enumerate(s_values):
         apply = partial(_apply_interpolated, s, g, problem)
-        rows[i], vectors, size = _lanczos_lowest(apply, start + noise, k, size - 2)
+        try:
+            rows[i], vectors, size = _lanczos_lowest(apply, start + noise, k, size - 2)
+        except _BasisFull as exc:
+            exc.rows, exc.products = rows[:i], products + exc.products
+            raise
         products += size
         start = vectors.sum(axis=0)
     return rows, products
@@ -407,7 +450,11 @@ def gap_profile(
     multiplicity C(n, j), at s = 1 the sorted diagonal.  Interior samples
     are dense eigenvalue solves, or Lanczos (_lanczos_lowest) for k <= 2
     on registers where a full basis costs less than a dense sample
-    (_matrix_free_pays).  For
+    (_matrix_free_pays).  A Lanczos sample that fills its basis without
+    converging (a spectrum too wide against its gap) and every sample
+    after it are dense solves, whatever their size; products then counts
+    the Lanczos products spent, the full basis of that sample included.
+    For
     s < 1, H(s) is irreducible and, after the gauge Z on every qubit, has
     no positive off-diagonal entry, so E0 is simple (Perron-Frobenius); a
     single Krylov vector with a random component then yields E0 and the
@@ -426,12 +473,16 @@ def gap_profile(
     levels = g * np.arange(-n, n + 1, 2)
     rows[0] = np.repeat(levels, [math.comb(n, j) for j in range(n + 1)])[:k]
     rows[-1] = np.sort(problem.as_array)[:k]
-    products = 0
+    dense_from, products = 1, 0
     if k <= 2 and _matrix_free_pays(n, _BASIS_CAP):
-        rows[1:-1], products = _lanczos_samples(problem, g, s_values[1:-1], k)
-    else:
-        for i in range(1, points - 1):
-            rows[i] = lowest_eigenvalues(interpolated_hamiltonian(s_values[i], g, problem), k)
+        try:
+            rows[1:-1], products = _lanczos_samples(problem, g, s_values[1:-1], k)
+            dense_from = points - 1
+        except _BasisFull as exc:
+            dense_from = 1 + len(exc.rows)
+            rows[1:dense_from], products = exc.rows, exc.products
+    for i in range(dense_from, points - 1):
+        rows[i] = lowest_eigenvalues(interpolated_hamiltonian(s_values[i], g, problem), k)
     min_gap = None
     if k >= 2:
         before_end = s_values < 1.0

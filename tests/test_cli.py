@@ -1,12 +1,20 @@
 """Command line behavior: outputs, round trips, exit codes."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import re
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adiafact import compile_system, system_to_document
 from adiafact.cli import main
 
 SUCCESS_143 = 0.9887597017028644
@@ -337,6 +345,106 @@ class TestExitCodes:
         monkeypatch.setattr(compiler._Propagator, "_pass", lambda self: True)
         code, _, err = run_cli(capsys, "compile", "143")
         assert code == 1 and "fixpoint" in err
+
+
+@lru_cache(maxsize=None)
+def _good_documents() -> tuple:
+    return tuple(
+        system_to_document(compile_system(target, widths))
+        for target, widths in ((143, (4, 4)), (323, (5, 5)), (899, (5, 5)))
+    )
+
+
+# what a loadable document could hold in these places; everything drawn below misses it
+_CANONICAL_COEFFICIENT = re.compile(r"-?[0-9]+/1")
+_CANONICAL_NAME = re.compile(r"[pq][0-9]+|z[0-9]+_[0-9]+")
+_NOT_INT = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4), st.lists(st.integers(), max_size=3)
+)
+
+
+def _bad_text(canonical):
+    return st.text(max_size=6).filter(lambda text: not canonical.fullmatch(text))
+
+
+@st.composite
+def _malformed_documents(draw):
+    """A compiled document with one part broken so that no loader could accept it."""
+    doc = copy.deepcopy(draw(st.sampled_from(_good_documents())))
+    w_p, w_q = doc["widths"]
+    sides = [side for eq in doc["equations"] for side in (eq["lhs"], eq["rhs"]) if side]
+    terms = [term for side in sides for term in side]
+    kind = draw(st.sampled_from(
+        ["drop", "n", "widths", "split", "term", "coefficient", "name", "fixed value",
+         "fixed free", "fixed shape", "pair", "variables", "document"]
+    ))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(["n", "widths", "equations"]))]
+    elif kind == "n":
+        doc["n"] = draw(_NOT_INT | st.integers(max_value=8) | st.integers().map(lambda k: 2 * k))
+    elif kind == "widths":
+        doc["widths"] = draw(
+            _NOT_INT.filter(lambda value: not isinstance(value, list) or len(value) != 2)
+            | st.lists(st.integers(), max_size=5).filter(lambda value: len(value) != 2)
+            | st.tuples(st.integers(), _NOT_INT).map(list)
+        )
+    elif kind == "split":
+        bits = doc["n"].bit_length()
+        doc["widths"] = draw(st.tuples(st.integers(-3, 20), st.integers(-3, 20)).filter(
+            lambda w: not (2 <= w[0] <= w[1] and sum(w) in (bits, bits + 1))).map(list))
+    elif kind == "term":
+        side = draw(st.sampled_from(sides))
+        side[draw(st.integers(0, len(side) - 1))] = draw(
+            st.none() | st.integers() | st.lists(st.text(max_size=3), max_size=1)
+            | st.lists(st.text(max_size=3), min_size=3, max_size=4)
+        )
+    elif kind == "coefficient":
+        draw(st.sampled_from(terms))[0] = draw(
+            _bad_text(_CANONICAL_COEFFICIENT) | st.integers() | st.none() | st.floats()
+        )
+    elif kind == "name":
+        names = draw(st.sampled_from([term[1] for term in terms if term[1]]))
+        outside = [f"p{i}" for i in (0, w_p - 1, w_p + 3)] + [f"q{i}" for i in (0, w_q - 1)]
+        names[draw(st.integers(0, len(names) - 1))] = draw(
+            _bad_text(_CANONICAL_NAME) | st.sampled_from(outside) | st.integers() | st.none()
+        )
+    elif kind == "fixed value":
+        name = draw(st.sampled_from(sorted(doc["fixed"])))
+        doc["fixed"][name] = draw(_NOT_INT | st.integers().filter(lambda k: k not in (0, 1)))
+    elif kind == "fixed free":
+        doc["fixed"][draw(st.sampled_from(doc["variables"]))] = draw(st.sampled_from([0, 1]))
+    elif kind == "fixed shape":
+        doc["fixed"] = draw(st.none() | st.integers() | st.text(max_size=3)
+                            | st.lists(st.integers(), max_size=2))
+    elif kind == "pair":
+        free = st.sampled_from(doc["variables"])
+        doc["forbidden_pairs"].append(draw(
+            st.lists(free, max_size=4).filter(lambda pair: len(set(pair)) != 2 or len(pair) != 2)
+            | st.tuples(free, _bad_text(_CANONICAL_NAME)).map(list)
+        ))
+    elif kind == "variables":
+        declared = doc["variables"]
+        doc["variables"] = draw(st.sampled_from([
+            declared[1:], declared + ["p0"], declared + declared[:1], 7, None,
+        ]))
+    else:
+        doc = draw(st.none() | st.integers() | st.text(max_size=4) | st.lists(st.integers()))
+    return doc
+
+
+class TestMalformedDocuments:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_malformed_documents())
+    def test_every_malformed_document_exits_with_one_line(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "malformed.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--system", str(path)])
+        assert code == 1 and out.getvalue() == "", doc
+        message = err.getvalue()
+        assert message.startswith("adiafact: ") and message.count("\n") == 1, message
+        assert message.endswith("\n") and "Traceback" not in message
 
 
 class TestParserReuse:

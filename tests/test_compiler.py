@@ -15,9 +15,11 @@ from adiafact import (
     TooSmall,
     VarId,
     WidthMismatch,
+    brute_force_min,
     build_layout,
     compiler,
     compile_system,
+    decode_assignment,
     enumerate_width_splits,
     simplify,
     system_from_document,
@@ -323,8 +325,29 @@ class TestIncrementalPropagation:
         assert rules_per_pass[0] and rules_per_pass[-1] == 0
 
 
+@st.composite
+def _splits(draw):
+    """An odd target from 9 to 511, prime or composite, and one of its width splits."""
+    target = 2 * draw(st.integers(4, 255)) + 1
+    return target, draw(st.sampled_from(enumerate_width_splits(target)))
+
+
 class TestSolutionPreservation:
     """Propagation must not create or destroy solutions."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_splits())
+    def test_random_odd_targets_keep_the_column_solutions(self, split):
+        target, (w_p, w_q) = split
+        oracle = {
+            tuple(sorted(sol.items())) for sol in oracles.column_solutions(target, w_p, w_q)
+        }
+        try:
+            system = simplify(build_layout(target, w_p, w_q))
+        except Infeasible:
+            assert not oracle
+            return
+        assert oracles.simplified_solutions(system) == oracle
 
     @pytest.mark.parametrize("target", [9, 15, 21, 25, 33, 35, 49, 143, 321, 493])
     def test_bijection_against_column_arithmetic(self, target):
@@ -385,6 +408,37 @@ class TestDocument:
         assert loaded.forbidden_pairs == system.forbidden_pairs
         # and the document survives a JSON print cycle unchanged
         assert json.loads(json.dumps(doc)) == doc
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_splits())
+    def test_round_trip_keeps_the_system_and_its_factors(self, split):
+        target, widths = split
+        layout = build_layout(target, *widths)
+        try:
+            systems = (layout, simplify(layout))
+        except Infeasible:
+            systems = (layout,)
+        for system in systems:
+            loaded = system_from_document(json.loads(json.dumps(system_to_document(system))))
+            assert (loaded.target, loaded.widths) == (system.target, system.widths)
+            assert residuals(loaded) == residuals(system)
+            assert loaded.fixed == system.fixed
+            assert loaded.forbidden_pairs == system.forbidden_pairs
+        # the simplified system and its copy decode to the factorizations at these widths
+        factorizations = {
+            (p, q)
+            for p in oracles.candidate_factors(widths[0])
+            for q in oracles.candidate_factors(widths[1])
+            if p * q == target
+        }
+        system = systems[-1]
+        if system is layout:
+            assert not factorizations
+            return
+        for copy in (system, system_from_document(system_to_document(system))):
+            energy, argmins = brute_force_min(copy)
+            decoded = {decode_assignment(assignment, copy) for assignment in argmins}
+            assert decoded == factorizations if energy == 0 else not factorizations
 
     def test_rationals_serialize_as_num_den(self):
         doc = system_to_document(compile_system(143, (4, 4)))

@@ -33,6 +33,7 @@ from adiafact.engine import (
     _chebyshev_step,
     _lanczos_samples,
     _matrix_free_pays,
+    _term_floor,
 )
 from adiafact.hamiltonian import _apply_interpolated
 
@@ -165,6 +166,14 @@ class TestInitialState:
         for n in (1, 3, 6):
             assert np.linalg.norm(initial_state(n)) == pytest.approx(1.0, abs=1e-15)
 
+    def test_bytes_match_the_popcount_formula(self, monkeypatch):
+        monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "16")
+        for n in range(1, 17):
+            dim = 1 << n
+            signs = np.array([1.0 if bin(b).count("1") % 2 == 0 else -1.0 for b in range(dim)])
+            expected = (signs / np.sqrt(dim)).astype(np.complex128)
+            assert initial_state(n).tobytes() == expected.tobytes(), n
+
     def test_bad_size(self):
         with pytest.raises(ValueError):
             initial_state(0)
@@ -272,10 +281,28 @@ class TestMatrixFreeSteps:
         # the expansion stops where the coefficients fall below roundoff
         assert abs(coeffs[-1]) > engine._TERM_TOL
         assert np.all(np.abs(jv(np.arange(coeffs.size, coeffs.size + 40), x)) <= 1e-15)
-        # at least r * tau terms, the bound run_schedule refuses wide steps by
+        # at least r * tau terms, and at least the floor run_schedule refuses
+        # wide steps by
         assert coeffs.size - 1 >= x
+        assert coeffs.size - 1 >= _term_floor(x)
         if x == 0.0:
             assert coeffs.tolist() == [1.0]
+
+    def test_term_floor_is_a_lower_bound_on_the_term_count(self):
+        # the expansion runs to the last order above _TERM_TOL, so an order
+        # at or past the floor that scipy's jv still finds above it proves
+        # the floor on a dense grid of x up to 5000
+        x = np.concatenate([np.geomspace(3e-16, 1, 2000), np.linspace(1, 5000, 9401)[1:]])
+        floors = np.array([_term_floor(value) for value in x])
+        assert np.all(np.abs(jv(np.ceil(floors), x)) > engine._TERM_TOL)
+        # the recurrence's own term count, on a coarser grid
+        for value in x[::38]:
+            assert _bessel_coefficients(value).size - 1 >= _term_floor(value)
+        # below 2 * _TERM_TOL the expansion is the single term J_0 = 1
+        for value in (0.0, 1e-17, 2 * engine._TERM_TOL):
+            assert _term_floor(value) == 0 and _bessel_coefficients(value).size == 1
+        for value in (float("inf"), float("nan")):
+            assert not math.isfinite(_term_floor(value))
 
     def test_small_registers_keep_the_dense_path(self):
         # every register of sweep-small and 143, whatever the schedule
@@ -418,6 +445,23 @@ class TestMatrixFreeSteps:
         assert len(calls) == Schedule().M == 20
         assert trace.products == sum(_bessel_coefficients(x).size - 1 for x in calls)
 
+    @pytest.mark.parametrize("target, recurrences", [(77, 4), (119, 0)])
+    def test_steps_that_cannot_pay_skip_the_recurrence(self, registers, monkeypatch, target,
+                                                       recurrences):
+        # every step of both registers runs dense at the default schedule;
+        # the term-count floor refuses all but 77's first four before the
+        # recurrence, where r * tau alone let through all 20 steps of 77
+        # and 6 of 119
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return _bessel_coefficients(x)
+
+        monkeypatch.setattr(engine, "_bessel_coefficients", counted)
+        trace = run_schedule(registers[target], Schedule())
+        assert len(calls) == recurrences and trace.products == 0
+
     def test_non_finite_product_fails(self, registers, monkeypatch):
         # a non-finite product inside a run fails before the final norm check
         monkeypatch.setattr(engine, "_apply_interpolated", lambda s, g, problem, v: v * np.nan)
@@ -521,14 +565,44 @@ class TestLanczosGapProfile:
     def test_direct_cost_gap_needs_more_than_the_basis_cap(self, monkeypatch):
         # (143 - x*y)^2 over 5-bit x and y spans 6.7e5 with an x <-> y
         # symmetry and E1 - E0 below 1e-11: the default basis cannot resolve
-        # it, and a basis as large as the register reproduces the dense levels
+        # it, so the profile finishes dense from its first sample, and a
+        # basis as large as the register reproduces the dense levels
         problem = direct_cost_diagonal(143, 5, 5)
-        with pytest.raises(NumericalFailure, match=f"within {engine._BASIS_CAP} vectors"):
-            gap_profile(problem, 0.6, points=51, k=2)
+        trace = gap_profile(problem, 0.6, points=7, k=2)
+        expected = dense_levels(problem, 0.6, trace.s_values, 2)
+        assert np.max(np.abs(trace.energies - expected)) <= 1e-9
+        assert trace.products == engine._BASIS_CAP
         monkeypatch.setattr(engine, "_BASIS_CAP", problem.dim)
         rows, products = _lanczos_samples(problem, 0.6, [0.5], 2)
         assert 0 < products <= problem.dim
         assert np.max(np.abs(rows - dense_levels(problem, 0.6, [0.5], 2))) <= 1e-9
+
+    def test_a_full_basis_finishes_the_profile_dense(self, registers, monkeypatch):
+        # the third sample fills its basis: the two before it keep their
+        # Lanczos rows, it and every later one are dense solves, and
+        # products counts the full basis spent on it
+        problem = registers[323]
+        sizes, solved = [], []
+        lanczos, dense = engine._lanczos_lowest, engine.lowest_eigenvalues
+
+        def third_fails(apply, start, k, first_check):
+            if len(sizes) == 2:
+                raise engine._BasisFull("no convergence", 17)
+            found = lanczos(apply, start, k, first_check)
+            sizes.append(found[2])
+            return found
+
+        def spied(hamiltonian, k):
+            solved.append(hamiltonian.shape[0])
+            return dense(hamiltonian, k)
+
+        monkeypatch.setattr(engine, "_lanczos_lowest", third_fails)
+        monkeypatch.setattr(engine, "lowest_eigenvalues", spied)
+        trace = gap_profile(problem, 0.6, points=11, k=2)
+        assert solved == [problem.dim] * 7
+        assert trace.products == sum(sizes) + 17
+        expected = dense_levels(problem, 0.6, trace.s_values, 2)
+        assert np.max(np.abs(trace.energies - expected)) <= 1e-12
 
     def test_closed_form_endpoints_match_dense(self, monkeypatch):
         def no_solve(*args):

@@ -375,17 +375,25 @@ class TestMixerAndInterpolation:
                 assert np.max(np.abs(got - expected)) <= 1e-13, (n, s, g)
 
     def test_blocked_product_matches_the_flip_sum_oracle(self, monkeypatch):
-        # 1..16 qubits cover one block, two blocks and per-qubit flips between them
-        monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "16")
+        # 1..19 qubits take the low block alone, then one block above it, then
+        # more: two from 13 real and 12 complex qubits, three at 19 real and 18
+        # complex.  Above 16 qubits, one s and two vectors keep the cost down.
+        monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "19")
         rng = np.random.default_rng(29)
-        for n in range(1, 17):
+        for n in range(1, 20):
             dim = 1 << n
             diag = DiagonalOperator(n, rng.integers(-60, 60, dim))
             real = rng.normal(size=dim)
-            pairs = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
-            # columns of a row-major array are strided, not contiguous
-            vectors = (real, real + 1j * rng.normal(size=dim), pairs[:, 1], pairs.real[:, 0])
-            for s in (0.0, 1.0, rng.uniform(0.0, 1.0)):
+            complex_ = real + 1j * rng.normal(size=dim)
+            if n > 16:
+                vectors = (real, complex_ if n < 19 else complex_.imag)
+                s_values = (rng.uniform(0.0, 1.0),)
+            else:
+                pairs = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+                # columns of a row-major array are strided, not contiguous
+                vectors = (real, complex_, pairs[:, 1], pairs.real[:, 0])
+                s_values = (0.0, 1.0, rng.uniform(0.0, 1.0))
+            for s in s_values:
                 g = rng.uniform(0.05, 2.0)
                 for v in vectors:
                     expected = s * diag.as_array * v + (1 - s) * g * flip_sum(v)
