@@ -279,6 +279,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (AdiafactError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"adiafact: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError says nothing
+        print(f"adiafact: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

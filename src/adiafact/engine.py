@@ -26,13 +26,14 @@ any width, and steps too wide to pay stay dense, refused from a lower
 bound on their term count (_term_floor) before any coefficient is computed.
 
 Spectra (gap_profile) take both endpoints from closed forms.  Their
-interior samples are dense eigenvalue solves, except for at most two
-levels on registers where a full Lanczos basis (_BASIS_CAP products) pays
-by the same rule, 9 qubits and up: there a warm-started Lanczos with full
-reorthogonalization (_lanczos_lowest) runs on the same matrix-free
-products.  A sample whose spectrum is too wide for that basis to resolve
-sends the rest of its profile dense.  Sizes are desk scale on purpose: n
-is capped (see hamiltonian.qubit_cap).
+interior samples come from one block of p real vectors carried along s:
+Chebyshev-filtered subspace iteration (_filtered_lowest; Zhou, Saad, Tiago
+& Chelikowsky 2006), whose filter damps the spectrum above the block's
+largest Ritz value up to the same exact upper end, and which multiplies
+the whole block in one product call.  An iteration of degree d costs
+p * (d + 1) products; a sample where that does not pay, which includes
+every register of up to 6 qubits, is a dense eigenvalue solve.  Sizes are
+desk scale on purpose: n is capped (see hamiltonian.qubit_cap).
 """
 
 from __future__ import annotations
@@ -61,37 +62,23 @@ _TERM_TOL = 1e-16
 # _matrix_free_pays prices a dense step (interpolated_hamiltonian plus
 # propagate_step) of n qubits at 4^n / _DENSE_DIVISOR products.  Both costs
 # timed at 5 to 11 qubits (2 cores, 2 OpenBLAS threads, numpy 2.4) give
-# divisors between 136 and 253.  170 lies in that range and above 163, the
-# least divisor that keeps a full Lanczos basis (_BASIS_CAP products) dense
-# at 8 qubits, where the dense sample is the faster.  Every matrix-free run
+# divisors between 136 and 253; 170 lies in that range.  Every matrix-free run
 # is charged _STEP_OVERHEAD products more for its setup, which keeps
 # registers of up to 4 qubits dense at any width.
 _DENSE_DIVISOR = 170
 _STEP_OVERHEAD = 2
-# A Lanczos sample of gap_profile stops when the residual estimates of its
-# Ritz pairs reach _RITZ_TOL, checked every _CHECK_STRIDE basis vectors;
-# a basis of _BASIS_CAP vectors without convergence sends the rest of the
-# profile dense.  gap_profile takes Lanczos samples where a full basis pays
-# by _matrix_free_pays, from 9 qubits up (400 * 170 < 4^9).  Its start
-# vector carries seeded noise of norm _NOISE.
-_RITZ_TOL = 1e-10
-_CHECK_STRIDE = 4
-_BASIS_CAP = 400
-_NOISE = 1e-2
+# An interior sample of gap_profile (_filtered_lowest) stops when the k lowest
+# Ritz pairs have residuals of at most _RESIDUAL_TOL, and fails after
+# _MAX_ITERATIONS filtered iterations.  Its block holds _GUARD vectors more
+# than the levels at or below the k-th diagonal entry, drawn with
+# _NOISE_SEED.  A filter's degree is at least _MIN_DEGREE, which keeps the
+# QR and Rayleigh-Ritz step a small share of an iteration and every register
+# of up to 6 qubits dense (3 * 9 products outweigh 4^6 / 170).
+_RESIDUAL_TOL = 1e-7
+_MAX_ITERATIONS = 100
+_GUARD = 2
+_MIN_DEGREE = 8
 _NOISE_SEED = 143
-
-
-class _BasisFull(NumericalFailure):
-    """A Lanczos sample filled its basis without converging.
-
-    products counts the basis vectors spent; _lanczos_samples adds the
-    samples before it, and sets rows to the energies those found.
-    """
-
-    def __init__(self, message: str, products: int):
-        super().__init__(message)
-        self.products = products
-        self.rows = None
 
 
 @dataclass(frozen=True)
@@ -185,8 +172,8 @@ class GapTrace:
     s_values: np.ndarray
     energies: np.ndarray  # shape (len(s_values), k), ascending within a row
     min_gap: Optional[float]
-    # H @ v products of the Lanczos samples, the full basis of one that fell
-    # back to dense included; 0 when every sample was dense
+    # products of one state by H(s) in the filtered samples, one per state of
+    # a stacked call; 0 when every sample was dense
     products: int
 
     @property
@@ -364,77 +351,80 @@ def lowest_eigenvalues(hamiltonian: np.ndarray, k: int) -> np.ndarray:
     return energies[:k]
 
 
-def _lanczos_lowest(apply, start, k, first_check) -> tuple[np.ndarray, np.ndarray, int]:
-    """The k lowest Ritz values of a real symmetric H, their Ritz vectors and the basis size.
+def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the rows' span, as the C-contiguous rows of a (p, dim) array."""
+    return np.ascontiguousarray(np.linalg.qr(vectors.T)[0].T)
 
-    apply(v) returns H @ v.  The Krylov basis grown from start is fully
-    reorthogonalized (two Gram-Schmidt passes per vector), and its
-    tridiagonal projection is diagonalized from first_check vectors on,
-    every _CHECK_STRIDE vectors (every sixteenth of the basis once that is
-    more), until the residual estimates beta_m * |y_last| of the k lowest
-    Ritz pairs are at most _RITZ_TOL.  The basis size equals the number of
-    products.
+
+def _chebyshev_filter(apply, block, degree, lo, hi, scale) -> np.ndarray:
+    """The scaled Chebyshev polynomial of H of the given degree applied to each row.
+
+    It damps [lo, hi] and amplifies everything below lo, scaled to about 1
+    at scale < lo so that a high degree cannot overflow (Zhou, Saad, Tiago
+    & Chelikowsky, J. Comput. Phys. 219, 172, 2006, algorithm 3.1).
+    """
+    centre, radius = (hi + lo) / 2, (hi - lo) / 2
+    first = radius / (scale - centre)
+    sigma = first
+    previous, current = block, (apply(block) - centre * block) * (first / radius)
+    for _ in range(degree - 1):
+        following = 1 / (2 / first - sigma)
+        previous, current = current, (
+            (apply(current) - centre * current) * (2 * following / radius)
+            - (sigma * following) * previous
+        )
+        sigma = following
+    return current
+
+
+def _filtered_lowest(apply, block, k, hi, n) -> tuple[Optional[np.ndarray], np.ndarray, int]:
+    """The k lowest eigenvalues of a real symmetric H by Chebyshev-filtered subspace iteration.
+
+    apply(x) returns H @ x for every row of x at once; block holds p >= k
+    orthonormal rows and hi bounds the spectrum of H from above.  Each
+    iteration is a Rayleigh-Ritz step on the block, then, unless the k
+    lowest Ritz pairs have residuals |H x - theta x| of at most
+    _RESIDUAL_TOL, a Chebyshev filter that damps [theta_max, hi] followed
+    by QR.  Its degree is the one whose gain on the k-th level over
+    theta_max, about e^(2 d / sqrt(ratio)) with ratio = (hi - theta_max) /
+    (theta_max - theta_(k-1)), carries the residual one e-fold below the
+    tolerance, and at least _MIN_DEGREE; a warm block mostly converges after
+    one filter.  Returns the k lowest Ritz values, or None when
+    an iteration of p * (degree + 1) products does not pay against a dense
+    sample (_matrix_free_pays), with the block's Ritz vectors and the
+    products spent.
 
     Raises:
-        NumericalFailure: a non-finite product.
-        _BasisFull: no convergence within _BASIS_CAP vectors.
+        NumericalFailure: a non-finite product, a failed eigensolve, or no
+            convergence within _MAX_ITERATIONS iterations.
     """
-    cap = min(_BASIS_CAP, start.size)
-    basis = np.empty((cap, start.size))
-    alpha, beta = np.empty(cap), np.empty(cap)
-    basis[0] = start / np.linalg.norm(start)
-    check = max(first_check, k)
-    for m in range(1, cap + 1):
-        w = apply(basis[m - 1])
-        alpha[m - 1] = basis[m - 1] @ w
-        for _ in range(2):
-            w -= basis[:m].T @ (basis[:m] @ w)
-        beta[m - 1] = norm = np.linalg.norm(w)
-        if not math.isfinite(norm):
-            raise NumericalFailure("Lanczos produced a non-finite vector")
-        if m >= check or m == cap or norm == 0.0:
-            # eigh reads only the lower triangle of the tridiagonal projection
-            try:
-                theta, y = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(beta[: m - 1], -1))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(f"tridiagonal eigensolve failed: {exc}") from exc
-            if np.all(norm * np.abs(y[-1, :k]) <= _RITZ_TOL):
-                return theta[:k], y[:, :k].T @ basis[:m], m
-            check = m + max(_CHECK_STRIDE, m // 16)
-        if m < cap:
-            basis[m] = w / norm
-    raise _BasisFull(f"Lanczos did not converge within {cap} vectors", cap)
-
-
-def _lanczos_samples(
-    problem: DiagonalOperator, g: float, s_values, k: int
-) -> tuple[np.ndarray, int]:
-    """The k lowest energies of H(s) at each s in (0, 1), and the products spent.
-
-    Each sample starts from the sum of the previous sample's Ritz vectors
-    (the first from the mixer ground state) plus one fixed seeded noise
-    vector, and first checks convergence two vectors short of the previous
-    basis size, so that sizes can shrink as well as grow.
-
-    Raises:
-        NumericalFailure: a non-finite product.
-        _BasisFull: a sample did not converge; it carries the rows found
-            before it and every product spent.
-    """
-    rows = np.empty((len(s_values), k))
-    noise = np.random.default_rng(_NOISE_SEED).standard_normal(problem.dim)
-    noise *= _NOISE / np.linalg.norm(noise)
-    start, size, products = initial_state(problem.n).real, 0, 0
-    for i, s in enumerate(s_values):
-        apply = partial(_apply_interpolated, s, g, problem)
+    p, products = block.shape[0], 0
+    for _ in range(_MAX_ITERATIONS):
+        image = apply(block)
+        products += p
+        projection = block @ image.T
+        if not np.all(np.isfinite(projection)):
+            raise NumericalFailure("filtered subspace met a non-finite product")
         try:
-            rows[i], vectors, size = _lanczos_lowest(apply, start + noise, k, size - 2)
-        except _BasisFull as exc:
-            exc.rows, exc.products = rows[:i], products + exc.products
-            raise
-        products += size
-        start = vectors.sum(axis=0)
-    return rows, products
+            theta, ritz = np.linalg.eigh(projection)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"Rayleigh-Ritz eigensolve failed: {exc}") from exc
+        block, image = ritz.T @ block, ritz.T @ image
+        residual = np.linalg.norm(image[:k] - theta[:k, None] * block[:k], axis=1).max()
+        if residual <= _RESIDUAL_TOL:
+            return theta[:k], block, products
+        # a filter of degree d shrinks the residual about e^(2 d / sqrt(ratio))
+        # times; aim one e-fold past the tolerance
+        spread, degree = float(theta[-1] - theta[k - 1]), math.inf
+        if spread > 0:
+            ratio = max(hi - theta[-1], 0.0) / spread
+            degree = max(_MIN_DEGREE, (math.log(residual / _RESIDUAL_TOL) + 1) / 2 * math.sqrt(ratio))
+        if not _matrix_free_pays(n, p * (degree + 1)):
+            return None, block, products
+        degree = math.ceil(degree)
+        block = _orthonormal_rows(_chebyshev_filter(apply, block, degree, theta[-1], hi, theta[0]))
+        products += p * degree
+    raise NumericalFailure(f"filtered subspace did not converge within {_MAX_ITERATIONS} iterations")
 
 
 def gap_profile(
@@ -448,18 +438,20 @@ def gap_profile(
 
     The endpoints are closed forms: at s = 0 the levels g * (2j - n) with
     multiplicity C(n, j), at s = 1 the sorted diagonal.  Interior samples
-    are dense eigenvalue solves, or Lanczos (_lanczos_lowest) for k <= 2
-    on registers where a full basis costs less than a dense sample
-    (_matrix_free_pays).  A Lanczos sample that fills its basis without
-    converging (a spectrum too wide against its gap) and every sample
-    after it are dense solves, whatever their size; products then counts
-    the Lanczos products spent, the full basis of that sample included.
-    For
-    s < 1, H(s) is irreducible and, after the gauge Z on every qubit, has
-    no positive off-diagonal entry, so E0 is simple (Perron-Frobenius); a
-    single Krylov vector with a random component then yields E0 and the
-    value of E1 even when E1 is degenerate.  It can miss a degenerate
-    E1 = E2, so k >= 3 stays dense.
+    come from one block carried from each sample to the next
+    (_filtered_lowest).  Its size p is the number of diagonal entries at or
+    below the k-th smallest, which bounds the multiplicity of every level
+    among the k lowest near s = 1, plus _GUARD; the first block is the
+    mixer ground state plus p - 1 seeded random vectors.  A sample whose
+    next filtered iteration, p * (d + 1) products for a filter of degree
+    d, costs more than a dense solve (_matrix_free_pays) is a dense solve,
+    and a profile whose cheapest iteration cannot pay builds no block.
+    products counts the products of one state by H(s) spent on filtered
+    samples, those that ended dense included.
+
+    Raises:
+        NumericalFailure: a non-finite product, a failed dense solve, or a
+            filtered sample that did not converge.
     """
     _check_field(g)
     if points < 2:
@@ -473,16 +465,22 @@ def gap_profile(
     levels = g * np.arange(-n, n + 1, 2)
     rows[0] = np.repeat(levels, [math.comb(n, j) for j in range(n + 1)])[:k]
     rows[-1] = np.sort(problem.as_array)[:k]
-    dense_from, products = 1, 0
-    if k <= 2 and _matrix_free_pays(n, _BASIS_CAP):
-        try:
-            rows[1:-1], products = _lanczos_samples(problem, g, s_values[1:-1], k)
-            dense_from = points - 1
-        except _BasisFull as exc:
-            dense_from = 1 + len(exc.rows)
-            rows[1:dense_from], products = exc.rows, exc.products
-    for i in range(dense_from, points - 1):
-        rows[i] = lowest_eigenvalues(interpolated_hamiltonian(s_values[i], g, problem), k)
+    size = min(int(np.count_nonzero(problem.as_array <= rows[-1, -1])) + _GUARD, problem.dim)
+    block, products = None, 0
+    if points > 2 and _matrix_free_pays(n, size * (_MIN_DEGREE + 1)):
+        noise = np.random.default_rng(_NOISE_SEED).standard_normal((size - 1, problem.dim))
+        block = _orthonormal_rows(np.vstack([initial_state(n).real, noise]))
+    e_max = float(problem.max_energy())
+    for i in range(1, points - 1):
+        s, found = s_values[i], None
+        if block is not None:
+            apply = partial(_apply_interpolated, s, g, problem)
+            hi = s * e_max + (1 - s) * g * n
+            found, block, spent = _filtered_lowest(apply, block, k, hi, n)
+            products += spent
+        if found is None:
+            found = lowest_eigenvalues(interpolated_hamiltonian(s, g, problem), k)
+        rows[i] = found
     min_gap = None
     if k >= 2:
         before_end = s_values < 1.0

@@ -15,12 +15,12 @@ the uniform transverse field g * sum_i X_i, whose ground state is the
 uniform-magnitude superposition used as the start of every schedule; it
 exists only inside interpolated_hamiltonian(s, g, problem), which builds
 H(s) = (1 - s) * g * sum_i X_i + s * problem as a dense matrix, and
-_apply_interpolated(s, g, problem, v), which applies H(s) to a vector
-without forming it.  That product splits the qubits into blocks of at
-most _FLIP_BLOCK qubits and applies the mixer of each block as one matrix
-product with its small 0/1 flip-sum matrix, so an n-qubit product is
-about n / _FLIP_BLOCK matrix products (two up to 2 * _FLIP_BLOCK qubits)
-instead of n passes.
+_apply_interpolated(s, g, problem, v), which applies H(s) to a vector, or
+to a stack of them in one call, without forming it.  That product splits
+the qubits into blocks of at most _FLIP_BLOCK qubits and applies the
+mixer of each block as one matrix product with its small 0/1 flip-sum
+matrix, so an n-qubit product is about n / _FLIP_BLOCK matrix products
+(two up to 2 * _FLIP_BLOCK qubits) instead of n passes.
 
 Energies are exact int64 integers; float views are derived, so ground
 manifolds are identified by exact comparison, never by tolerance.
@@ -340,20 +340,22 @@ def _apply_interpolated(
 ) -> np.ndarray:
     """H(s) @ v without the matrix: s * E elementwise plus (1 - s) * g * sum_i X_i v.
 
+    v is one state of 2^n amplitudes or a stack of them, of any leading
+    shape; each state along the last axis is multiplied, in one call.
     sum_i X_i is applied in blocks of qubits.  With v viewed as a matrix V
     whose columns run over the `low` least significant bits (about half
-    the register, at most _FLIP_BLOCK), the flips inside that block are
-    one product V @ F_low.  The qubits above it are cut, from the top
-    down, into blocks of at most _FLIP_BLOCK; with v viewed as
-    (2^above, 2^b, 2^below), the flips of a block of b qubits are one
-    stacked product F_b @ V, added into the result.  F_b is the
-    2^b x 2^b flip-sum matrix (_flip_sum_matrix), so a product costs
-    O(2^n * 2^_FLIP_BLOCK) per block.  Up to 2 * _FLIP_BLOCK qubits one
-    block sits above the low one.  A complex v runs through its float64
-    view of interleaved real and imaginary parts: the low block
-    multiplies by kron(F_low, I_2) and has one qubit fewer, so no matrix
-    exceeds 2^_FLIP_BLOCK square.  The caller has checked s, g and the
-    qubit cap.
+    the register, at most _FLIP_BLOCK) and whose rows run over everything
+    above, states included, the flips inside that block are one product
+    V @ F_low.  The qubits above it are cut, from the top down, into
+    blocks of at most _FLIP_BLOCK; with v viewed as (rows above, 2^b,
+    2^below), the flips of a block of b qubits are one stacked product
+    F_b @ V, added into the result.  F_b is the 2^b x 2^b flip-sum matrix
+    (_flip_sum_matrix), so a product costs O(2^n * 2^_FLIP_BLOCK) per
+    block and state.  Up to 2 * _FLIP_BLOCK qubits one block sits above
+    the low one.  A complex v runs through its float64 view of interleaved
+    real and imaginary parts: the low block multiplies by kron(F_low, I_2)
+    and has one qubit fewer, so no matrix exceeds 2^_FLIP_BLOCK square.
+    The caller has checked s, g and the qubit cap.
     """
     n = problem.n
     width = 2 if np.iscomplexobj(v) else 1  # float64 entries per amplitude
@@ -366,12 +368,14 @@ def _apply_interpolated(
     scratch = None
     for top in range(n, low, -_FLIP_BLOCK) or (n,):
         bits = min(top - low, _FLIP_BLOCK)
-        shape = (1 << (n - top), 1 << bits, width << (top - bits))
+        shape = (-1, 1 << bits, width << (top - bits))
         out = None if scratch is None else scratch.reshape(shape)
         scratch = np.matmul(_flip_sum_matrix(bits, 1), x.reshape(shape), out=out).reshape(-1)
         flipped += scratch
-    # scratch is reused for s * E * v: two state-sized allocations per product
-    flipped, scratch = flipped.view(v.dtype), scratch.view(v.dtype)
+    # scratch is reused for s * E * v, E broadcast over the states: two
+    # allocations of v's size per product
+    flipped = flipped.view(v.dtype).reshape(v.shape)
+    scratch = scratch.view(v.dtype).reshape(v.shape)
     flipped *= (1.0 - s) * g
     np.multiply(problem.as_array, v, out=scratch)
     scratch *= s

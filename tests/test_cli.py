@@ -10,6 +10,7 @@ import subprocess
 import sys
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,6 +146,30 @@ class TestSpectrum:
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(0.0, abs=1e-12)
         assert float(last[2]) == pytest.approx(0.0, abs=1e-12)
+
+
+    def test_twelve_qubit_levels_build_no_dense_matrix(self, capsys, monkeypatch):
+        # 145's register has 12 qubits, where a dense H(s) is 4096 square;
+        # the frozen rows are those dense solves printed
+        from adiafact import engine
+
+        def no_dense_matrix(*args):
+            raise AssertionError("dense H(s) built")
+
+        monkeypatch.setattr(engine, "interpolated_hamiltonian", no_dense_matrix)
+        code, out, err = run_cli(capsys, "spectrum", "145", "--points", "5")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "s,E0,E1,E2"
+        expected = [
+            [0, -7.2, -6, -6],
+            [0.25, -1.82333075656, -1.28791035204, -1.19335275448],
+            [0.5, -0.408210580565, 0.0762145587627, 0.351315231731],
+            [0.75, -0.0628560791728, 0.667803611595, 1.30789207123],
+            [1, 0, 1, 2],
+        ]
+        got = [[float(value) for value in line.split(",")] for line in lines[1:]]
+        assert np.max(np.abs(np.array(got) - np.array(expected))) <= 1e-9
 
 
 class TestFactorCommand:
@@ -338,6 +363,20 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "simulate", "--system", str(path))
         assert code == 1 and out == "" and "too large" in err
+
+    def test_memory_error_exits_1_with_one_line(self, capsys, monkeypatch):
+        from adiafact import cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "gap_profile", no_memory)
+        for message, line in (
+            ("Unable to allocate 2.00 GiB", "adiafact: Unable to allocate 2.00 GiB\n"),
+            ("", "adiafact: out of memory\n"),
+        ):
+            code, out, err = run_cli(capsys, "spectrum", "143", "--points", "3")
+            assert (code, out, err) == (1, "", line)
 
     def test_propagation_budget_overrun_exits_1(self, capsys, monkeypatch):
         from adiafact import compiler

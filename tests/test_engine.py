@@ -31,7 +31,6 @@ from adiafact import engine
 from adiafact.engine import (
     _bessel_coefficients,
     _chebyshev_step,
-    _lanczos_samples,
     _matrix_free_pays,
     _term_floor,
 )
@@ -344,7 +343,7 @@ class TestMatrixFreeSteps:
         trace, paths = routed_run(problem, Schedule())
         assert len(paths) == 20 and paths.count("d") == dense_steps
         assert (trace.products > 0) == (dense_steps < 20)
-        # gap_profile(k=2) samples by Lanczos from 9 qubits up
+        # gap_profile(k=2) takes filtered samples from 9 qubits up
         assert (gap_profile(problem, 0.6, points=3, k=2).products > 0) == (problem.n >= 9)
 
     @pytest.mark.parametrize("target", [119, 77, 295])
@@ -562,45 +561,73 @@ class TestLanczosGapProfile:
                 interior = expected[1:-1]
                 assert np.max(np.abs(interior[:, 2] - interior[:, 1])) <= 1e-12
 
-    def test_direct_cost_gap_needs_more_than_the_basis_cap(self, monkeypatch):
+    def test_three_levels_match_dense_on_a_degenerate_pair(self):
+        # the permutation-symmetric diagonal on 10 qubits has E1 = E2 at
+        # every interior s: a block of C(10, 3) + 2 vectors holds both
+        popcount = np.array([bin(b).count("1") for b in range(1 << 10)])
+        problem = DiagonalOperator(10, (popcount - 3) ** 2)
+        trace = gap_profile(problem, 0.6, points=11, k=3)
+        expected = dense_levels(problem, 0.6, trace.s_values, 3)
+        assert trace.products > 0
+        assert np.max(np.abs(trace.energies - expected)) <= 1e-12
+        interior = expected[1:-1]
+        assert np.max(np.abs(interior[:, 2] - interior[:, 1])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_a_fourfold_first_excited_level_matches_dense(self, n):
+        # E1 = 1 four times over at s = 1, so near the end E1 sits in a
+        # cluster of four; the block holds all of it, every state at or
+        # below E1 plus the guard
+        rng = np.random.default_rng(n)
+        energies = rng.integers(2, 40, 1 << n)
+        energies[0] = 0
+        energies[rng.choice(np.arange(1, 1 << n), 4, replace=False)] = 1
+        problem = DiagonalOperator(n, energies)
+        trace = gap_profile(problem, 0.6, points=21, k=2)
+        expected = dense_levels(problem, 0.6, trace.s_values, 5)
+        assert trace.products > 0
+        assert np.max(np.abs(trace.energies - expected[:, :2])) <= 1e-12
+        assert np.max(np.abs(expected[-2, 1:5] - expected[-2, 1])) <= 0.02
+
+    def test_direct_cost_gap_resolves_a_wide_spectrum(self, monkeypatch):
         # (143 - x*y)^2 over 5-bit x and y spans 6.7e5 with an x <-> y
-        # symmetry and E1 - E0 below 1e-11: the default basis cannot resolve
-        # it, so the profile finishes dense from its first sample, and a
-        # basis as large as the register reproduces the dense levels
+        # symmetry and E1 - E0 below 1e-11: a filter that pays there needs
+        # more products than a dense sample, so every sample is dense, and a
+        # filter forced to run matches the dense levels too
         problem = direct_cost_diagonal(143, 5, 5)
         trace = gap_profile(problem, 0.6, points=7, k=2)
         expected = dense_levels(problem, 0.6, trace.s_values, 2)
         assert np.max(np.abs(trace.energies - expected)) <= 1e-9
-        assert trace.products == engine._BASIS_CAP
-        monkeypatch.setattr(engine, "_BASIS_CAP", problem.dim)
-        rows, products = _lanczos_samples(problem, 0.6, [0.5], 2)
-        assert 0 < products <= problem.dim
-        assert np.max(np.abs(rows - dense_levels(problem, 0.6, [0.5], 2))) <= 1e-9
+        monkeypatch.setattr(engine, "_matrix_free_pays", lambda n, products: True)
+        monkeypatch.setattr(engine, "interpolated_hamiltonian", no_dense_matrix)
+        filtered = gap_profile(problem, 0.6, points=7, k=2)
+        assert filtered.products > 0
+        assert np.max(np.abs(filtered.energies - expected)) <= 1e-9
 
-    def test_a_full_basis_finishes_the_profile_dense(self, registers, monkeypatch):
-        # the third sample fills its basis: the two before it keep their
-        # Lanczos rows, it and every later one are dense solves, and
-        # products counts the full basis spent on it
+    def test_a_sample_that_cannot_pay_is_dense(self, registers, monkeypatch):
+        # the third sample's iteration is priced as on one qubit, where no
+        # filter pays: it alone is a dense solve, products counts the
+        # Rayleigh-Ritz step spent on it, and the samples after it carry on
+        # from the same block
         problem = registers[323]
-        sizes, solved = [], []
-        lanczos, dense = engine._lanczos_lowest, engine.lowest_eigenvalues
+        spent, solved = [], []
+        filtered, dense = engine._filtered_lowest, engine.lowest_eigenvalues
 
-        def third_fails(apply, start, k, first_check):
-            if len(sizes) == 2:
-                raise engine._BasisFull("no convergence", 17)
-            found = lanczos(apply, start, k, first_check)
-            sizes.append(found[2])
+        def third_cannot_pay(apply, block, k, hi, n):
+            found = filtered(apply, block, k, hi, 1 if len(spent) == 2 else n)
+            spent.append(found[2])
             return found
 
         def spied(hamiltonian, k):
             solved.append(hamiltonian.shape[0])
             return dense(hamiltonian, k)
 
-        monkeypatch.setattr(engine, "_lanczos_lowest", third_fails)
+        monkeypatch.setattr(engine, "_filtered_lowest", third_cannot_pay)
         monkeypatch.setattr(engine, "lowest_eigenvalues", spied)
         trace = gap_profile(problem, 0.6, points=11, k=2)
-        assert solved == [problem.dim] * 7
-        assert trace.products == sum(sizes) + 17
+        assert solved == [problem.dim] and len(spent) == 9
+        # one stacked product over the block: 323's two zero-energy states plus the guard
+        assert spent[2] == 2 + engine._GUARD and trace.products == sum(spent)
         expected = dense_levels(problem, 0.6, trace.s_values, 2)
         assert np.max(np.abs(trace.energies - expected)) <= 1e-12
 
@@ -609,7 +636,7 @@ class TestLanczosGapProfile:
             raise AssertionError("eigenvalue solve at an endpoint")
 
         monkeypatch.setattr(engine, "lowest_eigenvalues", no_solve)
-        monkeypatch.setattr(engine, "_lanczos_samples", no_solve)
+        monkeypatch.setattr(engine, "_filtered_lowest", no_solve)
         rng = np.random.default_rng(5)
         for n in range(2, 7):
             problem = DiagonalOperator(n, rng.integers(-30, 30, 1 << n))
@@ -626,18 +653,21 @@ class TestLanczosGapProfile:
                     fewer = gap_profile(problem, g, points=2, k=k)
                     assert np.array_equal(fewer.energies, trace.energies[:, :k])
 
-    def test_routing_keeps_small_registers_and_three_levels_dense(self, registers, problem143,
-                                                                  monkeypatch):
-        pays = [n for n in range(1, 21) if _matrix_free_pays(n, engine._BASIS_CAP)]
-        assert pays == list(range(9, 21))
+    def test_routing_keeps_small_registers_dense(self, registers, problem143, monkeypatch):
+        # the cheapest filtered iteration, three vectors through a filter of
+        # the least degree, pays from 7 qubits
+        cheapest = 3 * (engine._MIN_DEGREE + 1)
+        assert [n for n in range(1, 21) if _matrix_free_pays(n, cheapest)] == list(range(7, 21))
 
-        def no_lanczos(*args):
-            raise AssertionError("Lanczos sample")
+        def no_filter(*args):
+            raise AssertionError("filtered sample")
 
-        monkeypatch.setattr(engine, "_lanczos_samples", no_lanczos)
-        assert gap_profile(registers[323], 0.6, points=3, k=3).products == 0
-        for problem in (problem143, registers[295]):
-            assert gap_profile(problem, 0.6, points=11, k=2).products == 0
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "_filtered_lowest", no_filter)
+            for problem in (problem143, registers[119], registers[77]):
+                for k in (1, 2, 3):
+                    assert gap_profile(problem, 0.6, points=11, k=k).products == 0
+        assert gap_profile(registers[323], 0.6, points=3, k=3).products > 0
 
     def test_repeated_profiles_are_bitwise_identical(self, registers):
         a = gap_profile(registers[323], 0.6, points=11, k=2)
@@ -645,9 +675,9 @@ class TestLanczosGapProfile:
         assert np.array_equal(a.energies, b.energies) and a.products == b.products
 
     def test_non_convergence_fails(self, registers, monkeypatch):
-        monkeypatch.setattr(engine, "_BASIS_CAP", 10)
-        with pytest.raises(NumericalFailure, match="did not converge within 10 vectors"):
-            _lanczos_samples(registers[323], 0.6, [0.5], 2)
+        monkeypatch.setattr(engine, "_MAX_ITERATIONS", 1)
+        with pytest.raises(NumericalFailure, match="did not converge within 1 iterations"):
+            gap_profile(registers[323], 0.6, points=3, k=2)
 
     def test_non_finite_product_fails(self, registers, monkeypatch):
         monkeypatch.setattr(engine, "_apply_interpolated", lambda s, g, problem, v: v * np.nan)

@@ -393,13 +393,20 @@ class TestMixerAndInterpolation:
                 # columns of a row-major array are strided, not contiguous
                 vectors = (real, complex_, pairs[:, 1], pairs.real[:, 0])
                 s_values = (0.0, 1.0, rng.uniform(0.0, 1.0))
+            if n <= 12:
+                # stacks of states, real and complex, one product per call;
+                # the (2, 3) stack has two leading axes
+                for shape in ((1, dim), (3, dim), (6, dim), (2, 3, dim)):
+                    stack = rng.normal(size=shape)
+                    vectors += (stack, stack + 1j * rng.normal(size=shape))
             for s in s_values:
                 g = rng.uniform(0.05, 2.0)
                 for v in vectors:
-                    expected = s * diag.as_array * v + (1 - s) * g * flip_sum(v)
                     got = _apply_interpolated(s, g, diag, v)
                     assert got.dtype == v.dtype and got.shape == v.shape
-                    assert np.max(np.abs(got - expected)) <= 1e-13, (n, s, v.dtype)
+                    for row, state in zip(got.reshape(-1, dim), v.reshape(-1, dim)):
+                        expected = s * diag.as_array * state + (1 - s) * g * flip_sum(state)
+                        assert np.max(np.abs(row - expected)) <= 1e-13, (n, s, v.shape, v.dtype)
 
     def test_the_cap_is_checked_before_anything_is_built(self, monkeypatch):
         four = DiagonalOperator(4, np.zeros(16, dtype=np.int64))
@@ -408,12 +415,12 @@ class TestMixerAndInterpolation:
             interpolated_hamiltonian(0.5, 0.6, four)
         with pytest.raises(DimensionTooLarge):
             gap_profile(four, 0.6, points=3, k=2)
-        # a register the Lanczos path would take fails before its basis exists
-        def no_basis(*args):
-            raise AssertionError("Lanczos basis allocated")
+        # a register the filtered path would take fails before its block exists
+        def no_block(*args):
+            raise AssertionError("filtered block allocated")
 
         nine = DiagonalOperator(9, np.zeros(512, dtype=np.int64))
         monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "8")
-        monkeypatch.setattr(engine, "_lanczos_samples", no_basis)
+        monkeypatch.setattr(engine, "_filtered_lowest", no_block)
         with pytest.raises(DimensionTooLarge, match="9 qubits exceed the cap of 8"):
             gap_profile(nine, 0.6, points=3, k=2)
