@@ -10,10 +10,25 @@ product A*B, the penalty
 is used instead.  Over binary variables it equals
 2 * (1/2 * (A + B - 1/2) + S)^2 - 1/8, so it is nonnegative on integer S
 and vanishes exactly where A*B + S does, while cutting the top monomial
-degree by one; integer residuals give integer penalties.  The mixer is
-the uniform transverse field g * sum_i X_i, whose ground state is the
-uniform-magnitude superposition used as the start of every schedule; it
-exists only inside interpolated_hamiltonian(s, g, problem), which builds
+degree by one; integer residuals give integer penalties.  S keeps whatever
+is left of A*B's own coefficient (c_AB - 1, which is -2 when the product
+enters with -1).  With R = A*B + S and idempotent variables the same
+polynomial is 2*R^2 + (2A + 2B - 1 - 4*A*B)*R, and that is how it is
+computed: the square R^2, which decides whether to pair at all, is reused,
+and pairing costs one more pass over R's terms.
+
+assemble_problem adds every equation's penalty term by term into one
+dict, each union of two sorted monomials built once, and builds a single
+polynomial at the end.  polynomial_to_diagonal evaluates a polynomial on
+all 2^n basis states with a subset-sum (zeta) transform: each coefficient
+is placed at its monomial's bit mask, and n in-place passes add each entry
+into its partner with one more bit set, O(n * 2^n) whatever the number of
+terms.
+
+The mixer is the uniform transverse field g * sum_i X_i, whose ground
+state is the uniform-magnitude superposition used as the start of every
+schedule; it exists only inside interpolated_hamiltonian(s, g, problem),
+which builds
 H(s) = (1 - s) * g * sum_i X_i + s * problem as a dense matrix, and
 _apply_interpolated(s, g, problem, v), which applies H(s) to a vector, or
 to a stack of them in one call, without forming it.  That product splits
@@ -32,7 +47,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -45,7 +60,7 @@ from .errors import (
     NotApplicable,
     UnmappedVariable,
 )
-from .pseudobool import Poly, VarId
+from .pseudobool import ONE, Monomial, Poly, VarId
 
 _CAP_ENV = "ADIAFACT_MAX_QUBITS"
 _DEFAULT_CAP = 14
@@ -167,32 +182,88 @@ class DiagonalOperator:
         return tuple(np.flatnonzero(self.numerators == floor).tolist())
 
 
+def _square(terms: list) -> dict:
+    """R^2 as monomial -> coefficient for R's (monomial, coefficient) terms; zeros kept.
+
+    c_i^2 * m_i for each term and 2 * c_i * c_j * (m_i * m_j) for each
+    pair i < j, each union built once.
+    """
+    acc: dict = {}
+    for i, (mono, coeff) in enumerate(terms):
+        acc[mono] = acc.get(mono, 0) + coeff * coeff
+        twice = 2 * coeff
+        for other, c in terms[i + 1 :]:
+            union = mono * other
+            acc[union] = acc.get(union, 0) + twice * c
+    return acc
+
+
+def _paired_product(terms: list, pairing: str) -> Optional[Monomial]:
+    """The two-variable product term pairing picks ("last" or "first"), or None."""
+    products = [mono for mono, _ in terms if len(mono) == 2]
+    if not products:
+        return None
+    return products[-1] if pairing == "last" else products[0]
+
+
+def _add_paired(acc: dict, terms: list, square: dict, product: Monomial) -> None:
+    """Add A*B + (2A + 2B - 1)*S + 2*S^2 into acc, computed as 2R^2 + (2A + 2B - 1 - 4AB)*R.
+
+    square is R^2 (from _square), so pairing costs one more pass over R's terms.
+    """
+    a, b = (tuple.__new__(Monomial, (var,)) for var in product)
+    for mono, coeff in square.items():
+        acc[mono] = acc.get(mono, 0) + 2 * coeff
+    factor = ((a, 2), (b, 2), (ONE, -1), (product, -4))
+    for mono, coeff in terms:
+        for f, k in factor:
+            union = f * mono
+            acc[union] = acc.get(union, 0) + k * coeff
+
+
+def _add_penalty(acc: dict, residual: Poly, pairing: str) -> None:
+    """Add the residual's penalty into acc (monomial -> coefficient, zeros allowed).
+
+    The paired penalty of the module docstring when pairing is "last" or
+    "first", the square has a nonzero monomial above quadratic order and
+    R has a two-variable product; the square R^2 otherwise.
+    """
+    terms = list(residual.items())
+    square = _square(terms)
+    if pairing != "none" and any(c and len(m) > 2 for m, c in square.items()):
+        product = _paired_product(terms, pairing)
+        if product is not None:
+            _add_paired(acc, terms, square, product)
+            return
+    for mono, coeff in square.items():
+        acc[mono] = acc.get(mono, 0) + coeff
+
+
 def penalty_polynomial(residual: Poly) -> Poly:
     """Squared residual: nonnegative, zero exactly where the residual vanishes."""
-    return residual * residual
+    return Poly(_square(list(residual.items())))
 
 
 def quadratize_equation(residual: Poly, pairing: str = "last") -> Poly:
     """Penalty for residual A*B + S built without squaring the product.
 
     pairing picks which two-variable product becomes (A, B): "last" takes
-    the lexicographically last product term, "first" the first.  The
-    identity needs an integer-valued S, which integer coefficients give.
+    the lexicographically last product term, "first" the first.  S keeps
+    any remainder of A*B's own coefficient.  The identity needs an
+    integer-valued S, which integer coefficients give.
 
     Raises:
         NotApplicable: no two-variable product to pair.
     """
-    products = [mono for mono, _ in residual.items() if mono.degree == 2]
-    if not products:
+    terms = list(residual.items())
+    product = _paired_product(terms, pairing)
+    if product is None:
         raise NotApplicable("no two-variable product term to pair")
     if pairing not in ("last", "first"):
         raise ValueError(f"pairing must be 'last' or 'first', got {pairing!r}")
-    mono = products[-1] if pairing == "last" else products[0]
-    a, b = mono
-    product = Poly({mono: 1})
-    s_part = residual - product
-    linear = 2 * Poly.variable(a) + 2 * Poly.variable(b) - 1
-    return product + linear * s_part + 2 * s_part * s_part
+    acc: dict = {}
+    _add_paired(acc, terms, _square(terms), product)
+    return Poly(acc)
 
 
 def assemble_problem(
@@ -203,7 +274,8 @@ def assemble_problem(
     pairing: "last" (default) and "first" choose the paired product for
     equations whose squared penalty would exceed quadratic order; "none"
     always squares, which keeps the penalty symmetric under the p/q swap
-    at the cost of higher-degree monomials.
+    at the cost of higher-degree monomials.  Every penalty is added term
+    by term into one accumulator, and the polynomial is built once.
 
     Returns:
         (qubit map over the free variables, penalty polynomial).  The
@@ -218,16 +290,10 @@ def assemble_problem(
     qmap = QubitMap.from_system(system)
     if qmap.n == 0:
         raise EmptySystem(f"{system.target}: nothing left to solve")
-    terms = []
+    acc: dict = {}
     for eq in system.equations:
-        penalty = penalty_polynomial(eq.residual)
-        if pairing != "none" and penalty.degree > 2:
-            try:
-                penalty = quadratize_equation(eq.residual, pairing)
-            except NotApplicable:
-                pass  # no pairable product; keep the plain square
-        terms.extend(penalty.items())
-    return qmap, Poly(terms)
+        _add_penalty(acc, eq.residual, pairing)
+    return qmap, Poly(acc)
 
 
 def polynomial_to_diagonal(poly: Poly, qmap: QubitMap) -> DiagonalOperator:
@@ -248,8 +314,14 @@ def polynomial_to_diagonal(poly: Poly, qmap: QubitMap) -> DiagonalOperator:
 def _basis_values(poly: Poly, variables: tuple[VarId, ...]) -> np.ndarray:
     """poly at every basis index, exactly; variables[0] is the most significant bit.
 
+    A subset-sum (zeta) transform: each coefficient is placed at its
+    monomial's bit mask, then pass i adds every entry with bit i clear into
+    its partner with bit i set, so entry x ends as the sum over the
+    monomials whose masks lie inside x.  n passes over 2^n entries.
+
     Raises ValueError when a coefficient is not an int or the values could
-    overflow int64.
+    overflow int64.  Every partial sum is a subset sum of the coefficients,
+    so bounding the sum of their magnitudes bounds every intermediate.
     """
     terms = list(poly.items())
     stray = next((coeff for _, coeff in terms if not isinstance(coeff, int)), None)
@@ -259,11 +331,12 @@ def _basis_values(poly: Poly, variables: tuple[VarId, ...]) -> np.ndarray:
         raise ValueError("polynomial coefficients too large for an int64 diagonal")
     n = len(variables)
     weight = {var: 1 << (n - 1 - i) for i, var in enumerate(variables)}
-    index = np.arange(1 << n)
     values = np.zeros(1 << n, dtype=np.int64)
     for mono, coeff in terms:
-        mask = sum(weight[var] for var in mono)
-        values[(index & mask) == mask] += coeff
+        values[sum(weight[var] for var in mono)] = coeff
+    for i in range(n):
+        view = values.reshape(-1, 2, 1 << i)
+        view[:, 1, :] += view[:, 0, :]
     return values
 
 

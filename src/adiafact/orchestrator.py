@@ -189,10 +189,11 @@ def select_split(
             continue
         if system.is_solved:
             return system, None, None
+        n = QubitMap.from_system(system).n
+        if n > qubit_cap():
+            smallest = min(n, smallest or n)
+            continue  # skipped before its penalty is built
         qmap, penalty = assemble_problem(system, pairing=pairing)
-        if qmap.n > qubit_cap():
-            smallest = min(qmap.n, smallest or qmap.n)
-            continue
         problem = polynomial_to_diagonal(penalty, qmap)
         if problem.min_energy() == 0:
             return system, qmap, problem

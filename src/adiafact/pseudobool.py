@@ -90,6 +90,13 @@ class Monomial(tuple):
         return super().__new__(cls, sorted(set(variables)))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        """The union of two monomials; sorted again only when they interleave."""
+        if not self or not other:
+            return self or other
+        if self[-1] < other[0]:
+            return tuple.__new__(Monomial, tuple.__add__(self, other))
+        if other[-1] < self[0]:
+            return tuple.__new__(Monomial, tuple.__add__(other, self))
         return Monomial(tuple.__add__(self, other))
 
     @property
@@ -203,7 +210,13 @@ class PseudoBooleanPolynomial:
         return total
 
     def substitute(self, fixed: Mapping[VarId, int]) -> "PseudoBooleanPolynomial":
-        """Plug in 0/1 values for some variables; others pass through."""
+        """Plug in 0/1 values for some variables; others pass through.
+
+        Returns self when no variable of the mapping occurs in the polynomial.
+        """
+        if fixed.keys().isdisjoint(chain.from_iterable(self._terms)):
+            return self
+
         def surviving_terms():
             for mono, coeff in self._terms.items():
                 keep = []

@@ -1,11 +1,12 @@
 """Penalty construction, quadratization, diagonals, mixer."""
 
-import random
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiafact import (
     DiagonalOperator,
@@ -35,9 +36,10 @@ from adiafact import (
     simplify,
 )
 from adiafact import engine
-from adiafact.hamiltonian import _apply_interpolated
+from adiafact.hamiltonian import _apply_interpolated, _basis_values
 
 from oracles import dense_mixer, flip_sum, odd_semiprimes
+from penalty_digest import penalty_digest
 
 P1, P2, Q1, Q2 = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
 
@@ -100,6 +102,56 @@ class TestPenalty:
         assert first != last
         assert first.coefficient(Monomial((P1, Q2))) == 1
         assert last.coefficient(Monomial((P2, Q1))) == 1
+
+
+def paired_by_poly_arithmetic(residual, product):
+    """A*B + (2A + 2B - 1)*S + 2*S^2 with S = residual - A*B, in Poly arithmetic."""
+    a, b = product
+    s_part = residual - Poly({product: 1})
+    linear = 2 * Poly.variable(a) + 2 * Poly.variable(b) - 1
+    return Poly({product: 1}) + linear * s_part + 2 * s_part * s_part
+
+
+class TestPairedProductCoefficient:
+    """103 (4, 4), column 3: the product enters with coefficient -1, so S keeps it at -2."""
+
+    @pytest.fixture(scope="class")
+    def system103(self):
+        return compile_system(103, (4, 4))
+
+    def column3(self, system):
+        (residual,) = [eq.residual for eq in system.equations if eq.column == 3]
+        assert str(residual) == "-2 + 2*z3_4 + 4*z3_5 - p1*q2 - p2*q1"
+        return residual
+
+    @pytest.mark.parametrize("pairing, product", [("first", (P1, Q2)), ("last", (P2, Q1))])
+    def test_quadratization_matches_poly_arithmetic(self, system103, pairing, product):
+        residual = self.column3(system103)
+        product = Monomial(product)
+        assert (residual - Poly({product: 1})).coefficient(product) == -2
+        expected = paired_by_poly_arithmetic(residual, product)
+        assert list(quadratize_equation(residual, pairing).items()) == list(expected.items())
+
+    @pytest.mark.parametrize("pairing", ["first", "last"])
+    def test_assembly_matches_poly_arithmetic(self, system103, pairing):
+        expected = Poly()
+        for eq in system103.equations:
+            square = eq.residual * eq.residual
+            products = [m for m, _ in eq.residual.items() if m.degree == 2]
+            if square.degree > 2 and products:
+                product = products[0] if pairing == "first" else products[-1]
+                square = paired_by_poly_arithmetic(eq.residual, product)
+            expected = expected + square
+        _, penalty = assemble_problem(system103, pairing)
+        assert list(penalty.items()) == list(expected.items())
+        assert penalty.coefficient(Monomial((P1, P2, Q1, Q2))) == 8
+
+
+def test_penalties_and_diagonals_are_frozen():
+    # tests/penalty_digest.py over 9..1023 runs in CI; this is its short range
+    assert penalty_digest(9, 255) == (
+        "4e38c660b06941edbcef3d523b7d0fedf9a299573874d1609fb24214816e16df", 137, 354,
+    )
 
 
 class TestAssembly143:
@@ -176,18 +228,21 @@ class TestDiagonal:
             point = qmap.assignment_of(index)
             assert diag.energies[index] == penalty.evaluate(point)
 
-    def test_random_integer_polynomials_match_pointwise_evaluation(self):
-        rng = random.Random(11)
-        qmap = QubitMap((P1, P2, Q1))
-        for _ in range(30):
-            poly = Poly(
-                (Monomial(rng.sample(qmap.variables, rng.randint(0, 3))),
-                 rng.randint(-99, 99))
-                for _ in range(rng.randint(0, 6))
-            )
-            diag = polynomial_to_diagonal(poly, qmap)
-            for index in range(diag.dim):
-                assert diag.energies[index] == poly.evaluate(qmap.assignment_of(index))
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_integer_polynomials_match_pointwise_evaluation(self, data):
+        pool = (P1, P2, Q1, Q2, VarId.p(3), VarId.q(3),
+                VarId.carry(1, 2), VarId.carry(2, 3), VarId.carry(2, 4), VarId.carry(3, 4))
+        qmap = QubitMap(tuple(sorted(pool[: data.draw(st.integers(0, len(pool)), label="n")])))
+        monomial = (st.lists(st.sampled_from(qmap.variables), max_size=4)
+                    if qmap.n else st.just([]))
+        coeff = st.integers(-(2**40), 2**40)
+        poly = Poly(data.draw(st.lists(st.tuples(monomial, coeff), max_size=12), label="terms"))
+        values = _basis_values(poly, qmap.variables)
+        assert values.dtype == np.int64
+        assert values.tolist() == [
+            poly.evaluate(qmap.assignment_of(index)) for index in range(1 << qmap.n)
+        ]
 
     def test_storage_is_a_read_only_int64_array(self, system143):
         qmap, penalty = assemble_problem(system143, pairing="first")

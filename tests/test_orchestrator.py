@@ -24,6 +24,8 @@ from adiafact import (
     factor,
     ground_manifold,
     polynomial_to_diagonal,
+    qubit_cap,
+    select_split,
     success_probability,
     sweep,
 )
@@ -203,6 +205,36 @@ class TestFactor:
             factor(323, gap_points=1)
         with pytest.raises(ValueError, match="two sample points"):
             sweep(323, "T", [10.0, 20.0], gap_points=1)
+
+
+class TestCapBeforePenalty:
+    """select_split skips an over-cap register before assembling its penalty."""
+
+    @pytest.mark.parametrize("cap, outcomes", [
+        (14, {305: "15 qubits", 481: "16 qubits"}),
+        (15, {305: ((3, 6), (7509,)), 481: "16 qubits"}),
+        (16, {305: ((3, 6), (7509,)), 481: ((4, 6), (20820,))}),
+    ])
+    def test_outcomes_on_305_and_481(self, monkeypatch, cap, outcomes):
+        from adiafact import orchestrator
+        from adiafact.hamiltonian import QubitMap
+
+        assemble = orchestrator.assemble_problem
+
+        def within_cap(system, pairing="last"):
+            n = QubitMap.from_system(system).n
+            assert n <= qubit_cap(), f"penalty assembled for a {n}-qubit register"
+            return assemble(system, pairing=pairing)
+
+        monkeypatch.setattr(orchestrator, "assemble_problem", within_cap)
+        monkeypatch.setenv("ADIAFACT_MAX_QUBITS", str(cap))
+        for target, expected in outcomes.items():
+            if isinstance(expected, str):
+                with pytest.raises(DimensionTooLarge, match=f"needs {expected}, above the cap"):
+                    select_split(target)
+                continue
+            system, _, problem = select_split(target)
+            assert (system.widths, problem.ground_indices()) == expected
 
 
 class TestFactorAgainstArithmetic:

@@ -33,6 +33,17 @@ def test_monomial_is_sorted_and_squarefree():
     assert Monomial().degree == 0
 
 
+def test_monomial_product_is_the_sorted_union():
+    pool = [VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2), VarId.carry(1, 2)]
+    rng = random.Random(5)
+    for _ in range(300):
+        a = Monomial(rng.sample(pool, rng.randint(0, 3)))
+        b = Monomial(rng.sample(pool, rng.randint(0, 3)))
+        product = a * b
+        assert type(product) is Monomial
+        assert tuple(product) == tuple(sorted(set(a) | set(b)))
+
+
 def test_idempotent_square():
     x = Poly.variable(VarId.p(1))
     assert x * x == x
@@ -94,6 +105,19 @@ def test_substitute_fixes_values():
     assert poly.substitute({x: 1}) == Poly.variable(y) + 1
     assert poly.substitute({x: 0}) == Poly.constant(-1)
     assert poly.substitute({}) == poly
+
+
+def test_substitute_without_a_shared_variable_returns_the_polynomial_itself():
+    x, y, z = VarId.p(1), VarId.q(1), VarId.carry(1, 2)
+    poly = Poly.variable(x) * Poly.variable(y) + 2 * Poly.variable(x) - 1
+    for fixed in ({}, {z: 0}, {z: 1, VarId.p(2): 0}):
+        same = poly.substitute(fixed)
+        assert same is poly
+        assert same == Poly.variable(x) * Poly.variable(y) + 2 * Poly.variable(x) - 1
+    assert Poly().substitute({x: 1}) == Poly()
+    # one shared variable among unrelated ones still substitutes
+    fixed = poly.substitute({z: 1, y: 0})
+    assert fixed is not poly and fixed == 2 * Poly.variable(x) - 1
 
 
 def test_bounds_treat_monomials_independently():
