@@ -34,8 +34,16 @@ the fixed values of its own variables and the pairs between them; settling
 is idempotent (substitution only removes variables, so it cannot make a
 product that a pair forbids); and an evaluation that changes nothing has
 no side effect.  So every pass returns what it would with every equation
-evaluated, and the pass count does not move.  The rules probe each trial
-assignment by merging the substituted terms, without building a polynomial.
+evaluated, and the pass count does not move.
+
+The propagator works on integer bitmasks: each variable is one bit, an
+equation is a dict from monomial masks to coefficients, and fixed values
+and pairs are masks too, so a Poly is built only for the result and for
+error messages.  The rules price each trial value in closed form: from
+the equation's plain interval, v = 0 takes off the terms that contain v,
+and v = 1 takes off its partners' terms and merges each m*v into m.  Only
+a trial interval that contains 0, on an equation with a pair that can
+sharpen it, is recomputed in full from the substituted terms.
 
 Every step is a sound implication of the system together with the pairs
 recorded so far, so the solution set projected onto surviving variables
@@ -48,7 +56,7 @@ faithful to the full constraint set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import EvenInput, Infeasible, InvariantViolation, TooSmall, WidthMismatch
 from .pseudobool import Monomial, Poly, VarId
@@ -195,133 +203,235 @@ def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
     return EquationSystem(target, (w_p, w_q), tuple(equations), {}, ())
 
 
-def _canon_sign(poly: Poly) -> Poly:
-    """Flip the sign so the first non-constant term has a positive coefficient."""
-    for mono, coeff in poly.items():
-        if mono:
-            return poly if coeff > 0 else -poly
-    return poly
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, highest first: ascending VarId order (see _Propagator)."""
+    while mask:
+        bit = 1 << (mask.bit_length() - 1)
+        yield bit
+        mask ^= bit
 
 
-def _pair_key(pair: frozenset) -> tuple:
-    return tuple(sorted(pair))
+def _term_order(mono: int) -> tuple[int, int]:
+    """Poly's term order on masks: degree, then ascending variables."""
+    return mono.bit_count(), -mono
+
+
+def _substitute(terms: dict[int, int], ones: int, zeros: int) -> dict[int, int]:
+    """Set the variables of ones to 1 and those of zeros to 0; zero sums drop out."""
+    out: dict[int, int] = {}
+    for mono, coeff in terms.items():
+        if mono & zeros:
+            continue  # a zero factor kills the term
+        mono &= ~ones
+        total = out.get(mono, 0) + coeff
+        if total:
+            out[mono] = total
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def _joins(pairs: list[int], variables: int) -> bool:
+    """True if one of the pairs lies wholly within the variables."""
+    return any(pair & variables == pair for pair in pairs)
 
 
 class _Row:
     """One live residual and what the propagator knows about it.
 
+    terms maps each monomial, as the mask of its variables' bits, to its
+    nonzero coefficient.  variables is the mask of every variable the terms
+    mention and linear the mask of those with a linear term; key is the
+    terms as a hashable set for the duplicate check, and lo, hi their plain
+    interval (Poly.bounds()).  set_terms keeps all of them in step.
+
     quiet is set when an evaluation starts and cleared by any later change
-    to what the row reads: a fixed value of one of its variables, or a
-    pair between two of them.  A quiet row would evaluate to no change.
-    variables is the set the current poly mentions.
+    to what the row reads: a fixed value of one of its variables, or a pair
+    between two of them.  A quiet row would evaluate to no change.
     """
 
-    __slots__ = ("column", "poly", "variables", "dead", "quiet")
+    __slots__ = ("column", "terms", "variables", "linear", "key", "lo", "hi", "dead", "quiet")
 
-    def __init__(self, column: Optional[int], poly: Poly):
+    def __init__(self, column: Optional[int], terms: dict[int, int]):
         self.column = column
         self.dead = False
         self.quiet = False
-        self.set_poly(poly)
+        self.set_terms(terms)
 
-    def set_poly(self, poly: Poly) -> None:
-        self.poly = poly
-        self.variables = {var for mono, _ in poly.items() for var in mono}
+    def set_terms(self, terms: dict[int, int]) -> None:
+        self.terms = terms
+        self.key = frozenset(terms.items())
+        variables = linear = 0
+        lo = hi = terms.get(0, 0)
+        for mono, coeff in terms.items():
+            if not mono:
+                continue
+            variables |= mono
+            if not mono & (mono - 1):
+                linear |= mono
+            if coeff > 0:
+                hi += coeff
+            else:
+                lo += coeff
+        self.variables, self.linear, self.lo, self.hi = variables, linear, lo, hi
 
 
 class _Propagator:
-    """Mutable fixpoint state for simplify()."""
+    """Mutable fixpoint state for simplify(), on integer bitmasks.
+
+    The system's variables are numbered once, in VarId order, and the one
+    that sorts first takes the highest bit.  A monomial is the OR of its
+    variables' bits, so Poly's term order (degree, then ascending
+    variables) is ascending popcount, then descending mask, and the order
+    of pairs as sorted VarId tuples is descending mask.  Fixed values are
+    the masks ones and zeros, and a pair is the mask of its two variables.
+    A Poly is built only for the result and for an Infeasible message.
+    """
 
     def __init__(self, system: EquationSystem):
         self.target = system.target
         self.widths = system.widths
-        self.fixed: dict[VarId, int] = dict(system.fixed)
-        self.pairs: set[frozenset] = set(system.forbidden_pairs)
-        self._pair_order: Optional[list[tuple[VarId, VarId]]] = None
-        self.rows: list[_Row] = []  # append-only, so a row's index is its creation order
-        self._rows_of: dict[VarId, list[_Row]] = {}  # every row that ever mentioned the variable
+        names = set(system.fixed).union(*system.forbidden_pairs)
         for eq in system.equations:
-            self._push(_Row(eq.column, eq.residual))
-        var_count = len(set(self._rows_of).union(*self.pairs))  # as system.free_variables()
+            names.update(eq.residual.variables())
+        self._names = sorted(names, reverse=True)  # _names[i] is the variable of bit 1 << i
+        self._bit = {var: 1 << i for i, var in enumerate(self._names)}
+        self.ones = self.zeros = 0
+        for var, value in system.fixed.items():
+            if value:
+                self.ones |= self._bit[var]
+            else:
+                self.zeros |= self._bit[var]
+        self.pairs: set[int] = set()
+        self._partners: dict[int, int] = {}  # variable bit -> mask of the variables paired with it
+        for pair in system.forbidden_pairs:
+            x, y = (self._bit[var] for var in pair)
+            self._link(x, y)
+        self._pairs_changed()
+        self.rows: list[_Row] = []  # append-only, so a row's index is its creation order
+        self._rows_of: dict[int, list[_Row]] = {}  # every row that ever mentioned the variable
+        mentioned = 0
+        for eq in system.equations:
+            row = _Row(eq.column, {self._mask(mono): c for mono, c in eq.residual.items()})
+            self._push(row)
+            mentioned |= row.variables
+        for pair in self.pairs:
+            mentioned |= pair
         # every pass fixes a variable, records a pair, or deletes material,
         # so the fixpoint arrives well inside this budget
-        self._pass_budget = 4 * (var_count + len(self.rows)) + 8
+        self._pass_budget = 4 * (mentioned.bit_count() + len(self.rows)) + 8
 
     # -- bookkeeping -------------------------------------------------
+
+    def _mask(self, mono: Iterable[VarId]) -> int:
+        mask = 0
+        for var in mono:
+            mask |= self._bit[var]
+        return mask
+
+    def _var(self, bit: int) -> VarId:
+        return self._names[bit.bit_length() - 1]
+
+    def _poly(self, terms: dict[int, int]) -> Poly:
+        return Poly({
+            tuple.__new__(Monomial, [self._var(bit) for bit in _bits(mono)]): coeff
+            for mono, coeff in terms.items()
+        })
 
     def _live(self) -> Iterable[_Row]:
         return (row for row in self.rows if not row.dead)
 
     def _push(self, row: _Row) -> None:
         self.rows.append(row)
-        for var in row.variables:
-            self._rows_of.setdefault(var, []).append(row)
+        for bit in _bits(row.variables):
+            self._rows_of.setdefault(bit, []).append(row)
 
-    def _wake(self, *variables: VarId) -> None:
-        """Clear quiet on every row that mentions all the given variables."""
-        for row in self._rows_of.get(variables[0], ()):
-            if row.variables.issuperset(variables):
+    def _wake(self, mask: int) -> None:
+        """Clear quiet on every row that mentions all the variables of mask."""
+        for row in self._rows_of.get(mask & -mask, ()):
+            if row.variables & mask == mask:
                 row.quiet = False
 
-    def _sorted_pairs(self) -> list[tuple[VarId, VarId]]:
-        """Every pair as its _pair_key, in that order; rebuilt only after the pairs change."""
+    def _link(self, x: int, y: int) -> None:
+        self.pairs.add(x | y)
+        self._partners[x] = self._partners.get(x, 0) | y
+        self._partners[y] = self._partners.get(y, 0) | x
+
+    def _pairs_changed(self) -> None:
+        self._pair_order: Optional[list[int]] = None
+        self._own: dict[int, list[int]] = {}
+
+    def _sorted_pairs(self) -> list[int]:
+        """Every pair, descending; rebuilt only after the pairs change."""
         if self._pair_order is None:
-            self._pair_order = sorted(map(_pair_key, self.pairs))
+            self._pair_order = sorted(self.pairs, reverse=True)
         return self._pair_order
 
-    def _fix(self, var: VarId, value: int) -> bool:
-        prev = self.fixed.get(var)
-        if prev is not None:
-            if prev != value:
-                raise Infeasible(f"{self.target}: {var} required to be both 0 and 1")
+    def _own_pairs(self, variables: int) -> list[int]:
+        """The pairs between two of the given variables, in _sorted_pairs order."""
+        own = self._own.get(variables)
+        if own is None:
+            own = self._own[variables] = [
+                pair for pair in self._sorted_pairs() if pair & variables == pair
+            ]
+        return own
+
+    def _fix(self, var: int, value: int) -> bool:
+        if var & (self.ones | self.zeros):
+            if bool(var & self.ones) != bool(value):
+                raise Infeasible(f"{self.target}: {self._var(var)} required to be both 0 and 1")
             return False
-        self.fixed[var] = value
+        if value:
+            self.ones |= var
+        else:
+            self.zeros |= var
         self._wake(var)  # also every row a discarded pair below could touch
-        for pair in [p for p in self.pairs if var in p]:
-            self.pairs.discard(pair)
-            self._pair_order = None
+        partners = self._partners.pop(var, 0)
+        if partners:
+            self._pairs_changed()
+        for other in _bits(partners):
+            self.pairs.discard(var | other)
+            self._partners[other] &= ~var
             if value == 1:
-                (other,) = set(pair) - {var}
                 self._fix(other, 0)
         return True
 
-    def _add_pair(self, x: VarId, y: VarId) -> bool:
+    def _add_pair(self, x: int, y: int) -> bool:
         for var, other in ((x, y), (y, x)):
-            val = self.fixed.get(var)
-            if val == 1:
+            if var & self.ones:
                 return self._fix(other, 0)
-            if val == 0:
+            if var & self.zeros:
                 return False
-        key = frozenset((x, y))
-        if key in self.pairs:
+        if (x | y) in self.pairs:
             return False
-        self.pairs.add(key)
-        self._pair_order = None
-        self._wake(x, y)
+        self._link(x, y)
+        self._pairs_changed()
+        self._wake(x | y)
         return True
 
     # -- interval machinery ------------------------------------------
 
-    def _bounds(self, terms: Iterable[tuple[tuple, int]]) -> tuple[int, int]:
-        """Value interval of a residual given as distinct (monomial, coefficient) terms.
+    @staticmethod
+    def _bounds(terms: dict[int, int], pairs: list[int]) -> tuple[int, int]:
+        """Value interval of a residual given as distinct {monomial mask: coefficient} terms.
 
-        One monomial at a time; zero coefficients are skipped.  Forbidden
-        pairs sharpen the bound for pairs of exclusive linear terms of the
-        same sign: at most one of the two can be active, so the smaller
-        one is taken back off.  Pairs match greedily in _pair_key order.
-        Every sum is exact, so the order of the terms does not matter.
+        One monomial at a time; zero coefficients are skipped.  The pairs
+        sharpen the bound for pairs of exclusive linear terms of the same
+        sign: at most one of the two can be active, so the smaller one is
+        taken back off.  Pairs match greedily in the order given.  Every
+        sum is exact, so the order of the terms does not matter.
         """
         lo = hi = 0
-        lin_pos: dict[VarId, int] = {}
-        lin_neg: dict[VarId, int] = {}
-        for mono, coeff in terms:
+        lin_pos: dict[int, int] = {}
+        lin_neg: dict[int, int] = {}
+        for mono, coeff in terms.items():
             if not coeff:
                 continue
-            if len(mono) == 1:
-                (lin_pos if coeff > 0 else lin_neg)[mono[0]] = coeff
-            elif not mono:
+            if not mono:
                 lo += coeff
                 hi += coeff
+            elif not mono & (mono - 1):
+                (lin_pos if coeff > 0 else lin_neg)[mono] = coeff
             elif coeff > 0:
                 hi += coeff
             else:
@@ -329,23 +439,69 @@ class _Propagator:
         hi += sum(lin_pos.values())
         lo += sum(lin_neg.values())
         if len(lin_pos) > 1 or len(lin_neg) > 1:
-            for x, y in self._sorted_pairs():
+            for pair in pairs:
+                x = pair & -pair
+                y = pair ^ x
                 if x in lin_pos and y in lin_pos:
                     hi -= min(lin_pos.pop(x), lin_pos.pop(y))
                 if x in lin_neg and y in lin_neg:
                     lo -= max(lin_neg.pop(x), lin_neg.pop(y))
         return lo, hi
 
-    def _probe_bounds(self, poly: Poly, trial: dict[VarId, int]) -> tuple[int, int]:
-        """_bounds(poly.substitute(trial).items()), without building the polynomial."""
-        merged: dict[tuple, int] = {}
-        for mono, coeff in poly.items():
-            if not trial.keys().isdisjoint(mono):
-                if 0 in map(trial.get, mono):
-                    continue  # a zero factor kills the term
-                mono = tuple(var for var in mono if var not in trial)
-            merged[mono] = merged.get(mono, 0) + coeff
-        return self._bounds(merged.items())
+    def _probe(self, row: _Row, var: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Intervals of the row at var = 0 and at var = 1, var's partners then 0.
+
+        Each starts from the row's plain interval and moves only by the
+        terms the trial reaches: var = 0 drops the terms that contain var;
+        var = 1 drops the terms of its partners and merges each m*var into
+        m (a linear var into the constant).  An interval that contains 0 is
+        replaced by _bounds of the substituted terms when a pair of the row
+        joins two variables that may be linear there.  Pairs only narrow an
+        interval, so one that excludes 0 already gives _bounds' verdict.
+        """
+        terms = row.terms
+        partners = self._partners.get(var, 0)
+        lo0 = lo1 = row.lo
+        hi0 = hi1 = row.hi
+        linear1 = row.linear & ~(var | partners)  # may be linear at var = 1
+        for mono, coeff in terms.items():
+            if mono & var:
+                if coeff > 0:
+                    hi0 -= coeff
+                    hi1 -= coeff
+                else:
+                    lo0 -= coeff
+                    lo1 -= coeff
+                if mono & partners:
+                    continue
+                rest = mono ^ var
+                if not rest:
+                    lo1 += coeff
+                    hi1 += coeff
+                    continue
+                if not rest & (rest - 1):
+                    linear1 |= rest
+                old = terms.get(rest, 0)
+                if old > 0:
+                    hi1 -= old
+                else:
+                    lo1 -= old
+                if old + coeff > 0:
+                    hi1 += old + coeff
+                else:
+                    lo1 += old + coeff
+            elif mono & partners:
+                if coeff > 0:
+                    hi1 -= coeff
+                else:
+                    lo1 -= coeff
+        at_zero, at_one = (lo0, hi0), (lo1, hi1)
+        pairs = self._own_pairs(row.variables)
+        if pairs and lo0 <= 0 <= hi0 and _joins(pairs, row.linear & ~var):
+            at_zero = self._bounds(_substitute(terms, 0, var), pairs)
+        if pairs and lo1 <= 0 <= hi1 and _joins(pairs, linear1):
+            at_one = self._bounds(_substitute(terms, var, partners), pairs)
+        return at_zero, at_one
 
     # -- passes -------------------------------------------------------
 
@@ -357,7 +513,7 @@ class _Propagator:
 
     def _pass(self) -> bool:
         changed = False
-        seen: set[Poly] = set()
+        seen: set[frozenset] = set()
         for row in list(self._live()):  # rows pushed during the pass wait for the next
             awake = not row.quiet
             if awake:
@@ -365,61 +521,60 @@ class _Propagator:
                 changed = self._settle(row) or changed
                 if row.dead:
                     continue
-            if row.poly in seen:
+            if row.key in seen:
                 row.dead = True
                 changed = True
                 continue
-            seen.add(row.poly)
+            seen.add(row.key)
             if awake:
                 changed = self._apply_rules(row) or changed
         return changed
 
     def _settle(self, row: _Row) -> bool:
         """Strip pairs, substitute fixed values, normalize the sign; True if the row changed."""
-        poly = _canon_sign(self._strip_pairs(row.poly).substitute(self.fixed))
-        if not poly:
+        terms = row.terms
+        if self.pairs:
+            terms = self._strip_pairs(terms, self._own_pairs(row.variables))
+        if row.variables & (self.ones | self.zeros):
+            terms = _substitute(terms, self.ones, self.zeros)
+        if not terms:
             row.dead = True
             return True
-        if poly.degree == 0:
-            raise Infeasible(self._explain(row, poly))
-        if poly == row.poly:
+        if len(terms) == 1 and 0 in terms:
+            raise Infeasible(self._explain(row, terms))
+        # the first non-constant term in Poly's order takes a positive coefficient
+        if terms[min(filter(None, terms), key=_term_order)] < 0:
+            terms = {mono: -coeff for mono, coeff in terms.items()}
+        if terms == row.terms:
             return False
-        row.set_poly(poly)
+        row.set_terms(terms)
         return True
 
-    def _strip_pairs(self, poly: Poly) -> Poly:
-        for key in self._sorted_pairs():
-            if len(poly) == 1 and next(poly.items())[0] == key:
+    @staticmethod
+    def _strip_pairs(terms: dict[int, int], pairs: list[int]) -> dict[int, int]:
+        for pair in pairs:
+            if len(terms) == 1 and pair in terms:
                 continue  # keep the xy = 0 equation that backs the pair
-            poly = poly.without_monomials(frozenset(key))
-        return poly
+            if any(mono & pair == pair for mono in terms):
+                terms = {mono: c for mono, c in terms.items() if mono & pair != pair}
+        return terms
 
     def _apply_rules(self, row: _Row) -> bool:
-        lo, hi = self._bounds(row.poly.items())
+        lo, hi = self._bounds(row.terms, self._own_pairs(row.variables))
         if lo > 0 or hi < 0:
-            raise Infeasible(self._explain(row, row.poly))
-        plain_lo, plain_hi = row.poly.bounds()
-        if plain_hi == 0:
+            raise Infeasible(self._explain(row, row.terms))
+        if row.hi == 0:
             return self._force_extreme(row, maximize=True)
-        if plain_lo == 0:
+        if row.lo == 0:
             return self._force_extreme(row, maximize=False)
 
         changed = False
-        for var in row.poly.variables():  # the row's variables on entry
-            if var in self.fixed:
+        for var in _bits(row.variables):  # the row's variables on entry, in VarId order
+            if var & (self.ones | self.zeros):
                 continue
-            feasible = []
-            for value in (0, 1):
-                trial = {var: value}
-                if value == 1:
-                    for pair in self.pairs:
-                        if var in pair:
-                            (other,) = set(pair) - {var}
-                            trial.setdefault(other, 0)
-                t_lo, t_hi = self._probe_bounds(row.poly, trial)
-                feasible.append(t_lo <= 0 <= t_hi)
+            feasible = [t_lo <= 0 <= t_hi for t_lo, t_hi in self._probe(row, var)]
             if not feasible[0] and not feasible[1]:
-                raise Infeasible(self._explain(row, row.poly))
+                raise Infeasible(self._explain(row, row.terms))
             if feasible[0] != feasible[1]:
                 self._fix(var, 0 if feasible[0] else 1)
                 changed = True
@@ -427,51 +582,47 @@ class _Propagator:
                 if row.dead:
                     return True
 
-        changed = self._record_pair_sum(row.poly) or changed
+        changed = self._record_pair_sum(row.terms) or changed
         return changed
 
     def _force_extreme(self, row: _Row, maximize: bool) -> bool:
         """The residual can only vanish at an interval endpoint: pin every term."""
-        poly = row.poly
+        terms = row.terms
         changed = False
         atoms = []
-        for mono, coeff in poly.items():
+        for mono in sorted(terms, key=_term_order):
             if not mono:
                 continue
-            if (coeff > 0) == maximize:
-                for var in mono:
+            if (terms[mono] > 0) == maximize:
+                for var in _bits(mono):
                     changed = self._fix(var, 1) or changed
-            elif mono.degree == 1:
-                changed = self._fix(mono[0], 0) or changed
+            elif not mono & (mono - 1):
+                changed = self._fix(mono, 0) or changed
             else:
-                if mono.degree == 2:
-                    changed = self._add_pair(*mono) or changed
+                if mono.bit_count() == 2:
+                    x = mono & -mono
+                    changed = self._add_pair(x, mono ^ x) or changed
                 atoms.append(mono)
-        replacements = [Poly({mono: 1}) for mono in atoms]
-        if replacements == [poly]:
+        if len(atoms) == 1 and terms == {atoms[0]: 1}:
             return changed  # the row already is its own xy = 0 atom
         row.dead = True
-        for replacement in replacements:
-            self._push(_Row(row.column, replacement))
+        for mono in atoms:
+            self._push(_Row(row.column, {mono: 1}))
         return True
 
-    def _record_pair_sum(self, poly: Poly) -> bool:
+    def _record_pair_sum(self, terms: dict[int, int]) -> bool:
         """x + y = 1 (up to scale) marks {x, y} as mutually exclusive."""
-        terms = list(poly.items())
-        if len(terms) != 3:
+        if len(terms) != 3 or 0 not in terms:
             return False
-        coeffs = {mono: coeff for mono, coeff in terms}
-        const = coeffs.pop(Monomial(), None)
-        if const is None or len(coeffs) != 2:
-            return False
-        (m1, c1), (m2, c2) = coeffs.items()
-        if m1.degree == m2.degree == 1 and c1 == c2 == -const:
-            return self._add_pair(m1[0], m2[0])
+        (m1, c1), (m2, c2) = ((mono, c) for mono, c in terms.items() if mono)
+        if not m1 & (m1 - 1) and not m2 & (m2 - 1) and c1 == c2 == -terms[0]:
+            return self._add_pair(m1, m2)
         return False
 
-    def _explain(self, row: _Row, poly: Poly) -> str:
+    def _explain(self, row: _Row, terms: dict[int, int]) -> str:
         where = f"column {row.column}" if row.column is not None else "equation"
-        return f"{self.target} with widths {self.widths}: {where} cannot balance ({poly} = 0)"
+        return (f"{self.target} with widths {self.widths}: {where} cannot balance "
+                f"({self._poly(terms)} = 0)")
 
     # -- output -------------------------------------------------------
 
@@ -480,9 +631,15 @@ class _Propagator:
         rows = sorted(
             self._live(), key=lambda r: r.column if r.column is not None else 1 << 30
         )
-        equations = tuple(ColumnEquation(row.poly, row.column) for row in rows)
-        fixed = dict(sorted(self.fixed.items()))
-        pairs = tuple(map(frozenset, self._sorted_pairs()))
+        equations = tuple(ColumnEquation(self._poly(row.terms), row.column) for row in rows)
+        fixed = {
+            self._var(bit): int(bool(bit & self.ones))
+            for bit in _bits(self.ones | self.zeros)
+        }
+        pairs = tuple(
+            frozenset((self._var(pair & -pair), self._var(pair & (pair - 1))))
+            for pair in self._sorted_pairs()
+        )
         return EquationSystem(self.target, self.widths, equations, fixed, pairs)
 
 

@@ -1,6 +1,6 @@
-"""One hash over the compiler's output for every split of a range of targets.
+"""One hash over the compiler's output for every split of a list or range of targets.
 
-For every odd n in [lo, hi] and every width split of n, the digest takes
+For every target n and every width split of n, the digest takes
 in the split, the feasible/infeasible verdict and, for a feasible split,
 the compile document (JSON with sorted keys) and the column of each
 surviving equation.  The text of an Infeasible message is left out, so a
@@ -18,16 +18,17 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from typing import Iterable
 
 from adiafact.compiler import build_layout, enumerate_width_splits, simplify, system_to_document
 from adiafact.errors import Infeasible
 
 
-def compile_digest(lo: int, hi: int) -> tuple[str, int, int]:
-    """Return (sha256 hex digest, splits, feasible splits) over odd n in [lo, hi]."""
+def targets_digest(targets: Iterable[int]) -> tuple[str, int, int]:
+    """Return (sha256 hex digest, splits, feasible splits) over the targets, in order."""
     digest = hashlib.sha256()
     splits = feasible = 0
-    for n in range(lo | 1, hi + 1, 2):
+    for n in targets:
         for w_p, w_q in enumerate_width_splits(n):
             splits += 1
             digest.update(f"{n} {w_p} {w_q}\n".encode())
@@ -41,6 +42,11 @@ def compile_digest(lo: int, hi: int) -> tuple[str, int, int]:
             digest.update(json.dumps([eq.column for eq in system.equations]).encode())
             digest.update(b"\n")
     return digest.hexdigest(), splits, feasible
+
+
+def compile_digest(lo: int, hi: int) -> tuple[str, int, int]:
+    """targets_digest over odd n in [lo, hi]."""
+    return targets_digest(range(lo | 1, hi + 1, 2))
 
 
 def main(argv: list[str]) -> None:

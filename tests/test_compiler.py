@@ -27,7 +27,7 @@ from adiafact import (
 )
 
 import oracles
-from compile_digest import compile_digest
+from compile_digest import compile_digest, targets_digest
 
 
 def poly_of(*terms):
@@ -230,6 +230,12 @@ class TestCompileDigest:
         digest = "d8c4a12ef86a2bd11b59c69efd0a26ec4e4634ad1174d5e98f091dfe377bcf41"
         assert compile_digest(9, 255) == (digest, 640, 208)
 
+    def test_large_screen_targets_are_frozen(self):
+        # the screen workload's large targets: 1763 = 41*43, and 10403 = 101*103,
+        # 30227 = 167*181 and the prime 1046527 past the 9..2047 range CI hashes
+        digest = "d075dba4d60b64cf9d074c8c857d797ed566fa88fb00a838716900b52eb19a26"
+        assert targets_digest((1763, 10403, 30227, 1046527)) == (digest, 52, 34)
+
 
 def _pass_log(monkeypatch) -> list:
     """Record what every propagation pass returns, in order."""
@@ -269,28 +275,64 @@ def _probes(draw):
     return Poly(terms), pairs, trial
 
 
+def _probed(poly, pairs, var):
+    """The propagator of a one-row system holding poly, and its probe of var on that row."""
+    # the second equation numbers var even where poly does not mention it
+    equations = (compiler.ColumnEquation(poly), compiler.ColumnEquation(Poly.variable(var)))
+    system = compiler.EquationSystem(143, (4, 4), equations, {}, tuple(pairs))
+    propagator = compiler._Propagator(system)
+    return propagator, propagator._probe(propagator.rows[0], propagator._bit[var])
+
+
 class TestIncrementalPropagation:
-    """Quiet rows and the Poly-free probe change no result of the propagator."""
+    """Quiet rows and the closed-form probe change no result of the propagator."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_probes())
     def test_probe_bounds_match_the_substituted_polynomial(self, probe):
         poly, pairs, trial = probe
-        system = compiler.EquationSystem(143, (4, 4), (), {}, tuple(pairs))
-        propagator = compiler._Propagator(system)
-        expected = propagator._bounds(poly.substitute(trial).items())
-        assert propagator._probe_bounds(poly, trial) == expected
+        var, value = next(iter(trial.items()))
+        propagator, intervals = _probed(poly, pairs, var)
+        substituted = poly.substitute(trial)
+        terms = {propagator._mask(mono): coeff for mono, coeff in substituted.items()}
+        expected = propagator._bounds(terms, propagator._sorted_pairs())
+        got = intervals[value]
+        # the exact interval wherever it holds 0; else at least the same verdict
+        assert got in (expected, substituted.bounds())
+        assert (got[0] <= 0 <= got[1]) == (expected[0] <= 0 <= expected[1])
+        if expected[0] <= 0 <= expected[1]:
+            assert got == expected
 
     def test_probe_bounds_see_a_cancellation(self):
         x, y, z, v = VarId.p(1), VarId.p(2), VarId.p(3), VarId.q(1)
         pairs = (frozenset((x, y)), frozenset((y, z)))
-        propagator = compiler._Propagator(compiler.EquationSystem(143, (4, 4), (), {}, pairs))
-        poly = poly_of((1, [x, v]), (-1, [x]), (1, []))
-        assert propagator._probe_bounds(poly, {v: 1}) == (1, 1)
-        assert propagator._probe_bounds(poly, {v: 0}) == (0, 1)
+        # x*v and x cancel at v = 1
+        assert _probed(poly_of((1, [x, v]), (-1, [x]), (1, [])), pairs, v)[1] == ((0, 1), (1, 1))
         # at v = 1 the x term vanishes, so it must not take y from the pair {y, z}
         poly = poly_of((1, [x, v]), (-1, [x]), (-1, [y]), (-2, [z]))
-        assert propagator._probe_bounds(poly, {v: 1}) == (-2, 0)
+        assert _probed(poly, pairs, v)[1][1] == (-2, 0)
+
+    def test_a_pair_excludes_zero_from_a_closed_form_interval(self):
+        # x + y + v = 2 with {x, y}: at v = 0 the plain interval (-2, 0) holds 0,
+        # but x and y cannot both be 1, so at most -1 remains
+        x, y, v = VarId.p(1), VarId.p(2), VarId.q(1)
+        poly = poly_of((1, [x]), (1, [y]), (1, [v]), (-2, []))
+        assert _probed(poly, [frozenset((x, y))], v)[1] == ((-2, -1), (-1, 0))
+        # x*v + y = 2: x turns linear only at v = 1, where the pair then bites
+        poly = poly_of((1, [x, v]), (1, [y]), (-2, []))
+        assert _probed(poly, [frozenset((x, y))], v)[1] == ((-2, -1), (-2, -1))
+
+    def test_a_linear_trial_variable_becomes_the_constant(self):
+        # 2v - x - 1: v = 1 leaves 1 - x, v = 0 leaves -x - 1
+        x, v = VarId.p(1), VarId.q(1)
+        poly = poly_of((2, [v]), (-1, [x]), (-1, []))
+        assert _probed(poly, [], v)[1] == ((-2, -1), (0, 1))
+
+    def test_partners_of_the_trial_variable_drop_out_at_one(self):
+        # v = 1 sends its partner y to 0, which removes 3y and the y*z term
+        x, y, z, v = VarId.p(1), VarId.p(2), VarId.p(3), VarId.q(1)
+        poly = poly_of((1, [v]), (3, [y]), (-2, [y, z]), (-1, [x]), (-1, []))
+        assert _probed(poly, [frozenset((v, y))], v)[1] == ((-4, 2), (-1, 0))
 
     def test_rows_kept_awake_give_the_same_output_and_passes(self, monkeypatch):
         log = _pass_log(monkeypatch)
