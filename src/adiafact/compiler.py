@@ -23,18 +23,18 @@ on it:
   * forcing whole equations that sit at an interval endpoint of zero,
   * recording forbidden pairs from x + y = 1 constraints.
 
-Propagation is incremental.  An equation turns quiet when its evaluation
-(settle, then rules) starts, and wakes when something it reads changes:
-fixing a variable wakes the equations that mention it, and recording a
-pair wakes those that mention both members.  An equation split off by the
-endpoint rule starts awake.  A pass skips the settle and the rules of a
-quiet equation, which still takes part in the pass's duplicate check.
-Skipping is exact: settle and rules read only the equation's polynomial,
-the fixed values of its own variables and the pairs between them; settling
-is idempotent (substitution only removes variables, so it cannot make a
-product that a pair forbids); and an evaluation that changes nothing has
-no side effect.  So every pass returns what it would with every equation
-evaluated, and the pass count does not move.
+Propagation is incremental.  When an equation's evaluation (settle, then
+rules) starts, it records its variables, which of them are fixed and the
+pairs between two of them; a later pass evaluates it again only when the
+fixed values or the pairs over those variables differ.  An equation split
+off by the endpoint rule starts unevaluated.  A skipped equation still
+takes part in the pass's duplicate check.  Skipping is exact: settle and
+rules read only the equation's polynomial, the fixed values of its own
+variables and the pairs between them, and its variables only shrink;
+settling is idempotent (substitution only removes variables, so it cannot
+make a product that a pair forbids); and an evaluation that changes nothing
+has no side effect.  So every pass returns what it would with every
+equation evaluated, and the pass count does not move.
 
 The propagator works on integer bitmasks: each variable is one bit, an
 equation is a dict from monomial masks to coefficients, and fixed values
@@ -245,17 +245,17 @@ class _Row:
     terms as a hashable set for the duplicate check, and lo, hi their plain
     interval (Poly.bounds()).  set_terms keeps all of them in step.
 
-    quiet is set when an evaluation starts and cleared by any later change
-    to what the row reads: a fixed value of one of its variables, or a pair
-    between two of them.  A quiet row would evaluate to no change.
+    read is (variables, which of them are fixed, the pairs between them) as
+    the last evaluation started; while the fixed values and pairs over those
+    variables match it, the row would evaluate to no change.
     """
 
-    __slots__ = ("column", "terms", "variables", "linear", "key", "lo", "hi", "dead", "quiet")
+    __slots__ = ("column", "terms", "variables", "linear", "key", "lo", "hi", "dead", "read")
 
     def __init__(self, column: Optional[int], terms: dict[int, int]):
         self.column = column
         self.dead = False
-        self.quiet = False
+        self.read = (0, 0, None)  # None matches no pair list, so a new row starts awake
         self.set_terms(terms)
 
     def set_terms(self, terms: dict[int, int]) -> None:
@@ -309,11 +309,10 @@ class _Propagator:
             self._link(x, y)
         self._pairs_changed()
         self.rows: list[_Row] = []  # append-only, so a row's index is its creation order
-        self._rows_of: dict[int, list[_Row]] = {}  # every row that ever mentioned the variable
         mentioned = 0
         for eq in system.equations:
             row = _Row(eq.column, {self._mask(mono): c for mono, c in eq.residual.items()})
-            self._push(row)
+            self.rows.append(row)
             mentioned |= row.variables
         for pair in self.pairs:
             mentioned |= pair
@@ -340,17 +339,6 @@ class _Propagator:
 
     def _live(self) -> Iterable[_Row]:
         return (row for row in self.rows if not row.dead)
-
-    def _push(self, row: _Row) -> None:
-        self.rows.append(row)
-        for bit in _bits(row.variables):
-            self._rows_of.setdefault(bit, []).append(row)
-
-    def _wake(self, mask: int) -> None:
-        """Clear quiet on every row that mentions all the variables of mask."""
-        for row in self._rows_of.get(mask & -mask, ()):
-            if row.variables & mask == mask:
-                row.quiet = False
 
     def _link(self, x: int, y: int) -> None:
         self.pairs.add(x | y)
@@ -385,7 +373,6 @@ class _Propagator:
             self.ones |= var
         else:
             self.zeros |= var
-        self._wake(var)  # also every row a discarded pair below could touch
         partners = self._partners.pop(var, 0)
         if partners:
             self._pairs_changed()
@@ -406,7 +393,6 @@ class _Propagator:
             return False
         self._link(x, y)
         self._pairs_changed()
-        self._wake(x | y)
         return True
 
     # -- interval machinery ------------------------------------------
@@ -515,9 +501,11 @@ class _Propagator:
         changed = False
         seen: set[frozenset] = set()
         for row in list(self._live()):  # rows pushed during the pass wait for the next
-            awake = not row.quiet
+            fixed = self.ones | self.zeros  # per row: rows fix variables mid-pass
+            variables, was_fixed, pairs = row.read
+            awake = fixed & variables != was_fixed or self._own_pairs(variables) != pairs
             if awake:
-                row.quiet = True  # until something the row reads changes
+                row.read = (row.variables, fixed & row.variables, self._own_pairs(row.variables))
                 changed = self._settle(row) or changed
                 if row.dead:
                     continue
@@ -607,7 +595,7 @@ class _Propagator:
             return changed  # the row already is its own xy = 0 atom
         row.dead = True
         for mono in atoms:
-            self._push(_Row(row.column, {mono: 1}))
+            self.rows.append(_Row(row.column, {mono: 1}))
         return True
 
     def _record_pair_sum(self, terms: dict[int, int]) -> bool:

@@ -231,13 +231,6 @@ class PseudoBooleanPolynomial:
 
         return PseudoBooleanPolynomial(surviving_terms())
 
-    def without_monomials(self, pair: frozenset) -> "PseudoBooleanPolynomial":
-        """Drop every monomial containing all variables of the pair; self if none does."""
-        kept = {m: c for m, c in self._terms.items() if not pair.issubset(m)}
-        if len(kept) == len(self._terms):
-            return self
-        return PseudoBooleanPolynomial(kept)
-
     def bounds(self) -> tuple[int, int]:
         """Value interval treating each monomial as an independent 0/1 term.
 

@@ -285,7 +285,7 @@ def _probed(poly, pairs, var):
 
 
 class TestIncrementalPropagation:
-    """Quiet rows and the closed-form probe change no result of the propagator."""
+    """Skipped rows and the closed-form probe change no result of the propagator."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_probes())
@@ -339,12 +339,58 @@ class TestIncrementalPropagation:
         default = compile_digest(9, 255)
         default_passes = list(log)
         log.clear()
-        # every row evaluated in every pass, as without the quiet set
-        monkeypatch.setattr(compiler._Row, "quiet", property(lambda self: False,
-                                                             lambda self, value: None))
+        # every row evaluated in every pass: a row's record always reads as new
+        monkeypatch.setattr(compiler._Row, "read", property(lambda self: (0, 0, None),
+                                                            lambda self, value: None))
         assert compile_digest(9, 255) == default
         assert log == default_passes
         assert default_passes.count(False) == 208  # one fixpoint per feasible split
+
+    def test_a_row_is_evaluated_again_only_when_what_it_read_changes(self, monkeypatch):
+        a, b, c, d = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
+        x, y, z = VarId.carry(1, 2), VarId.carry(2, 3), VarId.carry(3, 4)
+        u, v, w = VarId.carry(4, 5), VarId.carry(5, 6), VarId.carry(6, 7)
+        equations = tuple(compiler.ColumnEquation(poly, column) for column, poly in enumerate((
+            poly_of((1, [a]), (1, [b]), (1, [c]), (1, [d]), (-2, [])),  # reads a
+            poly_of((1, [a]), (-1, [])),  # fixes a = 1 in the first pass
+            poly_of((1, [x]), (1, [y]), (1, [z]), (-1, [])),  # reads the pair {x, y}
+            poly_of((1, [x]), (1, [y]), (-1, [])),  # records {x, y} in the first pass
+            poly_of((1, [u]), (1, [v]), (1, [w]), (-2, [])),  # reads neither
+        )))
+        settled = []  # the columns settled in each pass
+        original_pass = compiler._Propagator._pass
+        original_settle = compiler._Propagator._settle
+
+        def logged_pass(self):
+            settled.append([])
+            return original_pass(self)
+
+        def logged_settle(self, row):
+            settled[-1].append(row.column)
+            return original_settle(self, row)
+
+        monkeypatch.setattr(compiler._Propagator, "_pass", logged_pass)
+        monkeypatch.setattr(compiler._Propagator, "_settle", logged_settle)
+        system = simplify(compiler.EquationSystem(143, (4, 4), equations, {}, ()))
+        assert system.fixed == {a: 1}
+        assert system.forbidden_pairs == (frozenset((x, y)),)
+        # column 0 again for the fixed a, columns 2 and 3 for the new pair; column 4
+        # is skipped though a was fixed and a pair recorded outside it
+        assert settled == [[0, 1, 2, 3, 4], [0, 2, 3], []]
+
+    def test_evaluation_totals_below_256_are_frozen(self, monkeypatch):
+        # a looser awake rule keeps every output but evaluates more rows
+        counts = {"_apply_rules": 0, "_settle": 0, "_pass": 0}
+        for name in counts:
+            original = getattr(compiler._Propagator, name)
+
+            def counted(self, *args, name=name, original=original):
+                counts[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(compiler._Propagator, name, counted)
+        compile_digest(9, 255)
+        assert counts == {"_apply_rules": 7153, "_settle": 11184, "_pass": 1889}
 
     @pytest.mark.parametrize("layout", [(143, 4, 4), (899, 5, 5)],
                              ids=["143-4-4", "899-5-5"])

@@ -132,18 +132,6 @@ def test_bounds_treat_monomials_independently():
     assert lo <= min(values) and max(values) <= hi
 
 
-def test_without_monomials_drops_supersets_only():
-    x, y, z = VarId.p(1), VarId.q(1), VarId.carry(1, 2)
-    poly = (
-        Poly.variable(x) * Poly.variable(y)
-        + Poly.variable(x) * Poly.variable(y) * Poly.variable(z)
-        + Poly.variable(x)
-        + 1
-    )
-    stripped = poly.without_monomials(frozenset((x, y)))
-    assert stripped == Poly.variable(x) + 1
-
-
 def test_canonical_term_order_is_degree_then_lex():
     x, y = VarId.p(1), VarId.q(1)
     poly = Poly.variable(x) * Poly.variable(y) + Poly.variable(y) + Poly.variable(x) - 5
