@@ -22,6 +22,8 @@ from contextlib import contextmanager
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from . import orchestrator
 from .compiler import _frac_str, compile_system, system_from_document, system_to_document
 from .engine import _FLOAT_FMT, Schedule, gap_profile, run_schedule
@@ -269,7 +271,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        # overflow and invalid values surface as the NumericalFailure of an
+        # explicit finiteness check, so numpy's warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (Infeasible, NotFactorable) as exc:
         print(f"adiafact: {exc}", file=sys.stderr)
         return 2

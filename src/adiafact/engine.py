@@ -11,10 +11,12 @@ Each step is propagated one of two ways, both exact to roundoff:
 - matrix-free: a Chebyshev expansion (Tal-Ezer & Kosloff 1984) over the
   spectral interval [s * E_min - (1 - s) * g * n, s * E_max + (1 - s) * g * n]
   of H(s), one product H(s) @ v per Bessel coefficient J_k(r * tau) above
-  roundoff, r the half-width.  The product (hamiltonian._apply_interpolated)
-  applies the mixer as one small dense flip-sum matrix product per block of
-  at most six qubits: two products up to 12 qubits, one more for each
-  further six.
+  roundoff, r the half-width.  H(s) is real, so the state's real and
+  imaginary parts run through the recurrence as the two rows of one real
+  stack, and each coefficient's factor (-i)^k is a quarter turn of that
+  pair.  The product (hamiltonian._apply_interpolated) applies the mixer
+  as one small dense flip-sum matrix product per block of at most six
+  qubits: two products up to 12 qubits, one more for each further six.
 
 One rule picks the path for every step and every spectrum sample
 (_matrix_free_pays).  A dense solve of the 2^n-square H(s) costs O(8^n) and
@@ -266,25 +268,34 @@ def _term_floor(x: float) -> float:
 def _chebyshev_step(apply, state, tau, lo, hi, coeffs) -> np.ndarray:
     """exp(-i * H * tau) @ state by a Chebyshev expansion.
 
-    apply(v) returns H @ v for a Hermitian H with spectrum in [lo, hi], and
-    coeffs are _bessel_coefficients(r * tau).  With H = c + r * X (c, r the
-    interval's centre and half-width), exp(-i * H * tau) is
-    exp(-i * c * tau) * sum_k a_k * J_k(r * tau) * T_k(X), with a_0 = 1 and
-    a_k = 2 * (-i)^k, and each vector T_k(X) @ state costs one product.
+    apply(v) returns H @ v for every row of a real v, H real symmetric with
+    spectrum in [lo, hi], and coeffs are _bessel_coefficients(r * tau).
+    With H = c + r * X (c, r the interval's centre and half-width),
+    exp(-i * H * tau) is exp(-i * c * tau) * sum_k a_k * J_k(r * tau) *
+    T_k(X), with a_0 = 1 and a_k = 2 * (-i)^k.  X is real, so the state's
+    real and imaginary parts run through the recurrence as the two rows of
+    one real (2, 2^n) stack, and each vector T_k(X) @ state costs one
+    product call.  On that pair a_k is 2 times a quarter turn: -i takes
+    (x, y) to (y, -x).  The pair is joined into one complex state before
+    the phase exp(-i * c * tau).
 
     Raises:
         NumericalFailure: the propagated state is not finite.
     """
     centre, radius = (hi + lo) / 2, (hi - lo) / 2
-    weights = 2 * coeffs * np.array([1, -1j, -1, 1j])[np.arange(coeffs.size) % 4]
-    result = coeffs[0] * state
+    # (-i)^k for k = 0, 1, 2, 3 as 2 x 2 turns of the (real, imaginary) pair
+    turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    turns = np.array([np.eye(2), turn, -np.eye(2), -turn])
+    weights = 2 * coeffs[:, None, None] * turns[np.arange(coeffs.size) % 4]
+    pair = np.stack([state.real, state.imag])
+    result = coeffs[0] * pair
     # T_1 = X T_0, then T_(k+1) = 2 X T_k - T_(k-1)
-    previous, current, factor = 0.0, state, 1.0
+    previous, current, factor = 0.0, pair, 1.0
     for weight in weights[1:]:
         following = (apply(current) - centre * current) * (factor / radius) - previous
         previous, current, factor = current, following, 2.0
-        result += weight * current
-    result *= np.exp(-1j * centre * tau)
+        result += weight @ current
+    result = (result[0] + 1j * result[1]) * np.exp(-1j * centre * tau)
     if not np.isfinite(np.vdot(result, result).real):
         raise NumericalFailure("Chebyshev step produced a non-finite state")
     return result
@@ -450,8 +461,8 @@ def gap_profile(
     samples, those that ended dense included.
 
     Raises:
-        NumericalFailure: a non-finite product, a failed dense solve, or a
-            filtered sample that did not converge.
+        NumericalFailure: a non-finite product or level, a failed dense
+            solve, or a filtered sample that did not converge.
     """
     _check_field(g)
     if points < 2:
@@ -481,6 +492,9 @@ def gap_profile(
         if found is None:
             found = lowest_eigenvalues(interpolated_hamiltonian(s, g, problem), k)
         rows[i] = found
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise NumericalFailure(f"spectrum is not finite at s = {s_values[np.argmin(finite)]:g}")
     min_gap = None
     if k >= 2:
         before_end = s_values < 1.0

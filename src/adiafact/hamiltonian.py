@@ -30,8 +30,10 @@ state is the uniform-magnitude superposition used as the start of every
 schedule; it exists only inside interpolated_hamiltonian(s, g, problem),
 which builds
 H(s) = (1 - s) * g * sum_i X_i + s * problem as a dense matrix, and
-_apply_interpolated(s, g, problem, v), which applies H(s) to a vector, or
-to a stack of them in one call, without forming it.  That product splits
+_apply_interpolated(s, g, problem, v), which applies H(s) to a real
+vector, or to a stack of them in one call, without forming it (H(s) is
+real, so a complex state is the stack of its real and imaginary parts;
+see engine._chebyshev_step).  That product splits
 the qubits into blocks of at most _FLIP_BLOCK qubits and applies the
 mixer of each block as one matrix product with its small 0/1 flip-sum
 matrix, so an n-qubit product is about n / _FLIP_BLOCK matrix products
@@ -378,16 +380,15 @@ _FLIP_BLOCK = 6
 
 
 @lru_cache(maxsize=None)
-def _flip_sum_matrix(bits: int, width: int) -> np.ndarray:
-    """kron(F, I_width) for F the 2^bits x 2^bits matrix of sum_i X_i over bits qubits.
+def _flip_sum_matrix(bits: int) -> np.ndarray:
+    """The 2^bits x 2^bits matrix of sum_i X_i over bits qubits.
 
-    F holds 1 where two states differ in exactly one bit and 0 elsewhere;
-    for bits = 0 it is the 1 x 1 zero (an empty sum).
+    It holds 1 where two states differ in exactly one bit and 0 elsewhere.
     """
     dim = 1 << bits
     flips = np.zeros(dim * dim)
     flips[_bit_flip_entries(bits)] = 1.0
-    matrix = np.kron(flips.reshape(dim, dim), np.eye(width))
+    matrix = flips.reshape(dim, dim)
     matrix.setflags(write=False)
     return matrix
 
@@ -413,42 +414,35 @@ def _apply_interpolated(
 ) -> np.ndarray:
     """H(s) @ v without the matrix: s * E elementwise plus (1 - s) * g * sum_i X_i v.
 
-    v is one state of 2^n amplitudes or a stack of them, of any leading
-    shape; each state along the last axis is multiplied, in one call.
-    sum_i X_i is applied in blocks of qubits.  With v viewed as a matrix V
-    whose columns run over the `low` least significant bits (about half
-    the register, at most _FLIP_BLOCK) and whose rows run over everything
-    above, states included, the flips inside that block are one product
-    V @ F_low.  The qubits above it are cut, from the top down, into
-    blocks of at most _FLIP_BLOCK; with v viewed as (rows above, 2^b,
-    2^below), the flips of a block of b qubits are one stacked product
-    F_b @ V, added into the result.  F_b is the 2^b x 2^b flip-sum matrix
-    (_flip_sum_matrix), so a product costs O(2^n * 2^_FLIP_BLOCK) per
-    block and state.  Up to 2 * _FLIP_BLOCK qubits one block sits above
-    the low one.  A complex v runs through its float64 view of interleaved
-    real and imaginary parts: the low block multiplies by kron(F_low, I_2)
-    and has one qubit fewer, so no matrix exceeds 2^_FLIP_BLOCK square.
-    The caller has checked s, g and the qubit cap.
+    v is one real state of 2^n amplitudes or a stack of them, of any
+    leading shape; each state along the last axis is multiplied, in one
+    call.  H(s) is real, so a complex state goes through as the two rows
+    of its real and imaginary parts.  sum_i X_i is applied in blocks of
+    qubits.  With v viewed as a matrix V whose columns run over the `low`
+    least significant bits (about half the register, at most _FLIP_BLOCK)
+    and whose rows run over everything above, states included, the flips
+    inside that block are one product V @ F_low.  The qubits above it are
+    cut, from the top down, into blocks of at most _FLIP_BLOCK; with v
+    viewed as (rows above, 2^b, 2^below), the flips of a block of b qubits
+    are one stacked product F_b @ V, added into the result.  F_b is the
+    2^b x 2^b flip-sum matrix (_flip_sum_matrix), so a product costs
+    O(2^n * 2^_FLIP_BLOCK) per block and state.  Up to 2 * _FLIP_BLOCK
+    qubits one block sits above the low one.  The caller has checked s, g
+    and the qubit cap.
     """
     n = problem.n
-    width = 2 if np.iscomplexobj(v) else 1  # float64 entries per amplitude
-    v = np.ascontiguousarray(v, dtype=np.complex128 if width == 2 else np.float64)
-    x = v.view(np.float64)
-    low = min((n + 1) // 2, _FLIP_BLOCK + 1 - width)
-    flipped = (x.reshape(-1, width << low) @ _flip_sum_matrix(low, width)).reshape(-1)
-    # one qubit has no block above the low one: its empty block still
-    # allocates scratch, which every later block is written into
-    scratch = None
-    for top in range(n, low, -_FLIP_BLOCK) or (n,):
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    low = min((n + 1) // 2, _FLIP_BLOCK)
+    flipped = (v.reshape(-1, 1 << low) @ _flip_sum_matrix(low)).reshape(v.shape)
+    # every upper block is written into scratch, which is then reused for
+    # s * E * v, E broadcast over the states: two allocations of v's size
+    # per product
+    scratch = np.empty_like(v)
+    for top in range(n, low, -_FLIP_BLOCK):
         bits = min(top - low, _FLIP_BLOCK)
-        shape = (-1, 1 << bits, width << (top - bits))
-        out = None if scratch is None else scratch.reshape(shape)
-        scratch = np.matmul(_flip_sum_matrix(bits, 1), x.reshape(shape), out=out).reshape(-1)
+        shape = (-1, 1 << bits, 1 << (top - bits))
+        np.matmul(_flip_sum_matrix(bits), v.reshape(shape), out=scratch.reshape(shape))
         flipped += scratch
-    # scratch is reused for s * E * v, E broadcast over the states: two
-    # allocations of v's size per product
-    flipped = flipped.view(v.dtype).reshape(v.shape)
-    scratch = scratch.view(v.dtype).reshape(v.shape)
     flipped *= (1.0 - s) * g
     np.multiply(problem.as_array, v, out=scratch)
     scratch *= s

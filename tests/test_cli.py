@@ -260,6 +260,19 @@ class TestExitCodes:
             assert (code, out) == (1, ""), argv
             assert err.startswith("adiafact: ") and "Traceback" not in err, argv
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "143", "--g", "1e308", "--points", "5"),
+        ("factor", "143", "--g", "1e308"),
+    ])
+    def test_overflowing_spectrum_exits_3_with_one_line(self, argv):
+        # the s = 0 levels overflow: spectrum used to exit 0 with -inf rows,
+        # and both commands wrote numpy's RuntimeWarnings to stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "adiafact", *argv], capture_output=True, text=True, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "adiafact: numerical failure: spectrum is not finite at s = 0\n"
+
     def test_missing_system_file_exits_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--system", str(tmp_path / "no.json"))
         assert code == 1

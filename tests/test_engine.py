@@ -432,6 +432,27 @@ class TestMatrixFreeSteps:
         with pytest.raises(NumericalFailure, match="non-finite"):
             _chebyshev_step(lambda v: v, initial_state(5), 1.0, -3.0, 3.0, np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("target, products", [(323, 895), (121, 1374)])
+    def test_steps_multiply_the_state_as_one_real_pair(self, registers, monkeypatch, target,
+                                                       products):
+        # the complex state runs through the product as a C-contiguous real
+        # (2, 2^n) stack of its real and imaginary parts, one call per term;
+        # products still counts complex-state products
+        problem = registers[target]
+        shapes = []
+
+        def spied(apply, *args):
+            def checked(v):
+                assert v.dtype == np.float64 and v.flags.c_contiguous
+                shapes.append(v.shape)
+                return apply(v)
+            return _chebyshev_step(checked, *args)
+
+        monkeypatch.setattr(engine, "_chebyshev_step", spied)
+        trace = run_schedule(problem, Schedule())
+        assert trace.products == len(shapes) == products
+        assert set(shapes) == {(2, problem.dim)}
+
     def test_coefficients_are_computed_once_per_step(self, registers, monkeypatch):
         calls = []
 
@@ -519,6 +540,16 @@ class TestSpectra:
         for g in (0.0, -1.0):
             with pytest.raises(ValueError, match="field strength"):
                 gap_profile(problem143, g, points=1)
+
+    def test_a_non_finite_level_fails_naming_its_s(self, problem143, monkeypatch):
+        # the s = 0 closed form overflows; these rows used to be returned as -inf
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="at s = 0$"):
+            gap_profile(problem143, 1e308, points=5, k=3)
+        # every interior sample of a 2-qubit register is a dense solve
+        monkeypatch.setattr(engine, "lowest_eigenvalues", lambda h, k: np.full(k, np.nan))
+        diag = DiagonalOperator(2, np.array([1, 2, 3, 4]))
+        with pytest.raises(NumericalFailure, match="at s = 0.25$"):
+            gap_profile(diag, 0.6, points=5, k=2)
 
 
 class TestLanczosGapProfile:
