@@ -9,8 +9,10 @@ full width).  Each output column c contributes one balance equation
 
 with just enough carry bits to hold the column's largest possible value,
 and no carry reaching past the last column.  Each equation is stored as
-its residual, left side minus right side: the propagator reduces it, the
-penalty squares it, and lhs and rhs are views for display and documents.
+its residual, left side minus right side, as a dict from monomial masks
+to coefficients under the system's one numbering of its free variables:
+build_layout writes these rows, the propagator reduces them, the penalty
+squares them, and residual, lhs and rhs are Poly views for documents.
 simplify() then repeats passes of cheap propagation rules until one
 changes nothing.  A pass settles each live equation once: it deletes
 monomials that contain both members of a forbidden pair, substitutes the
@@ -36,14 +38,15 @@ make a product that a pair forbids); and an evaluation that changes nothing
 has no side effect.  So every pass returns what it would with every
 equation evaluated, and the pass count does not move.
 
-The propagator works on integer bitmasks: each variable is one bit, an
-equation is a dict from monomial masks to coefficients, and fixed values
-and pairs are masks too, so a Poly is built only for the result and for
-error messages.  The rules price each trial value in closed form: from
-the equation's plain interval, v = 0 takes off the terms that contain v,
-and v = 1 takes off its partners' terms and merges each m*v into m.  Only
-a trial interval that contains 0, on an equation with a pair that can
-sharpen it, is recomputed in full from the substituted terms.
+The propagator takes the system's rows as they are, with fixed values
+and pairs as masks under the same numbering; its result only renumbers
+the surviving rows onto the variables still free.  A Poly is built only
+for an Infeasible message.  The rules price each trial value in closed
+form: from the equation's plain interval, v = 0 takes off the terms that
+contain v, and v = 1 takes off its partners' terms and merges each m*v
+into m.  Only a trial interval that contains 0, on an equation with a
+pair that can sharpen it, is recomputed in full from the substituted
+terms.
 
 Every step is a sound implication of the system together with the pairs
 recorded so far, so the solution set projected onto surviving variables
@@ -55,35 +58,42 @@ faithful to the full constraint set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from .errors import EvenInput, Infeasible, InvariantViolation, TooSmall, WidthMismatch
-from .pseudobool import Monomial, Poly, VarId
+from .pseudobool import (Poly, VarId, _bits, _mask_order, _masks_to_poly, _poly_to_masks,
+                         _variable_bits)
 
 
 @dataclass(frozen=True)
 class ColumnEquation:
-    """One balance constraint, stored as its residual: the equation is residual == 0.
+    """One balance constraint residual == 0, as the residual's {mask: coefficient} terms.
 
+    variables is the numbering of the system that holds the equation.
     column records which table column produced the equation; reductions
     keep the column of their source, and equations loaded from a document
-    carry None.  lhs and rhs are derived views that write the equation as
-    lhs == rhs: the positive non-constant terms on the left, every other
-    term negated on the right.
+    carry None.  residual, lhs and rhs are Poly views built on demand; lhs
+    and rhs write the equation as lhs == rhs: the positive non-constant
+    terms on the left, every other term negated on the right.
     """
 
-    residual: Poly
+    terms: dict
+    variables: tuple[VarId, ...] = field(repr=False)
     column: Optional[int] = None
 
     @property
+    def residual(self) -> Poly:
+        return _masks_to_poly(self.terms, self.variables)
+
+    @property
     def lhs(self) -> Poly:
-        return Poly({mono: coeff for mono, coeff in self.residual.items() if mono and coeff > 0})
+        return _masks_to_poly({m: c for m, c in self.terms.items() if m and c > 0}, self.variables)
 
     @property
     def rhs(self) -> Poly:
-        terms = self.residual.items()
-        return Poly({mono: -coeff for mono, coeff in terms if not mono or coeff < 0})
+        negated = {m: -c for m, c in self.terms.items() if not m or c < 0}
+        return _masks_to_poly(negated, self.variables)
 
     def __str__(self) -> str:
         return f"{self.lhs} = {self.rhs}"
@@ -91,23 +101,33 @@ class ColumnEquation:
 
 @dataclass(frozen=True)
 class EquationSystem:
+    """Column equations under one numbering: variables, every variable the equations
+    and forbidden pairs mention, sorted; each mask follows _variable_bits(variables)."""
+
     target: int
     widths: tuple[int, int]
+    variables: tuple[VarId, ...]
     equations: tuple[ColumnEquation, ...]
     fixed: dict
     forbidden_pairs: tuple[frozenset, ...]
 
+    @classmethod
+    def from_residuals(cls, target: int, widths: tuple[int, int], residuals: Iterable,
+                       fixed: dict, forbidden_pairs: tuple) -> "EquationSystem":
+        """The system of (residual Poly, column) pairs, numbered over what they mention."""
+        residuals = list(residuals)
+        names = set().union(*forbidden_pairs, *(r.variables() for r, _ in residuals))
+        variables = tuple(sorted(names))
+        equations = tuple(ColumnEquation(_poly_to_masks(residual, variables), variables, column)
+                          for residual, column in residuals)
+        return cls(target, widths, variables, equations, fixed, tuple(forbidden_pairs))
+
     def free_variables(self) -> tuple[VarId, ...]:
-        seen: set[VarId] = set()
-        for eq in self.equations:
-            seen.update(eq.residual.variables())
-        for pair in self.forbidden_pairs:
-            seen.update(pair)
-        return tuple(sorted(seen))
+        return self.variables
 
     @property
     def is_solved(self) -> bool:
-        return not self.free_variables()
+        return not self.variables
 
     def interior_variables(self) -> tuple[VarId, ...]:
         wp, wq = self.widths
@@ -151,17 +171,17 @@ def enumerate_width_splits(target: int) -> list[tuple[int, int]]:
     return splits
 
 
-def _carry_budgets(w_p: int, w_q: int) -> list[int]:
-    """Carry budget K_c of each column: z{c}_{c+1} .. z{c}_{c+K_c} exist."""
+def _carries(w_p: int, w_q: int) -> list[VarId]:
+    """Every carry, by column: z{c}_{c+1} .. z{c}_{c+K_c} for the carry budget K_c of column c."""
     last_col = w_p + w_q - 1
     incoming = [0] * (last_col + 1)
-    budgets = []
+    carries = []
     for c in range(last_col + 1):
         max_lhs = max(0, min(w_p - 1, c) - max(0, c - w_q + 1) + 1) + incoming[c]
-        budgets.append(min(max(max_lhs.bit_length() - 1, 0), last_col - c))
-        for m in range(1, budgets[c] + 1):
+        for m in range(1, min(max(max_lhs.bit_length() - 1, 0), last_col - c) + 1):
             incoming[c + m] += 1
-    return budgets
+            carries.append(VarId.carry(c, c + m))
+    return carries
 
 
 def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
@@ -184,36 +204,25 @@ def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
     """
     _validate_split(target, w_p, w_q)
 
-    pinned = ()  # the top and bottom bits of both factors are 1
-    p_bits = [pinned] + [(VarId.p(i),) for i in range(1, w_p - 1)] + [pinned]
-    q_bits = [pinned] + [(VarId.q(i),) for i in range(1, w_q - 1)] + [pinned]
-    budgets = _carry_budgets(w_p, w_q)
-    incoming: dict[int, list[VarId]] = {c: [] for c in range(len(budgets))}
-    equations = []
-    for c, budget in enumerate(budgets):
-        # residual: products and incoming carries, minus target bit and outgoing carries
-        terms = [((), -((target >> c) & 1))] + [((carry,), 1) for carry in incoming[c]]
-        for i in range(max(0, c - w_q + 1), min(w_p - 1, c) + 1):
-            terms.append((p_bits[i] + q_bits[c - i], 1))
-        for m in range(1, budget + 1):
-            carry = VarId.carry(c, c + m)
-            incoming[c + m].append(carry)
-            terms.append(((carry,), -(1 << m)))
-        equations.append(ColumnEquation(Poly(terms), column=c))
-    return EquationSystem(target, (w_p, w_q), tuple(equations), {}, ())
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of mask, highest first: ascending VarId order (see _Propagator)."""
-    while mask:
-        bit = 1 << (mask.bit_length() - 1)
-        yield bit
-        mask ^= bit
-
-
-def _term_order(mono: int) -> tuple[int, int]:
-    """Poly's term order on masks: degree, then ascending variables."""
-    return mono.bit_count(), -mono
+    interiors = [VarId(kind, i) for kind, w in zip("pq", (w_p, w_q)) for i in range(1, w - 1)]
+    carries = _carries(w_p, w_q)
+    variables = tuple(interiors + carries)  # sorted: p, then q, then carries by column
+    bit = _variable_bits(variables)
+    # residual of column c: products and incoming carries, minus target bit and outgoing carries
+    rows = [{0: -((target >> c) & 1)} for c in range(w_p + w_q)]
+    # the top and bottom bits of both factors are pinned to 1, so they have no bit
+    p_masks = [bit.get(VarId.p(i), 0) for i in range(w_p)]
+    for j in range(w_q):
+        q_mask = bit.get(VarId.q(j), 0)
+        for i, p_mask in enumerate(p_masks):
+            rows[i + j][p_mask | q_mask] = rows[i + j].get(p_mask | q_mask, 0) + 1
+    for carry in carries:
+        _, source, dest = carry
+        rows[source][bit[carry]] = -(1 << (dest - source))
+        rows[dest][bit[carry]] = 1
+    equations = tuple(ColumnEquation({m: k for m, k in row.items() if k}, variables, c)
+                      for c, row in enumerate(rows))
+    return EquationSystem(target, (w_p, w_q), variables, equations, {}, ())
 
 
 def _substitute(terms: dict[int, int], ones: int, zeros: int) -> dict[int, int]:
@@ -277,65 +286,39 @@ class _Row:
 
 
 class _Propagator:
-    """Mutable fixpoint state for simplify(), on integer bitmasks.
+    """Mutable fixpoint state for simplify(), on the system's integer bitmasks.
 
-    The system's variables are numbered once, in VarId order, and the one
-    that sorts first takes the highest bit.  A monomial is the OR of its
-    variables' bits, so Poly's term order (degree, then ascending
-    variables) is ascending popcount, then descending mask, and the order
+    Rows take the system's masks as they are, so Poly's term order is
+    ascending popcount, then descending mask (_mask_order), and the order
     of pairs as sorted VarId tuples is descending mask.  Fixed values are
     the masks ones and zeros, and a pair is the mask of its two variables.
-    A Poly is built only for the result and for an Infeasible message.
     """
 
     def __init__(self, system: EquationSystem):
         self.target = system.target
         self.widths = system.widths
-        names = set(system.fixed).union(*system.forbidden_pairs)
-        for eq in system.equations:
-            names.update(eq.residual.variables())
-        self._names = sorted(names, reverse=True)  # _names[i] is the variable of bit 1 << i
-        self._bit = {var: 1 << i for i, var in enumerate(self._names)}
+        self.variables = system.variables
+        bit = _variable_bits(self.variables)
         self.ones = self.zeros = 0
-        for var, value in system.fixed.items():
-            if value:
-                self.ones |= self._bit[var]
-            else:
-                self.zeros |= self._bit[var]
         self.pairs: set[int] = set()
         self._partners: dict[int, int] = {}  # variable bit -> mask of the variables paired with it
+        self.fixed = system.fixed  # passed through to the result
+        for var in bit.keys() & system.fixed.keys():
+            self._fix(bit[var], system.fixed[var])
         for pair in system.forbidden_pairs:
-            x, y = (self._bit[var] for var in pair)
+            x, y = (bit[var] for var in pair)
             self._link(x, y)
         self._pairs_changed()
-        self.rows: list[_Row] = []  # append-only, so a row's index is its creation order
-        mentioned = 0
-        for eq in system.equations:
-            row = _Row(eq.column, {self._mask(mono): c for mono, c in eq.residual.items()})
-            self.rows.append(row)
-            mentioned |= row.variables
-        for pair in self.pairs:
-            mentioned |= pair
+        # append-only, so a row's index is its creation order
+        self.rows = [_Row(eq.column, eq.terms) for eq in system.equations]
         # every pass fixes a variable, records a pair, or deletes material,
         # so the fixpoint arrives well inside this budget
-        self._pass_budget = 4 * (mentioned.bit_count() + len(self.rows)) + 8
+        self._pass_budget = 4 * (len(self.variables) + len(self.rows)) + 8
 
     # -- bookkeeping -------------------------------------------------
 
-    def _mask(self, mono: Iterable[VarId]) -> int:
-        mask = 0
-        for var in mono:
-            mask |= self._bit[var]
-        return mask
-
     def _var(self, bit: int) -> VarId:
-        return self._names[bit.bit_length() - 1]
-
-    def _poly(self, terms: dict[int, int]) -> Poly:
-        return Poly({
-            tuple.__new__(Monomial, [self._var(bit) for bit in _bits(mono)]): coeff
-            for mono, coeff in terms.items()
-        })
+        return self.variables[-bit.bit_length()]
 
     def _live(self) -> Iterable[_Row]:
         return (row for row in self.rows if not row.dead)
@@ -531,7 +514,7 @@ class _Propagator:
         if len(terms) == 1 and 0 in terms:
             raise Infeasible(self._explain(row, terms))
         # the first non-constant term in Poly's order takes a positive coefficient
-        if terms[min(filter(None, terms), key=_term_order)] < 0:
+        if terms[min(filter(None, terms), key=_mask_order)] < 0:
             terms = {mono: -coeff for mono, coeff in terms.items()}
         if terms == row.terms:
             return False
@@ -578,7 +561,7 @@ class _Propagator:
         terms = row.terms
         changed = False
         atoms = []
-        for mono in sorted(terms, key=_term_order):
+        for mono in sorted(terms, key=_mask_order):
             if not mono:
                 continue
             if (terms[mono] > 0) == maximize:
@@ -610,7 +593,7 @@ class _Propagator:
     def _explain(self, row: _Row, terms: dict[int, int]) -> str:
         where = f"column {row.column}" if row.column is not None else "equation"
         return (f"{self.target} with widths {self.widths}: {where} cannot balance "
-                f"({self._poly(terms)} = 0)")
+                f"({_masks_to_poly(terms, self.variables)} = 0)")
 
     # -- output -------------------------------------------------------
 
@@ -619,16 +602,21 @@ class _Propagator:
         rows = sorted(
             self._live(), key=lambda r: r.column if r.column is not None else 1 << 30
         )
-        equations = tuple(ColumnEquation(self._poly(row.terms), row.column) for row in rows)
-        fixed = {
-            self._var(bit): int(bool(bit & self.ones))
-            for bit in _bits(self.ones | self.zeros)
-        }
-        pairs = tuple(
-            frozenset((self._var(pair & -pair), self._var(pair & (pair - 1))))
-            for pair in self._sorted_pairs()
-        )
-        return EquationSystem(self.target, self.widths, equations, fixed, pairs)
+        # renumber the rows onto the surviving variables
+        alive = 0
+        for mask in [row.variables for row in rows] + self._sorted_pairs():
+            alive |= mask
+        variables = tuple(self._var(bit) for bit in _bits(alive))
+        moved = dict(zip(_bits(alive), _variable_bits(variables).values()))
+        equations = tuple(ColumnEquation(
+            {sum(moved[bit] for bit in _bits(m)): c for m, c in row.terms.items()},
+            variables, row.column) for row in rows)
+        fixed = dict(self.fixed)
+        fixed.update((self._var(bit), int(bool(bit & self.ones)))
+                     for bit in _bits(self.ones | self.zeros))
+        pairs = tuple(frozenset(map(self._var, _bits(pair))) for pair in self._sorted_pairs())
+        return EquationSystem(self.target, self.widths, variables, equations,
+                              dict(sorted(fixed.items())), pairs)
 
 
 def simplify(system: EquationSystem) -> EquationSystem:
@@ -694,7 +682,7 @@ def _residual_from_document(equation: dict) -> Poly:
             variables = [VarId.parse(name) for name in names]
             if len(set(variables)) != len(variables):
                 raise ValueError(f"monomial {names} names a variable twice")
-            terms.append((Monomial(variables), sign * value))
+            terms.append((variables, sign * value))
     return Poly(terms)
 
 
@@ -703,7 +691,7 @@ def system_to_document(system: EquationSystem) -> dict:
     return {
         "n": system.target,
         "widths": list(system.widths),
-        "variables": [str(v) for v in system.free_variables()],
+        "variables": [str(v) for v in system.variables],
         "equations": [
             {"lhs": _poly_to_terms(eq.lhs), "rhs": _poly_to_terms(eq.rhs)}
             for eq in system.equations
@@ -743,9 +731,7 @@ def system_from_document(doc: dict) -> EquationSystem:
         if not isinstance(doc["widths"], list) or len(doc["widths"]) != 2:
             raise ValueError(f"widths {doc['widths']!r} are not a list of two integers")
         widths = (_json_int(doc["widths"][0]), _json_int(doc["widths"][1]))
-        equations = tuple(
-            ColumnEquation(_residual_from_document(eq)) for eq in doc["equations"]
-        )
+        residuals = [(_residual_from_document(eq), None) for eq in doc["equations"]]
         fixed = {
             VarId.parse(name): _json_int(value) for name, value in doc.get("fixed", {}).items()
         }
@@ -755,9 +741,10 @@ def system_from_document(doc: dict) -> EquationSystem:
             declared = tuple(sorted(VarId.parse(name) for name in doc["variables"]))
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"malformed system document: {exc}") from exc
-    system = EquationSystem(target, widths, equations, dict(sorted(fixed.items())), pairs)
+    system = EquationSystem.from_residuals(target, widths, residuals,
+                                           dict(sorted(fixed.items())), pairs)
     _validate_layout_rules(system)
-    if declared is not None and declared != system.free_variables():
+    if declared is not None and declared != system.variables:
         raise ValueError("malformed system document: declared variables do not match "
                          "the equations")
     return system
@@ -772,19 +759,15 @@ def _validate_layout_rules(system: EquationSystem) -> None:
             equation or a forbidden pair still mentions, or a variable
             outside the table.
     """
-    w_p, w_q = system.widths
-    _validate_split(system.target, w_p, w_q)
+    table = set(build_layout(system.target, *system.widths).variables)
     for var, value in system.fixed.items():
         if value not in (0, 1):
             raise ValueError(f"malformed system document: {var} fixed to {value}, not 0 or 1")
-    free = set(system.free_variables())
+    free = set(system.variables)
     stale = sorted(free.intersection(system.fixed))
     if stale:
         raise ValueError(f"malformed system document: {stale[0]} is fixed but an equation "
                          "or a forbidden pair still mentions it")
-    budgets = enumerate(_carry_budgets(w_p, w_q))
-    table = {VarId.carry(c, c + m) for c, budget in budgets for m in range(1, budget + 1)}
-    table.update(system.interior_variables())
     outside = sorted(free.union(system.fixed) - table)
     if outside:
         raise ValueError(f"malformed system document: {outside[0]} lies outside the table "

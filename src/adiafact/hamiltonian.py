@@ -17,13 +17,14 @@ polynomial is 2*R^2 + (2A + 2B - 1 - 4*A*B)*R, and that is how it is
 computed: the square R^2, which decides whether to pair at all, is reused,
 and pairing costs one more pass over R's terms.
 
-assemble_problem adds every equation's penalty term by term into one
-dict, each union of two sorted monomials built once, and builds a single
-polynomial at the end.  polynomial_to_diagonal evaluates a polynomial on
+Penalties are built on the system's monomial masks, where a product of
+monomials is the OR of their masks and a mask is its basis index in
+QubitMap(system.variables): assemble_problem adds every equation's
+penalty into one {mask: coefficient} dict and builds one Poly at the end.
+polynomial_to_diagonal reads a Poly back into masks and evaluates it on
 all 2^n basis states with a subset-sum (zeta) transform: each coefficient
-is placed at its monomial's bit mask, and n in-place passes add each entry
-into its partner with one more bit set, O(n * 2^n) whatever the number of
-terms.
+is placed at its mask, and n in-place passes add each entry into its
+partner with one more bit set, O(n * 2^n) whatever the number of terms.
 
 The mixer is the uniform transverse field g * sum_i X_i, whose ground
 state is the uniform-magnitude superposition used as the start of every
@@ -49,7 +50,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .errors import (
     NotApplicable,
     UnmappedVariable,
 )
-from .pseudobool import ONE, Monomial, Poly, VarId
+from .pseudobool import Poly, VarId, _masks_to_poly, _poly_to_masks, _variable_bits
 
 _CAP_ENV = "ADIAFACT_MAX_QUBITS"
 _DEFAULT_CAP = 14
@@ -115,29 +116,22 @@ class QubitMap:
 
     @classmethod
     def from_system(cls, system: EquationSystem) -> "QubitMap":
-        return cls(system.free_variables())
+        return cls(system.variables)
 
     @property
     def n(self) -> int:
         return len(self.variables)
 
     def index_of(self, assignment: Mapping[VarId, int]) -> int:
-        index = 0
-        for i, var in enumerate(self.variables):
-            try:
-                bit = assignment[var]
-            except KeyError as exc:
-                raise UnmappedVariable(f"assignment is missing {var}") from exc
-            if bit:
-                index |= 1 << (self.n - 1 - i)
-        return index
+        try:
+            return sum(bit for v, bit in _variable_bits(self.variables).items() if assignment[v])
+        except KeyError as exc:
+            raise UnmappedVariable(f"assignment is missing {exc.args[0]}") from exc
 
     def assignment_of(self, index: int) -> dict:
         if not 0 <= index < (1 << self.n):
             raise ValueError(f"index {index} outside 0..{(1 << self.n) - 1}")
-        return {
-            var: (index >> (self.n - 1 - i)) & 1 for i, var in enumerate(self.variables)
-        }
+        return {var: int(bool(index & bit)) for var, bit in _variable_bits(self.variables).items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,56 +179,54 @@ class DiagonalOperator:
 
 
 def _square(terms: list) -> dict:
-    """R^2 as monomial -> coefficient for R's (monomial, coefficient) terms; zeros kept.
+    """R^2 as mask -> coefficient for R's (mask, coefficient) terms; zeros kept.
 
-    c_i^2 * m_i for each term and 2 * c_i * c_j * (m_i * m_j) for each
-    pair i < j, each union built once.
+    c_i^2 * m_i for each term and 2 * c_i * c_j * (m_i | m_j) for each
+    pair i < j.
     """
     acc: dict = {}
     for i, (mono, coeff) in enumerate(terms):
         acc[mono] = acc.get(mono, 0) + coeff * coeff
         twice = 2 * coeff
         for other, c in terms[i + 1 :]:
-            union = mono * other
+            union = mono | other
             acc[union] = acc.get(union, 0) + twice * c
     return acc
 
 
-def _paired_product(terms: list, pairing: str) -> Optional[Monomial]:
-    """The two-variable product term pairing picks ("last" or "first"), or None."""
-    products = [mono for mono, _ in terms if len(mono) == 2]
-    if not products:
-        return None
-    return products[-1] if pairing == "last" else products[0]
+def _paired_product(terms: list, pairing: str) -> int:
+    """Mask of the product pairing picks ("last" or "first") in Poly's order, or 0."""
+    products = [mono for mono, _ in terms if mono.bit_count() == 2]
+    return (min if pairing == "last" else max)(products, default=0)
 
 
-def _add_paired(acc: dict, terms: list, square: dict, product: Monomial) -> None:
+def _add_paired(acc: dict, terms: list, square: dict, product: int) -> None:
     """Add A*B + (2A + 2B - 1)*S + 2*S^2 into acc, computed as 2R^2 + (2A + 2B - 1 - 4AB)*R.
 
     square is R^2 (from _square), so pairing costs one more pass over R's terms.
     """
-    a, b = (tuple.__new__(Monomial, (var,)) for var in product)
+    a = product & -product
     for mono, coeff in square.items():
         acc[mono] = acc.get(mono, 0) + 2 * coeff
-    factor = ((a, 2), (b, 2), (ONE, -1), (product, -4))
+    factor = ((a, 2), (product ^ a, 2), (0, -1), (product, -4))
     for mono, coeff in terms:
         for f, k in factor:
-            union = f * mono
+            union = f | mono
             acc[union] = acc.get(union, 0) + k * coeff
 
 
-def _add_penalty(acc: dict, residual: Poly, pairing: str) -> None:
-    """Add the residual's penalty into acc (monomial -> coefficient, zeros allowed).
+def _add_penalty(acc: dict, terms: dict, pairing: str) -> None:
+    """Add the penalty of the residual with these mask terms into acc (zeros allowed).
 
     The paired penalty of the module docstring when pairing is "last" or
     "first", the square has a nonzero monomial above quadratic order and
     R has a two-variable product; the square R^2 otherwise.
     """
-    terms = list(residual.items())
+    terms = list(terms.items())
     square = _square(terms)
-    if pairing != "none" and any(c and len(m) > 2 for m, c in square.items()):
+    if pairing != "none" and any(c and m.bit_count() > 2 for m, c in square.items()):
         product = _paired_product(terms, pairing)
-        if product is not None:
+        if product:
             _add_paired(acc, terms, square, product)
             return
     for mono, coeff in square.items():
@@ -243,7 +235,8 @@ def _add_penalty(acc: dict, residual: Poly, pairing: str) -> None:
 
 def penalty_polynomial(residual: Poly) -> Poly:
     """Squared residual: nonnegative, zero exactly where the residual vanishes."""
-    return Poly(_square(list(residual.items())))
+    variables = residual.variables()
+    return _masks_to_poly(_square(list(_poly_to_masks(residual, variables).items())), variables)
 
 
 def quadratize_equation(residual: Poly, pairing: str = "last") -> Poly:
@@ -255,17 +248,19 @@ def quadratize_equation(residual: Poly, pairing: str = "last") -> Poly:
     integer-valued S, which integer coefficients give.
 
     Raises:
+        ValueError: pairing is neither "last" nor "first".
         NotApplicable: no two-variable product to pair.
     """
-    terms = list(residual.items())
-    product = _paired_product(terms, pairing)
-    if product is None:
-        raise NotApplicable("no two-variable product term to pair")
     if pairing not in ("last", "first"):
         raise ValueError(f"pairing must be 'last' or 'first', got {pairing!r}")
+    variables = residual.variables()
+    terms = list(_poly_to_masks(residual, variables).items())
+    product = _paired_product(terms, pairing)
+    if not product:
+        raise NotApplicable("no two-variable product term to pair")
     acc: dict = {}
     _add_paired(acc, terms, _square(terms), product)
-    return Poly(acc)
+    return _masks_to_poly(acc, variables)
 
 
 def assemble_problem(
@@ -276,8 +271,8 @@ def assemble_problem(
     pairing: "last" (default) and "first" choose the paired product for
     equations whose squared penalty would exceed quadratic order; "none"
     always squares, which keeps the penalty symmetric under the p/q swap
-    at the cost of higher-degree monomials.  Every penalty is added term
-    by term into one accumulator, and the polynomial is built once.
+    at the cost of higher-degree monomials.  Every penalty is added mask
+    by mask into one accumulator, and the polynomial is built once.
 
     Returns:
         (qubit map over the free variables, penalty polynomial).  The
@@ -289,13 +284,13 @@ def assemble_problem(
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
-    qmap = QubitMap.from_system(system)
+    qmap = QubitMap(system.variables)
     if qmap.n == 0:
         raise EmptySystem(f"{system.target}: nothing left to solve")
     acc: dict = {}
     for eq in system.equations:
-        _add_penalty(acc, eq.residual, pairing)
-    return qmap, Poly(acc)
+        _add_penalty(acc, eq.terms, pairing)
+    return qmap, _masks_to_poly(acc, system.variables)
 
 
 def polynomial_to_diagonal(poly: Poly, qmap: QubitMap) -> DiagonalOperator:
@@ -310,32 +305,28 @@ def polynomial_to_diagonal(poly: Poly, qmap: QubitMap) -> DiagonalOperator:
     if unmapped:
         raise UnmappedVariable(f"no qubit for {sorted(unmapped)}")
     _check_dim(qmap.n)
-    return DiagonalOperator(qmap.n, _basis_values(poly, qmap.variables))
+    return DiagonalOperator(qmap.n, _basis_values(_poly_to_masks(poly, qmap.variables), qmap.n))
 
 
-def _basis_values(poly: Poly, variables: tuple[VarId, ...]) -> np.ndarray:
-    """poly at every basis index, exactly; variables[0] is the most significant bit.
+def _basis_values(terms: dict, n: int) -> np.ndarray:
+    """The {mask: coefficient} polynomial at every index of an n-qubit basis, exactly.
 
-    A subset-sum (zeta) transform: each coefficient is placed at its
-    monomial's bit mask, then pass i adds every entry with bit i clear into
-    its partner with bit i set, so entry x ends as the sum over the
-    monomials whose masks lie inside x.  n passes over 2^n entries.
+    A subset-sum (zeta) transform: each coefficient is placed at its mask,
+    then pass i adds every entry with bit i clear into its partner with
+    bit i set, so entry x ends as the sum over the monomials whose masks
+    lie inside x.  n passes over 2^n entries.
 
     Raises ValueError when a coefficient is not an int or the values could
     overflow int64.  Every partial sum is a subset sum of the coefficients,
     so bounding the sum of their magnitudes bounds every intermediate.
     """
-    terms = list(poly.items())
-    stray = next((coeff for _, coeff in terms if not isinstance(coeff, int)), None)
+    stray = next((coeff for coeff in terms.values() if not isinstance(coeff, int)), None)
     if stray is not None:
         raise ValueError(f"polynomial coefficient {stray!r} is not an integer")
-    if sum(abs(coeff) for _, coeff in terms) >= 1 << 63:
+    if sum(abs(coeff) for coeff in terms.values()) >= 1 << 63:
         raise ValueError("polynomial coefficients too large for an int64 diagonal")
-    n = len(variables)
-    weight = {var: 1 << (n - 1 - i) for i, var in enumerate(variables)}
     values = np.zeros(1 << n, dtype=np.int64)
-    for mono, coeff in terms:
-        values[sum(weight[var] for var in mono)] = coeff
+    values[list(terms)] = list(terms.values())
     for i in range(n):
         view = values.reshape(-1, 2, 1 << i)
         view[:, 1, :] += view[:, 0, :]

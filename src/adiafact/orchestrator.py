@@ -31,13 +31,13 @@ from .engine import EvolutionTrace, Schedule, gap_profile, run_schedule
 from .hamiltonian import (
     DiagonalOperator,
     QubitMap,
+    _add_penalty,
     _basis_values,
     assemble_problem,
-    penalty_polynomial,
     polynomial_to_diagonal,
     qubit_cap,
 )
-from .pseudobool import Monomial, Poly, VarId
+from .pseudobool import Poly, VarId, _poly_to_masks, _variable_bits
 
 ENUMERATION_LIMIT = 24
 
@@ -95,13 +95,6 @@ def decode_assignment(
     return read("p", w_p), read("q", w_q)
 
 
-def _system_objective(system: EquationSystem) -> Poly:
-    """Sum of squared residuals plus pair products: zero exactly on solutions."""
-    terms = [term for eq in system.equations for term in penalty_polynomial(eq.residual).items()]
-    terms += [(Monomial(pair), 1) for pair in system.forbidden_pairs]
-    return Poly(terms)
-
-
 def brute_force_min(
     objective: Union[Poly, EquationSystem], limit: int = ENUMERATION_LIMIT
 ) -> tuple[int, tuple[dict, ...]]:
@@ -118,12 +111,18 @@ def brute_force_min(
         TooManyVariables: more than limit variables to enumerate.
         ValueError: a coefficient is not an int, or too large for exact int64 evaluation.
     """
-    poly = _system_objective(objective) if isinstance(objective, EquationSystem) else objective
-    variables = poly.variables()
+    if isinstance(objective, EquationSystem):
+        variables, terms, bit = objective.variables, {}, _variable_bits(objective.variables)
+        pairs = [{bit[x] | bit[y]: 1} for x, y in objective.forbidden_pairs]  # x*y, its own square
+        for row in [eq.terms for eq in objective.equations] + pairs:
+            _add_penalty(terms, row, "none")  # the squared residual
+    else:
+        variables = objective.variables()
+        terms = _poly_to_masks(objective, variables)
     if len(variables) > limit:
         raise TooManyVariables(f"{len(variables)} variables exceed the limit of {limit}")
     qmap = QubitMap(variables)
-    diagonal = DiagonalOperator(qmap.n, _basis_values(poly, variables))
+    diagonal = DiagonalOperator(qmap.n, _basis_values(terms, qmap.n))
     argmins = tuple(qmap.assignment_of(index) for index in diagonal.ground_indices())
     return diagonal.min_energy(), argmins
 
@@ -189,7 +188,7 @@ def select_split(
             continue
         if system.is_solved:
             return system, None, None
-        n = QubitMap.from_system(system).n
+        n = len(system.variables)
         if n > qubit_cap():
             smallest = min(n, smallest or n)
             continue  # skipped before its penalty is built

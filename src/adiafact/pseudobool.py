@@ -5,7 +5,9 @@ variables with integer coefficients.  Idempotence x*x = x is applied on
 every multiplication, so monomials stay squarefree and each polynomial
 has a unique normal form: a map from sorted variable tuples to nonzero
 coefficients.  Coefficients are plain Python ints, so arithmetic never
-rounds and ground-state energies are compared against exact zero.
+rounds and ground-state energies are compared against exact zero.  The
+compiler and the penalty hold them as {monomial mask: coefficient} under
+a sorted numbering (_variable_bits); _poly_to_masks and _masks_to_poly convert.
 """
 
 from __future__ import annotations
@@ -90,13 +92,7 @@ class Monomial(tuple):
         return super().__new__(cls, sorted(set(variables)))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        """The union of two monomials; sorted again only when they interleave."""
-        if not self or not other:
-            return self or other
-        if self[-1] < other[0]:
-            return tuple.__new__(Monomial, tuple.__add__(self, other))
-        if other[-1] < self[0]:
-            return tuple.__new__(Monomial, tuple.__add__(other, self))
+        """The union of two monomials."""
         return Monomial(tuple.__add__(self, other))
 
     @property
@@ -275,6 +271,36 @@ class PseudoBooleanPolynomial:
 
     def __repr__(self) -> str:
         return f"PseudoBooleanPolynomial({self})"
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, highest first: its variables in ascending order."""
+    while mask:
+        bit = 1 << (mask.bit_length() - 1)
+        yield bit
+        mask ^= bit
+
+
+def _mask_order(mask: int) -> tuple[int, int]:
+    """Poly's term order on masks: degree, then ascending variables."""
+    return mask.bit_count(), -mask
+
+
+def _variable_bits(variables: tuple[VarId, ...]) -> dict[VarId, int]:
+    """Each variable's bit, variables[0] the top one: a monomial's mask is its basis index."""
+    return {var: 1 << (len(variables) - 1 - i) for i, var in enumerate(variables)}
+
+
+def _poly_to_masks(poly: Poly, variables: tuple[VarId, ...]) -> dict[int, int]:
+    """poly as {monomial mask: coefficient} under _variable_bits(variables), in poly's order."""
+    bit = _variable_bits(variables)
+    return {sum(bit[var] for var in mono): coeff for mono, coeff in poly.items()}
+
+
+def _masks_to_poly(terms: Mapping[int, int], variables: tuple[VarId, ...]) -> Poly:
+    """Inverse of _poly_to_masks; zero coefficients drop out."""
+    return Poly((tuple.__new__(Monomial, [variables[-bit.bit_length()] for bit in _bits(mask)]), c)
+                for mask, c in terms.items())
 
 
 def _coerce(value) -> PseudoBooleanPolynomial:

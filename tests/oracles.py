@@ -108,22 +108,18 @@ def simplified_solutions(system) -> set:
     completed with the system's fixed values so it ranges over the same
     variables as the unsimplified layout.
     """
-    from math import lcm
-
     free = system.free_variables()
     k = len(free)
     index = np.arange(1 << k)
     bits = {v: (index >> (k - 1 - i)) & 1 for i, v in enumerate(free)}
     keep = np.ones(1 << k, dtype=bool)
     for eq in system.equations:
-        residual = eq.residual
-        scale = lcm(*(c.denominator for _, c in residual.items())) if residual else 1
         acc = np.zeros(1 << k, dtype=np.int64)
-        for mono, coeff in residual.items():
+        for mono, coeff in eq.residual.items():
             term = np.ones(1 << k, dtype=np.int64)
             for var in mono:
                 term = term * bits[var]
-            acc += int(coeff * scale) * term
+            acc += coeff * term
         keep &= acc == 0
     for pair in system.forbidden_pairs:
         x, y = sorted(pair)

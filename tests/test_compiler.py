@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiafact import (
+    EquationSystem,
     EvenInput,
     Infeasible,
     InvariantViolation,
@@ -25,9 +26,11 @@ from adiafact import (
     system_from_document,
     system_to_document,
 )
+from adiafact.pseudobool import _poly_to_masks, _variable_bits
 
 import oracles
 from compile_digest import compile_digest, targets_digest
+from infeasible_digest import messages_digest
 
 
 def poly_of(*terms):
@@ -188,9 +191,7 @@ class TestSimplifyGeneral:
         # p1 + q1 = 1 + 2z: z must be 0, pair {p1, q1} recorded
         p1, q1, z = VarId.p(1), VarId.q(1), VarId.carry(1, 2)
         residual = poly_of((1, [p1]), (1, [q1]), (-1, []), (-2, [z]))
-        from adiafact import ColumnEquation, EquationSystem
-
-        system = EquationSystem(143, (4, 4), (ColumnEquation(residual, 1),), {}, ())
+        system = EquationSystem.from_residuals(143, (4, 4), [(residual, 1)], {}, ())
         reduced = simplify(system)
         assert reduced.fixed == {z: 0}
         assert reduced.forbidden_pairs == (frozenset((p1, q1)),)
@@ -236,6 +237,11 @@ class TestCompileDigest:
         digest = "d075dba4d60b64cf9d074c8c857d797ed566fa88fb00a838716900b52eb19a26"
         assert targets_digest((1763, 10403, 30227, 1046527)) == (digest, 52, 34)
 
+    def test_infeasible_messages_below_256_are_frozen(self):
+        # tests/infeasible_digest.py over 9..2047 and the large targets runs in CI
+        digest = "fd823fa2c23997a3031880aa9741e99c282f2887beae34fa9da45a50cfaef369"
+        assert messages_digest(range(9, 256, 2)) == (digest, 432)
+
 
 def _pass_log(monkeypatch) -> list:
     """Record what every propagation pass returns, in order."""
@@ -278,10 +284,10 @@ def _probes(draw):
 def _probed(poly, pairs, var):
     """The propagator of a one-row system holding poly, and its probe of var on that row."""
     # the second equation numbers var even where poly does not mention it
-    equations = (compiler.ColumnEquation(poly), compiler.ColumnEquation(Poly.variable(var)))
-    system = compiler.EquationSystem(143, (4, 4), equations, {}, tuple(pairs))
+    residuals = [(poly, None), (Poly.variable(var), None)]
+    system = EquationSystem.from_residuals(143, (4, 4), residuals, {}, tuple(pairs))
     propagator = compiler._Propagator(system)
-    return propagator, propagator._probe(propagator.rows[0], propagator._bit[var])
+    return propagator, propagator._probe(propagator.rows[0], _variable_bits(system.variables)[var])
 
 
 class TestIncrementalPropagation:
@@ -294,7 +300,7 @@ class TestIncrementalPropagation:
         var, value = next(iter(trial.items()))
         propagator, intervals = _probed(poly, pairs, var)
         substituted = poly.substitute(trial)
-        terms = {propagator._mask(mono): coeff for mono, coeff in substituted.items()}
+        terms = _poly_to_masks(substituted, propagator.variables)
         expected = propagator._bounds(terms, propagator._sorted_pairs())
         got = intervals[value]
         # the exact interval wherever it holds 0; else at least the same verdict
@@ -350,13 +356,13 @@ class TestIncrementalPropagation:
         a, b, c, d = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
         x, y, z = VarId.carry(1, 2), VarId.carry(2, 3), VarId.carry(3, 4)
         u, v, w = VarId.carry(4, 5), VarId.carry(5, 6), VarId.carry(6, 7)
-        equations = tuple(compiler.ColumnEquation(poly, column) for column, poly in enumerate((
+        residuals = [(poly, column) for column, poly in enumerate((
             poly_of((1, [a]), (1, [b]), (1, [c]), (1, [d]), (-2, [])),  # reads a
             poly_of((1, [a]), (-1, [])),  # fixes a = 1 in the first pass
             poly_of((1, [x]), (1, [y]), (1, [z]), (-1, [])),  # reads the pair {x, y}
             poly_of((1, [x]), (1, [y]), (-1, [])),  # records {x, y} in the first pass
             poly_of((1, [u]), (1, [v]), (1, [w]), (-2, [])),  # reads neither
-        )))
+        ))]
         settled = []  # the columns settled in each pass
         original_pass = compiler._Propagator._pass
         original_settle = compiler._Propagator._settle
@@ -371,7 +377,7 @@ class TestIncrementalPropagation:
 
         monkeypatch.setattr(compiler._Propagator, "_pass", logged_pass)
         monkeypatch.setattr(compiler._Propagator, "_settle", logged_settle)
-        system = simplify(compiler.EquationSystem(143, (4, 4), equations, {}, ()))
+        system = simplify(EquationSystem.from_residuals(143, (4, 4), residuals, {}, ()))
         assert system.fixed == {a: 1}
         assert system.forbidden_pairs == (frozenset((x, y)),)
         # column 0 again for the fixed a, columns 2 and 3 for the new pair; column 4

@@ -37,6 +37,7 @@ from adiafact import (
 )
 from adiafact import engine
 from adiafact.hamiltonian import _apply_interpolated, _basis_values
+from adiafact.pseudobool import _poly_to_masks
 
 from oracles import dense_mixer, flip_sum, odd_semiprimes
 from penalty_digest import penalty_digest
@@ -93,6 +94,13 @@ class TestPenalty:
     def test_quadratization_requires_a_product(self):
         with pytest.raises(NotApplicable):
             quadratize_equation(poly_of((1, [P1]), (1, [Q1]), (-1, [])))
+
+    def test_an_unknown_pairing_is_refused_with_or_without_a_product(self):
+        # the pairing is checked before the product search, so no NotApplicable
+        for residual in (poly_of((1, [P1]), (1, [Q1]), (-1, [])),
+                         poly_of((1, [P1, Q2]), (1, [P2, Q1]), (-1, []))):
+            with pytest.raises(ValueError, match="pairing must be"):
+                quadratize_equation(residual, "bogus")
 
     def test_pairing_selects_first_or_last_product(self):
         residual = poly_of((1, [P1, Q2]), (1, [P2, Q1]), (-1, []))
@@ -238,7 +246,7 @@ class TestDiagonal:
                     if qmap.n else st.just([]))
         coeff = st.integers(-(2**40), 2**40)
         poly = Poly(data.draw(st.lists(st.tuples(monomial, coeff), max_size=12), label="terms"))
-        values = _basis_values(poly, qmap.variables)
+        values = _basis_values(_poly_to_masks(poly, qmap.variables), qmap.n)
         assert values.dtype == np.int64
         assert values.tolist() == [
             poly.evaluate(qmap.assignment_of(index)) for index in range(1 << qmap.n)

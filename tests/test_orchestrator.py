@@ -237,6 +237,24 @@ class TestCapBeforePenalty:
             assert (system.widths, problem.ground_indices()) == expected
 
 
+def test_a_poly_is_built_only_for_the_returned_penalty(monkeypatch):
+    # layout, propagation and assembly work on masks; Poly appears at the edges
+    from adiafact import Poly, build_layout, simplify
+
+    built = []
+    original = Poly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counted)
+    simplify(build_layout(143, 4, 4))
+    assert len(built) == 0
+    select_split(143)
+    assert len(built) == 1
+
+
 class TestFactorAgainstArithmetic:
     # 133 and 145 compile to 11- and 12-qubit registers whose dense
     # eigensolves dominate the suite; everything else stays at n <= 10

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiafact import Monomial, Poly, VarId
+from adiafact.pseudobool import _masks_to_poly, _poly_to_masks, _variable_bits
 
 
 def test_varid_ordering_is_p_then_q_then_carries():
@@ -145,3 +148,32 @@ def test_variables_and_degree():
     assert poly.variables() == (x, y)
     assert poly.degree == 2
     assert Poly.constant(4).degree == 0
+
+
+_MASK_POOL = [VarId.p(i) for i in range(1, 5)] + [VarId.q(i) for i in range(1, 5)] + [
+    VarId.carry(1, 2), VarId.carry(2, 3), VarId.carry(2, 4), VarId.carry(3, 5),
+]
+
+
+@st.composite
+def _numbered_polys(draw):
+    """A random Poly and a sorted variable tuple that holds at least its variables."""
+    monomial = st.lists(st.sampled_from(_MASK_POOL), max_size=5).map(Monomial)
+    poly = Poly(draw(st.lists(st.tuples(monomial, st.integers(-50, 50)), max_size=12)))
+    extra = draw(st.sets(st.sampled_from(_MASK_POOL)))
+    return poly, tuple(sorted(extra.union(poly.variables())))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_numbered_polys())
+def test_masks_round_trip_in_poly_order(numbered):
+    poly, variables = numbered
+    masks = _poly_to_masks(poly, variables)
+    assert _masks_to_poly(masks, variables) == poly
+    # degree first, then ascending variables: popcount, then descending mask
+    assert list(masks) == sorted(masks, key=lambda mask: (mask.bit_count(), -mask))
+    # a monomial's mask is the OR of its variables' bits, variables[0] the top bit
+    bit = _variable_bits(variables)
+    assert list(bit.values()) == [1 << i for i in reversed(range(len(variables)))]
+    for mono, mask in zip((mono for mono, _ in poly.items()), masks):
+        assert mask == sum(bit[var] for var in mono)
