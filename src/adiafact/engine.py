@@ -7,7 +7,11 @@ are applied in order to the mixer ground state.  Natural units throughout
 
 Each step is propagated one of two ways, both exact to roundoff:
 
-- dense: the eigensystem of the 2^n x 2^n H(s) (propagate_step), O(8^n);
+- dense: the eigensystem of the 2^n x 2^n H(s) (propagate_step), O(8^n).
+  A run of consecutive dense steps is one (m, 2^n, 2^n) stack from
+  interpolated_hamiltonian over an array of s, decomposed in one eigh
+  call and applied first to last; a stack holds at most _STACK_BYTES of
+  matrices and at least one, so memory does not grow with M;
 - matrix-free: a Chebyshev expansion (Tal-Ezer & Kosloff 1984) over the
   spectral interval [s * E_min - (1 - s) * g * n, s * E_max + (1 - s) * g * n]
   of H(s), one product H(s) @ v per Bessel coefficient J_k(r * tau) above
@@ -34,8 +38,11 @@ Chebyshev-filtered subspace iteration (_filtered_lowest; Zhou, Saad, Tiago
 largest Ritz value up to the same exact upper end, and which multiplies
 the whole block in one product call.  An iteration of degree d costs
 p * (d + 1) products; a sample where that does not pay, which includes
-every register of up to 6 qubits, is a dense eigenvalue solve.  Sizes are
-desk scale on purpose: n is capped (see hamiltonian.qubit_cap).
+every register of up to 6 qubits, is a dense eigenvalue solve.  Dense
+samples never feed the block: they are collected and solved as stacks
+under the same _STACK_BYTES bound, one eigvalsh call (lowest_eigenvalues)
+each.  Sizes are desk scale on purpose: n is capped (see
+hamiltonian.qubit_cap).
 """
 
 from __future__ import annotations
@@ -81,6 +88,13 @@ _MAX_ITERATIONS = 100
 _GUARD = 2
 _MIN_DEGREE = 8
 _NOISE_SEED = 143
+# The dense steps of a run and the dense samples of a profile are solved as
+# (m, dim, dim) stacks, one LAPACK call each, of at most _STACK_BYTES of
+# matrices and at least one: 128 matrices at 4 qubits, 8 at 6, 2 at 7 and
+# one from 8 qubits on.  eigh returns as many bytes of eigenvectors, so a
+# stack needs about twice the bound; at 256 KiB the anneal benchmark's
+# peak RSS rose by 0.2 MiB (median of 11 runs, 2 cores, numpy 2.4).
+_STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -209,19 +223,31 @@ def populations(state: np.ndarray) -> np.ndarray:
     return np.abs(state) ** 2
 
 
+def _check_stack(hamiltonian: np.ndarray) -> int:
+    """The size of a square matrix or of each matrix of an (m, dim, dim) stack."""
+    if hamiltonian.ndim not in (2, 3) or hamiltonian.shape[-1] != hamiltonian.shape[-2]:
+        raise DimensionMismatch(
+            f"Hamiltonian shape {hamiltonian.shape} is not square or a stack of square matrices"
+        )
+    return hamiltonian.shape[-1]
+
+
 def propagate_step(state: np.ndarray, hamiltonian: np.ndarray, tau: float) -> np.ndarray:
     """Apply exp(-i * hamiltonian * tau) to the state.
 
     The exponential is synthesized from the eigendecomposition of the
-    (real symmetric or Hermitian) Hamiltonian.
+    (real symmetric or Hermitian) Hamiltonian.  An (m, dim, dim) stack of
+    Hamiltonians is m steps, decomposed in one call and applied first to
+    last; the result is then the (m, dim) array of the states after each
+    step.
 
     Raises:
-        DimensionMismatch: state and Hamiltonian sizes differ.
+        DimensionMismatch: state and Hamiltonian sizes differ, or a
+            Hamiltonian is not square.
         NumericalFailure: non-finite entries or a failed eigensolve.
     """
-    if hamiltonian.ndim != 2 or hamiltonian.shape[0] != hamiltonian.shape[1]:
-        raise DimensionMismatch(f"Hamiltonian shape {hamiltonian.shape} is not square")
-    if state.shape != (hamiltonian.shape[0],):
+    dim = _check_stack(hamiltonian)
+    if state.shape != (dim,):
         raise DimensionMismatch(
             f"state of length {state.shape} against matrix {hamiltonian.shape}"
         )
@@ -232,7 +258,12 @@ def propagate_step(state: np.ndarray, hamiltonian: np.ndarray, tau: float) -> np
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
     phases = np.exp(-1j * energies * tau)
-    return basis @ (phases * (basis.conj().T @ state))
+    if hamiltonian.ndim == 2:
+        return basis @ (phases * (basis.conj().T @ state))
+    states = np.empty((len(hamiltonian), dim), dtype=np.result_type(basis, state, phases))
+    for step, (vectors, turn) in enumerate(zip(basis, phases)):
+        state = states[step] = vectors @ (turn * (vectors.conj().T @ state))
+    return states
 
 
 def _bessel_coefficients(x: float) -> np.ndarray:
@@ -309,12 +340,21 @@ def _matrix_free_pays(n: int, products: float) -> bool:
     return (products + _STEP_OVERHEAD) * _DENSE_DIVISOR < 4**n
 
 
+def _stack_size(dim: int) -> int:
+    """How many dim x dim float64 matrices one dense stack holds (_STACK_BYTES)."""
+    return max(1, _STACK_BYTES // (8 * dim * dim))
+
+
 def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrace:
     """Evolve the mixer ground state through the discretized schedule.
 
     The field strength is schedule.g.  Returns the populations at every
     requested checkpoint and the final state.  Identical inputs produce
     identical traces: the evolution is deterministic.
+
+    Consecutive dense steps are propagated as stacks of up to
+    _stack_size(dim) steps (propagate_step), whose checkpoints are read
+    from the states after each step; a matrix-free step runs on its own.
 
     Raises:
         NumericalFailure: a step failed or the norm drifted badly.
@@ -326,7 +366,7 @@ def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrac
         points.append(TracePoint(0, 0.0, populations(state)))
     g, tau, n = schedule.g, schedule.tau, problem.n
     e_min, e_max = float(problem.min_energy()), float(problem.max_energy())
-    products = 0
+    products, dense, chunk = 0, [], _stack_size(problem.dim)
     for step in range(1, schedule.M + 1):
         s = schedule.s_at(step)
         lo, hi = s * e_min - (1 - s) * g * n, s * e_max + (1 - s) * g * n
@@ -334,14 +374,24 @@ def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrac
         # before any coefficient is computed
         x = (hi - lo) / 2 * tau
         coeffs = _bessel_coefficients(x) if _matrix_free_pays(n, _term_floor(x)) else None
-        if coeffs is not None and _matrix_free_pays(n, coeffs.size - 1):
+        chebyshev = coeffs is not None and _matrix_free_pays(n, coeffs.size - 1)
+        if not chebyshev:
+            dense.append(step)
+        # the pending dense steps go as one stack before a matrix-free step,
+        # when the stack is full, and at the end
+        if dense and (chebyshev or len(dense) == chunk or step == schedule.M):
+            at = [schedule.s_at(d) for d in dense]
+            states = propagate_step(state, interpolated_hamiltonian(np.array(at), g, problem), tau)
+            points += [TracePoint(d, a, populations(after))
+                       for d, a, after in zip(dense, at, states) if d in marks]
+            state = states[-1]
+            dense.clear()
+        if chebyshev:
             apply = partial(_apply_interpolated, s, g, problem)
             state = _chebyshev_step(apply, state, tau, lo, hi, coeffs)
             products += coeffs.size - 1
-        else:
-            state = propagate_step(state, interpolated_hamiltonian(s, g, problem), tau)
-        if step in marks:
-            points.append(TracePoint(step, s, populations(state)))
+            if step in marks:
+                points.append(TracePoint(step, s, populations(state)))
     drift = abs(float(np.linalg.norm(state)) - 1.0)
     if not drift <= 1e-6:
         raise NumericalFailure(f"state norm drifted by {drift:.3e}")
@@ -349,8 +399,18 @@ def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrac
 
 
 def lowest_eigenvalues(hamiltonian: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest eigenvalues, ascending."""
-    dim = hamiltonian.shape[0]
+    """The k smallest eigenvalues, ascending.
+
+    Of an (m, dim, dim) stack, those of each matrix, as an (m, k) array
+    from one call.
+
+    Raises:
+        DimensionMismatch: the Hamiltonian is not square or a stack of
+            square matrices.
+        IndexOutOfRange: k outside 1..dim.
+        NumericalFailure: non-finite entries or a failed eigensolve.
+    """
+    dim = _check_stack(hamiltonian)
     if not 1 <= k <= dim:
         raise IndexOutOfRange(f"k={k} outside 1..{dim}")
     if not np.all(np.isfinite(hamiltonian)):
@@ -359,7 +419,7 @@ def lowest_eigenvalues(hamiltonian: np.ndarray, k: int) -> np.ndarray:
         energies = np.linalg.eigvalsh(hamiltonian)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolve failed: {exc}") from exc
-    return energies[:k]
+    return energies[..., :k]
 
 
 def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
@@ -457,6 +517,9 @@ def gap_profile(
     next filtered iteration, p * (d + 1) products for a filter of degree
     d, costs more than a dense solve (_matrix_free_pays) is a dense solve,
     and a profile whose cheapest iteration cannot pay builds no block.
+    Dense samples never feed the block, so they are collected and solved
+    in s order as stacks of up to _stack_size(dim) matrices, one
+    lowest_eigenvalues call each.
     products counts the products of one state by H(s) spent on filtered
     samples, those that ended dense included.
 
@@ -482,6 +545,7 @@ def gap_profile(
         noise = np.random.default_rng(_NOISE_SEED).standard_normal((size - 1, problem.dim))
         block = _orthonormal_rows(np.vstack([initial_state(n).real, noise]))
     e_max = float(problem.max_energy())
+    dense, chunk = [], _stack_size(problem.dim)
     for i in range(1, points - 1):
         s, found = s_values[i], None
         if block is not None:
@@ -490,8 +554,13 @@ def gap_profile(
             found, block, spent = _filtered_lowest(apply, block, k, hi, n)
             products += spent
         if found is None:
-            found = lowest_eigenvalues(interpolated_hamiltonian(s, g, problem), k)
-        rows[i] = found
+            dense.append(i)
+        else:
+            rows[i] = found
+        if dense and (len(dense) == chunk or i == points - 2):
+            stack = interpolated_hamiltonian(s_values[dense], g, problem)
+            rows[dense] = lowest_eigenvalues(stack, k)
+            dense.clear()
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise NumericalFailure(f"spectrum is not finite at s = {s_values[np.argmin(finite)]:g}")

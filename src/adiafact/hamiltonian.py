@@ -30,7 +30,8 @@ The mixer is the uniform transverse field g * sum_i X_i, whose ground
 state is the uniform-magnitude superposition used as the start of every
 schedule; it exists only inside interpolated_hamiltonian(s, g, problem),
 which builds
-H(s) = (1 - s) * g * sum_i X_i + s * problem as a dense matrix, and
+H(s) = (1 - s) * g * sum_i X_i + s * problem as a dense matrix (over a 1-D
+array of s, the stack of their matrices), and
 _apply_interpolated(s, g, problem, v), which applies H(s) to a real
 vector, or to a stack of them in one call, without forming it (H(s) is
 real, so a complex state is the stack of its real and imaginary parts;
@@ -384,20 +385,29 @@ def _flip_sum_matrix(bits: int) -> np.ndarray:
     return matrix
 
 
-def interpolated_hamiltonian(s: float, g: float, problem: DiagonalOperator) -> np.ndarray:
+def interpolated_hamiltonian(s, g: float, problem: DiagonalOperator) -> np.ndarray:
     """(1 - s) * g * sum_i X_i + s * problem, as a dense real symmetric matrix.
 
-    The arguments and the qubit cap are checked before anything is allocated.
+    s is one value, giving a (dim, dim) matrix, or a 1-D array of m
+    values, giving the (m, dim, dim) stack of their matrices in order.
+    Every s, g and the qubit cap are checked before anything is allocated.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"interpolation parameter must lie in [0, 1], got {s}")
+    values = np.asarray(s, dtype=np.float64)
+    if values.ndim > 1:
+        raise ValueError(f"interpolation parameters must be one value or a 1-D array, "
+                         f"got shape {values.shape}")
+    outside = ~((0.0 <= values) & (values <= 1.0))
+    if outside.any():
+        raise ValueError(f"interpolation parameter must lie in [0, 1], "
+                         f"got {values.flat[np.argmax(outside)]}")
     _check_field(g)
     _check_dim(problem.n)
     dim = problem.dim
-    out = np.zeros(dim * dim)
-    out[_bit_flip_entries(problem.n)] = (1.0 - s) * g
-    out[:: dim + 1] = s * problem.as_array
-    return out.reshape(dim, dim)
+    stack = values.reshape(-1, 1)
+    out = np.zeros((stack.shape[0], dim * dim))
+    out[:, _bit_flip_entries(problem.n)] = (1.0 - stack) * g
+    out[:, :: dim + 1] = stack * problem.as_array
+    return out.reshape(values.shape + (dim, dim))
 
 
 def _apply_interpolated(

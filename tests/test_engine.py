@@ -76,12 +76,15 @@ def no_dense_matrix(*args):
 
 
 def routed_run(problem, schedule):
-    """run_schedule's trace and the path of each step, "C" Chebyshev or "d" dense."""
+    """run_schedule's trace and the path of each step, "C" Chebyshev or "d" dense.
+
+    A stack of dense steps (an (m, dim, dim) Hamiltonian) counts m steps.
+    """
     paths = []
 
     def spy(path, function):
         def wrapped(*args):
-            paths.append(path)
+            paths.append(path * (len(args[1]) if args[1].ndim == 3 else 1))
             return function(*args)
         return wrapped
 
@@ -99,6 +102,28 @@ def dense_run(problem, schedule):
         h = interpolated_hamiltonian(schedule.s_at(step), schedule.g, problem)
         state = propagate_step(state, h, schedule.tau)
     return state
+
+
+def stepped_run(problem, schedule, paths):
+    """The state after each step, one matrix or expansion at a time along the paths."""
+    state, states = initial_state(problem.n), []
+    for step, path in enumerate(paths, start=1):
+        s = schedule.s_at(step)
+        if path == "d":
+            h = interpolated_hamiltonian(s, schedule.g, problem)
+            state = propagate_step(state, h, schedule.tau)
+        else:
+            lo, hi = interval(problem, schedule, s)
+            coeffs = _bessel_coefficients((hi - lo) / 2 * schedule.tau)
+            apply = partial(_apply_interpolated, s, schedule.g, problem)
+            state = _chebyshev_step(apply, state, schedule.tau, lo, hi, coeffs)
+        states.append(state)
+    return states
+
+
+def stack_of(problem, matrices):
+    """A stack bound of this many of the problem's matrices (None: the default bound)."""
+    return engine._STACK_BYTES if matrices is None else matrices * 8 * problem.dim**2
 
 
 class TestSchedule:
@@ -205,6 +230,35 @@ class TestPropagateStep:
         h = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(NumericalFailure):
             propagate_step(np.zeros(2, complex), h, 1.0)
+
+    def test_a_stack_is_steps_applied_in_order(self, problem143):
+        s_values = np.array([0.1, 0.35, 0.35, 0.9])
+        stack = interpolated_hamiltonian(s_values, 0.6, problem143)
+        states = propagate_step(initial_state(4), stack, 0.7)
+        assert states.shape == (4, 16)
+        state = initial_state(4)
+        for matrix, after in zip(stack, states):
+            state = propagate_step(state, matrix, 0.7)
+            assert np.array_equal(after, state)
+        one = propagate_step(initial_state(4), stack[:1], 0.7)
+        assert one.shape == (1, 16) and np.array_equal(one[0], states[0])
+
+    def test_stack_shape_checks(self):
+        for h in (np.zeros((3, 2, 3)), np.zeros(2), np.zeros((1, 1, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                propagate_step(np.zeros(2, complex), h, 1.0)
+        with pytest.raises(DimensionMismatch):
+            propagate_step(np.zeros(4, complex), np.zeros((3, 2, 2)), 1.0)
+
+    def test_a_non_finite_matrix_of_a_stack_fails_before_any_eigh(self, monkeypatch):
+        def no_eigh(matrix):
+            raise AssertionError("eigh called")
+
+        stack = np.zeros((3, 2, 2))
+        stack[2, 1, 0] = np.inf
+        monkeypatch.setattr(engine.np.linalg, "eigh", no_eigh)
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            propagate_step(np.zeros(2, complex), stack, 1.0)
 
 
 class TestRunSchedule:
@@ -489,7 +543,8 @@ class TestMatrixFreeSteps:
             run_schedule(registers[323], Schedule())
 
     def test_norm_check_catches_nan(self, problem143, monkeypatch):
-        monkeypatch.setattr(engine, "propagate_step", lambda state, h, tau: state * np.nan)
+        monkeypatch.setattr(engine, "propagate_step",
+                            lambda state, h, tau: np.full((len(h), state.size), np.nan))
         with pytest.raises(NumericalFailure, match="norm"):
             run_schedule(problem143, Schedule())
 
@@ -500,6 +555,35 @@ class TestSpectra:
         three = lowest_eigenvalues(h, 3)
         assert list(three) == sorted(three)
         assert np.allclose(three, np.linalg.eigvalsh(h)[:3])
+
+    def test_a_stack_gives_each_matrix_its_levels(self, problem143):
+        stack = interpolated_hamiltonian(np.array([0.2, 0.5, 0.8]), 0.6, problem143)
+        levels = lowest_eigenvalues(stack, 3)
+        assert levels.shape == (3, 3)
+        for matrix, row in zip(stack, levels):
+            assert np.array_equal(row, lowest_eigenvalues(matrix, 3))
+        # k is checked against the matrix size, not the stack's length
+        assert lowest_eigenvalues(np.zeros((2, 2, 2)), 2).shape == (2, 2)
+        for k in (0, 3):
+            with pytest.raises(IndexOutOfRange, match=f"k={k} outside 1..2"):
+                lowest_eigenvalues(np.zeros((5, 2, 2)), k)
+        with pytest.raises(IndexOutOfRange, match="k=17 outside 1..16"):
+            lowest_eigenvalues(stack, 17)
+
+    def test_shape_checks(self):
+        for h in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 3)), np.zeros((1, 1, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                lowest_eigenvalues(h, 1)
+
+    def test_a_non_finite_matrix_of_a_stack_fails_before_any_solve(self, monkeypatch):
+        def no_solve(matrix):
+            raise AssertionError("eigvalsh called")
+
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 0] = np.nan
+        monkeypatch.setattr(engine.np.linalg, "eigvalsh", no_solve)
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            lowest_eigenvalues(stack, 1)
 
     def test_k_range(self, problem143):
         h = interpolated_hamiltonian(0.5, 0.6, problem143)
@@ -546,7 +630,7 @@ class TestSpectra:
         with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="at s = 0$"):
             gap_profile(problem143, 1e308, points=5, k=3)
         # every interior sample of a 2-qubit register is a dense solve
-        monkeypatch.setattr(engine, "lowest_eigenvalues", lambda h, k: np.full(k, np.nan))
+        monkeypatch.setattr(engine, "lowest_eigenvalues", lambda h, k: np.full((len(h), k), np.nan))
         diag = DiagonalOperator(2, np.array([1, 2, 3, 4]))
         with pytest.raises(NumericalFailure, match="at s = 0.25$"):
             gap_profile(diag, 0.6, points=5, k=2)
@@ -650,7 +734,7 @@ class TestLanczosGapProfile:
             return found
 
         def spied(hamiltonian, k):
-            solved.append(hamiltonian.shape[0])
+            solved.extend([hamiltonian.shape[-1]] * len(hamiltonian))
             return dense(hamiltonian, k)
 
         monkeypatch.setattr(engine, "_filtered_lowest", third_cannot_pay)
@@ -714,6 +798,84 @@ class TestLanczosGapProfile:
         monkeypatch.setattr(engine, "_apply_interpolated", lambda s, g, problem, v: v * np.nan)
         with pytest.raises(NumericalFailure, match="non-finite"):
             gap_profile(registers[323], 0.6, points=3, k=2)
+
+
+class TestStackedDenseRoute:
+    """Dense steps and samples solved as stacks give the one-matrix results bit for bit.
+
+    matrices sets the stack bound: None keeps the default, 1 solves every
+    matrix alone, and 3 cuts the default schedule's runs mid-way across
+    its checkpoints at steps 5 and 15 and leaves a short last stack.
+    """
+
+    @pytest.mark.parametrize("matrices", [None, 1, 3])
+    @pytest.mark.parametrize("target", [35, 143, 77])
+    def test_dense_runs_match_one_step_at_a_time(self, monkeypatch, target, matrices):
+        problem = select_split(target)[2]
+        assert problem.n == {35: 2, 143: 4, 77: 6}[target]
+        monkeypatch.setattr(engine, "_STACK_BYTES", stack_of(problem, matrices))
+        for sched in (Schedule(), Schedule(T=40.0, M=5), Schedule(T=66.0, M=33, checkpoints=(4, 33))):
+            trace, paths = routed_run(problem, sched)
+            assert paths == "d" * sched.M
+            assert np.array_equal(trace.final_state, dense_run(problem, sched))
+            states = stepped_run(problem, sched, paths)
+            for point in trace.points[1:]:
+                assert point.s == sched.s_at(point.step)
+                assert np.array_equal(point.populations, populations(states[point.step - 1]))
+
+    @pytest.mark.parametrize("matrices", [None, 1, 3])
+    def test_runs_mixing_both_routes_match_one_step_at_a_time(self, registers, monkeypatch,
+                                                              matrices):
+        # on 6 qubits, a narrow diagonal under a strong field narrows along
+        # s and ends matrix-free; 77 at T = M = 33 starts matrix-free
+        narrow = DiagonalOperator(6, np.random.default_rng(6).integers(0, 4, 64))
+        runs = [(narrow, Schedule(g=1.0), "d" * 9 + "C" * 11),
+                (registers[77], Schedule(T=33.0, M=33), "C" + "d" * 32)]
+        for problem, sched, routes in runs:
+            monkeypatch.setattr(engine, "_STACK_BYTES", stack_of(problem, matrices))
+            trace, paths = routed_run(problem, sched)
+            assert paths == routes
+            states = stepped_run(problem, sched, paths)
+            assert np.array_equal(trace.final_state, states[-1])
+            for point in trace.points[1:]:
+                assert np.array_equal(point.populations, populations(states[point.step - 1]))
+
+    @pytest.mark.parametrize("matrices", [None, 1, 3])
+    @pytest.mark.parametrize("target", [35, 143, 77, 295])
+    def test_dense_samples_match_one_solve_at_a_time(self, monkeypatch, target, matrices):
+        # 295's 7-qubit profile builds a block whose every sample ends dense
+        problem = select_split(target)[2]
+        monkeypatch.setattr(engine, "_STACK_BYTES", stack_of(problem, matrices))
+        for g, k in ((0.6, 2), (1.1, 3)):
+            trace = gap_profile(problem, g, points=21, k=k)
+            assert (trace.products > 0) == (target == 295)
+            expected = [lowest_eigenvalues(interpolated_hamiltonian(s, g, problem), k)
+                        for s in trace.s_values[1:-1]]
+            assert np.array_equal(trace.energies[1:-1], np.array(expected))
+            gaps = trace.energies[:-1, 1] - trace.energies[:-1, 0]
+            assert trace.min_gap == float(np.min(gaps))
+
+    def test_stacks_stay_within_the_bound(self, problem143, monkeypatch):
+        # a long schedule or a fine profile is solved chunk by chunk, so
+        # memory does not grow with M or the number of points
+        sizes = []
+
+        def sized(function, stack):
+            def wrapped(*args):
+                sizes.append(len(args[stack]))
+                return function(*args)
+            return wrapped
+
+        monkeypatch.setattr(engine, "propagate_step", sized(propagate_step, 1))
+        monkeypatch.setattr(engine, "lowest_eigenvalues", sized(lowest_eigenvalues, 0))
+        chunk = engine._stack_size(problem143.dim)
+        assert chunk == 128 and engine._stack_size(1 << 6) == 8
+        assert engine._stack_size(1 << 8) == engine._stack_size(1 << 9) == 1
+        run_schedule(problem143, Schedule(M=300))
+        assert sizes == [128, 128, 44]
+        sizes.clear()
+        gap_profile(problem143, 0.6, points=302, k=2)
+        assert sizes == [128, 128, 44]
 
 
 class TestCsv:

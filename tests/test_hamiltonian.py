@@ -414,6 +414,37 @@ class TestMixerAndInterpolation:
         with pytest.raises(ValueError):
             interpolated_hamiltonian(-0.1, 0.6, diag)
 
+    def test_an_array_of_s_stacks_the_matrices_in_order(self):
+        diag = DiagonalOperator(3, np.random.default_rng(4).integers(-20, 20, 8))
+        s_values = np.array([0.0, 0.05, 0.37, 0.37, 1.0])
+        stack = interpolated_hamiltonian(s_values, 0.6, diag)
+        assert stack.shape == (5, 8, 8)
+        for s, matrix in zip(s_values, stack):
+            assert np.array_equal(matrix, interpolated_hamiltonian(s, 0.6, diag))
+        assert interpolated_hamiltonian(np.array([0.5]), 0.6, diag).shape == (1, 8, 8)
+        assert interpolated_hamiltonian(np.float64(0.5), 0.6, diag).shape == (8, 8)
+
+    def test_a_stack_is_checked_before_anything_is_allocated(self):
+        import tracemalloc
+
+        diag = DiagonalOperator(6, np.zeros(64, dtype=np.int64))
+        stack_bytes = 64 * 64 * 64 * 8
+        for bad in (1.5, -0.1, float("nan")):
+            s_values = np.full(64, 0.5)
+            s_values[37] = bad
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"got {bad}"):
+                    interpolated_hamiltonian(s_values, 0.6, diag)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < stack_bytes // 100
+        with pytest.raises(ValueError, match="field strength"):
+            interpolated_hamiltonian(np.full(64, 0.5), 0.0, diag)
+        with pytest.raises(ValueError, match="1-D array"):
+            interpolated_hamiltonian(np.full((2, 2), 0.5), 0.6, diag)
+
     def test_matches_the_oracle_mixer_plus_the_diagonal(self):
         rng = np.random.default_rng(3)
         diagonals = [
@@ -475,6 +506,8 @@ class TestMixerAndInterpolation:
         monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "3")
         with pytest.raises(DimensionTooLarge):
             interpolated_hamiltonian(0.5, 0.6, four)
+        with pytest.raises(DimensionTooLarge):
+            interpolated_hamiltonian(np.full(8, 0.5), 0.6, four)
         with pytest.raises(DimensionTooLarge):
             gap_profile(four, 0.6, points=3, k=2)
         # a register the filtered path would take fails before its block exists
