@@ -18,7 +18,9 @@ Each step is propagated one of two ways, both exact to roundoff:
   roundoff, r the half-width.  H(s) is real, so the state's real and
   imaginary parts run through the recurrence as the two rows of one real
   stack, and each coefficient's factor (-i)^k is a quarter turn of that
-  pair.  The product (hamiltonian._apply_interpolated) applies the mixer
+  pair.  The three-term recurrence is the one the spectral filters run
+  (_chebyshev_vectors), unscaled, updated in place on each product's
+  output.  The product (hamiltonian._apply_interpolated) applies the mixer
   as one small dense flip-sum matrix product per block of at most six
   qubits: two products up to 12 qubits, one more for each further six.
 
@@ -36,10 +38,12 @@ interior samples come from one block of p real vectors carried along s:
 Chebyshev-filtered subspace iteration (_filtered_lowest; Zhou, Saad, Tiago
 & Chelikowsky 2006), whose filter damps the spectrum above the block's
 largest Ritz value up to the same exact upper end, and which multiplies
-the whole block in one product call.  An iteration of degree d costs
-p * (d + 1) products; a sample where that does not pay, which includes
-every register of up to 6 qubits, is a dense eigenvalue solve.  Dense
-samples never feed the block: they are collected and solved as stacks
+the whole block in one product call.  The filter is the steps' Chebyshev
+recurrence (_chebyshev_vectors), scaled to about 1 at the lowest Ritz
+value.  An iteration of degree d costs p * (d + 1) products; a sample
+where that does not pay, which includes every register of up to 6
+qubits, is a dense eigenvalue solve.  Dense samples never feed the block:
+they are collected during the walk along s and solved after it as stacks
 under the same _STACK_BYTES bound, one eigvalsh call (lowest_eigenvalues)
 each.  Sizes are desk scale on purpose: n is capped (see
 hamiltonian.qubit_cap).
@@ -51,6 +55,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import IO, Optional
 
 import numpy as np
@@ -296,19 +301,57 @@ def _term_floor(x: float) -> float:
     return 0.0 if x <= 2 * _TERM_TOL else x + 10 * x ** (1 / 3)
 
 
+def _chebyshev_vectors(apply, rows, centre, radius, first=1.0):
+    """Yield y_1, y_2, ... of the scaled Chebyshev recurrence in X = (H - centre) / radius.
+
+    y_0 is rows, y_1 = first * X y_0 and y_(k+1) = 2 * sigma_(k+1) * X y_k -
+    sigma_k * sigma_(k+1) * y_(k-1), with sigma_1 = first and sigma_(k+1) =
+    1 / (2 / first - sigma_k) (Zhou, Saad, Tiago & Chelikowsky, J. Comput.
+    Phys. 219, 172, 2006, algorithm 3.1).  At first = 1 every sigma is
+    exactly 1 and y_k is T_k(X) y_0, the plain recurrence of a Chebyshev
+    expansion.  At first = radius / (scale - centre), scale below the
+    interval [centre - radius, centre + radius], y_k is T_k(X) y_0 /
+    T_k((scale - centre) / radius): a filter that damps the interval and
+    amplifies the spectrum below it, about 1 at scale, so that a high
+    degree cannot overflow.
+
+    Each vector costs one apply call, made when the vector is asked for.
+    apply(v) must return H @ v for every row of v as a new array: the
+    recurrence updates that array in place into the next vector, with one
+    scratch array for the terms it subtracts.  It writes neither into rows
+    nor into a vector it has yielded, so a caller may keep any of them.
+    """
+    scratch, previous, current, sigma = np.empty_like(rows), rows, apply(rows), first
+    current -= np.multiply(rows, centre, out=scratch)
+    current *= first / radius
+    while True:
+        yield current
+        following = 1 / (2 / first - sigma)
+        vector = apply(current)
+        vector -= np.multiply(current, centre, out=scratch)
+        vector *= 2 * following / radius
+        # a step's factors (first = 1) are all exactly 1, and 1.0 * y is y bit
+        # for bit: the product is skipped
+        factor = sigma * following
+        vector -= previous if factor == 1.0 else np.multiply(previous, factor, out=scratch)
+        previous, current, sigma = current, vector, following
+
+
 def _chebyshev_step(apply, state, tau, lo, hi, coeffs) -> np.ndarray:
     """exp(-i * H * tau) @ state by a Chebyshev expansion.
 
-    apply(v) returns H @ v for every row of a real v, H real symmetric with
-    spectrum in [lo, hi], and coeffs are _bessel_coefficients(r * tau).
-    With H = c + r * X (c, r the interval's centre and half-width),
-    exp(-i * H * tau) is exp(-i * c * tau) * sum_k a_k * J_k(r * tau) *
-    T_k(X), with a_0 = 1 and a_k = 2 * (-i)^k.  X is real, so the state's
-    real and imaginary parts run through the recurrence as the two rows of
-    one real (2, 2^n) stack, and each vector T_k(X) @ state costs one
-    product call.  On that pair a_k is 2 times a quarter turn: -i takes
-    (x, y) to (y, -x).  The pair is joined into one complex state before
-    the phase exp(-i * c * tau).
+    apply(v) returns H @ v as a new array for every row of a real v, H
+    real symmetric with spectrum in [lo, hi], and coeffs are
+    _bessel_coefficients(r * tau).  With H = c + r * X (c, r the
+    interval's centre and half-width), exp(-i * H * tau) is
+    exp(-i * c * tau) * sum_k a_k * J_k(r * tau) * T_k(X), with a_0 = 1 and
+    a_k = 2 * (-i)^k.  X is real, so the state's real and imaginary parts
+    run through the recurrence (_chebyshev_vectors at first = 1) as the
+    two rows of one real (2, 2^n) stack, and each vector T_k(X) @ state
+    costs one product call; none is computed past the last coefficient.
+    On that pair a_k is 2 times a quarter turn: -i takes (x, y) to
+    (y, -x).  The pair is joined into one complex state before the phase
+    exp(-i * c * tau).
 
     Raises:
         NumericalFailure: the propagated state is not finite.
@@ -320,12 +363,8 @@ def _chebyshev_step(apply, state, tau, lo, hi, coeffs) -> np.ndarray:
     weights = 2 * coeffs[:, None, None] * turns[np.arange(coeffs.size) % 4]
     pair = np.stack([state.real, state.imag])
     result = coeffs[0] * pair
-    # T_1 = X T_0, then T_(k+1) = 2 X T_k - T_(k-1)
-    previous, current, factor = 0.0, pair, 1.0
-    for weight in weights[1:]:
-        following = (apply(current) - centre * current) * (factor / radius) - previous
-        previous, current, factor = current, following, 2.0
-        result += weight @ current
+    for weight, vector in zip(weights[1:], _chebyshev_vectors(apply, pair, centre, radius)):
+        result += weight @ vector
     result = (result[0] + 1j * result[1]) * np.exp(-1j * centre * tau)
     if not np.isfinite(np.vdot(result, result).real):
         raise NumericalFailure("Chebyshev step produced a non-finite state")
@@ -427,27 +466,6 @@ def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.qr(vectors.T)[0].T)
 
 
-def _chebyshev_filter(apply, block, degree, lo, hi, scale) -> np.ndarray:
-    """The scaled Chebyshev polynomial of H of the given degree applied to each row.
-
-    It damps [lo, hi] and amplifies everything below lo, scaled to about 1
-    at scale < lo so that a high degree cannot overflow (Zhou, Saad, Tiago
-    & Chelikowsky, J. Comput. Phys. 219, 172, 2006, algorithm 3.1).
-    """
-    centre, radius = (hi + lo) / 2, (hi - lo) / 2
-    first = radius / (scale - centre)
-    sigma = first
-    previous, current = block, (apply(block) - centre * block) * (first / radius)
-    for _ in range(degree - 1):
-        following = 1 / (2 / first - sigma)
-        previous, current = current, (
-            (apply(current) - centre * current) * (2 * following / radius)
-            - (sigma * following) * previous
-        )
-        sigma = following
-    return current
-
-
 def _filtered_lowest(apply, block, k, hi, n) -> tuple[Optional[np.ndarray], np.ndarray, int]:
     """The k lowest eigenvalues of a real symmetric H by Chebyshev-filtered subspace iteration.
 
@@ -493,7 +511,12 @@ def _filtered_lowest(apply, block, k, hi, n) -> tuple[Optional[np.ndarray], np.n
         if not _matrix_free_pays(n, p * (degree + 1)):
             return None, block, products
         degree = math.ceil(degree)
-        block = _orthonormal_rows(_chebyshev_filter(apply, block, degree, theta[-1], hi, theta[0]))
+        # the degree-th vector of the filter that damps [theta_max, hi],
+        # scaled to about 1 at theta_0; the generator is dropped with it
+        centre, radius = (hi + theta[-1]) / 2, (hi - theta[-1]) / 2
+        block = _orthonormal_rows(next(islice(
+            _chebyshev_vectors(apply, block, centre, radius, radius / (theta[0] - centre)),
+            degree - 1, None)))
         products += p * degree
     raise NumericalFailure(f"filtered subspace did not converge within {_MAX_ITERATIONS} iterations")
 
@@ -517,9 +540,9 @@ def gap_profile(
     next filtered iteration, p * (d + 1) products for a filter of degree
     d, costs more than a dense solve (_matrix_free_pays) is a dense solve,
     and a profile whose cheapest iteration cannot pay builds no block.
-    Dense samples never feed the block, so they are collected and solved
-    in s order as stacks of up to _stack_size(dim) matrices, one
-    lowest_eigenvalues call each.
+    Dense samples never feed the block, so they are collected during the
+    walk and solved after it, in s order, as stacks of up to
+    _stack_size(dim) matrices, one lowest_eigenvalues call each.
     products counts the products of one state by H(s) spent on filtered
     samples, those that ended dense included.
 
@@ -557,10 +580,9 @@ def gap_profile(
             dense.append(i)
         else:
             rows[i] = found
-        if dense and (len(dense) == chunk or i == points - 2):
-            stack = interpolated_hamiltonian(s_values[dense], g, problem)
-            rows[dense] = lowest_eigenvalues(stack, k)
-            dense.clear()
+    for start in range(0, len(dense), chunk):
+        at = dense[start:start + chunk]
+        rows[at] = lowest_eigenvalues(interpolated_hamiltonian(s_values[at], g, problem), k)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise NumericalFailure(f"spectrum is not finite at s = {s_values[np.argmin(finite)]:g}")

@@ -3,6 +3,7 @@
 import io
 import math
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from adiafact import engine
 from adiafact.engine import (
     _bessel_coefficients,
     _chebyshev_step,
+    _chebyshev_vectors,
     _matrix_free_pays,
     _term_floor,
 )
@@ -484,7 +486,8 @@ class TestMatrixFreeSteps:
             _chebyshev_step(lambda v: v * np.nan, initial_state(5), 1.0, -3.0, 3.0,
                             _bessel_coefficients(3.0))
         with pytest.raises(NumericalFailure, match="non-finite"):
-            _chebyshev_step(lambda v: v, initial_state(5), 1.0, -3.0, 3.0, np.array([1.0, np.nan]))
+            _chebyshev_step(lambda v: v.copy(), initial_state(5), 1.0, -3.0, 3.0,
+                            np.array([1.0, np.nan]))
 
     @pytest.mark.parametrize("target, products", [(323, 895), (121, 1374)])
     def test_steps_multiply_the_state_as_one_real_pair(self, registers, monkeypatch, target,
@@ -547,6 +550,101 @@ class TestMatrixFreeSteps:
                             lambda state, h, tau: np.full((len(h), state.size), np.nan))
         with pytest.raises(NumericalFailure, match="norm"):
             run_schedule(problem143, Schedule())
+
+
+class TestChebyshevRecurrence:
+    """_chebyshev_vectors, which both Chebyshev steps and spectral filters run,
+    against T_k of the eigenvalues of a dense H (np.linalg.eigh and
+    np.polynomial.chebyshev)."""
+
+    S, G = 0.4, 0.6
+
+    @pytest.fixture
+    def system(self, registers):
+        """The 5-qubit register's product at s = 0.4, its eigensystem and a random block."""
+        problem = registers[119]
+        h = interpolated_hamiltonian(self.S, self.G, problem)
+        energies, basis = np.linalg.eigh(h)
+        apply = partial(_apply_interpolated, self.S, self.G, problem)
+        block = np.random.default_rng(7).standard_normal((3, problem.dim))
+        return apply, energies, basis, block
+
+    @staticmethod
+    def polynomial(energies, basis, block, centre, radius, degree):
+        """T_degree((H - centre) / radius) applied to every row of the block."""
+        values = np.polynomial.chebyshev.chebval((energies - centre) / radius, [0] * degree + [1])
+        return ((block @ basis) * values) @ basis.T
+
+    @staticmethod
+    def relative_error(got, expected):
+        return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+    def test_the_plain_recurrence_is_t_k(self, system):
+        apply, energies, basis, block = system
+        lo, hi = energies[0] - 0.5, energies[-1] + 0.25
+        centre, radius = (hi + lo) / 2, (hi - lo) / 2
+        vectors = list(islice(_chebyshev_vectors(apply, block, centre, radius), 8))
+        for degree, vector in enumerate(vectors, start=1):
+            expected = self.polynomial(energies, basis, block, centre, radius, degree)
+            assert self.relative_error(vector, expected) <= 1e-10
+
+    def test_the_plain_recurrence_is_bitwise_the_unscaled_one(self, system):
+        # at first = 1 every sigma is exactly 1: the vectors are those of
+        # T_1 = X T_0, T_(k+1) = 2 X T_k - T_(k-1) computed out of place
+        apply, energies, _, block = system
+        lo, hi = energies[0], energies[-1]
+        centre, radius = (hi + lo) / 2, (hi - lo) / 2
+        previous, current, factor = 0.0, block, 1.0
+        for vector in islice(_chebyshev_vectors(apply, block, centre, radius), 12):
+            following = (apply(current) - centre * current) * (factor / radius) - previous
+            previous, current, factor = current, following, 2.0
+            assert np.array_equal(vector, current)
+
+    @pytest.mark.parametrize("degree", [1, 2, 9, 25])
+    def test_the_scaled_filter_is_t_d_over_its_value_at_scale(self, system, degree):
+        # the filter gap_profile runs: damp [E_3, hi] and scale T_d to 1 at E_0
+        apply, energies, basis, block = system
+        lo, hi, scale = energies[3], energies[-1] + 0.25, energies[0]
+        centre, radius = (hi + lo) / 2, (hi - lo) / 2
+        first = radius / (scale - centre)
+        vectors = _chebyshev_vectors(apply, block, centre, radius, first)
+        vector = next(islice(vectors, degree - 1, None))
+        at_scale = np.polynomial.chebyshev.chebval((scale - centre) / radius, [0] * degree + [1])
+        expected = self.polynomial(energies, basis, block, centre, radius, degree) / at_scale
+        assert self.relative_error(vector, expected) <= 1e-10
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_kept_vectors_are_never_overwritten(self, system, scaled):
+        # the recurrence runs in place on each product's output: vectors
+        # kept from one generator equal those taken one at a time from
+        # fresh ones, and the input rows are left as they were
+        apply, energies, _, block = system
+        lo, hi = energies[2 if scaled else 0], energies[-1]
+        centre, radius = (hi + lo) / 2, (hi - lo) / 2
+        first = radius / (energies[0] - centre) if scaled else 1.0
+        rows = block.copy()
+        kept = list(islice(_chebyshev_vectors(apply, rows, centre, radius, first), 6))
+        assert np.array_equal(rows, block)
+        for degree, vector in enumerate(kept, start=1):
+            fresh = next(islice(_chebyshev_vectors(apply, rows, centre, radius, first),
+                                degree - 1, None))
+            assert np.array_equal(vector, fresh)
+            assert not np.shares_memory(vector, rows)
+        assert np.array_equal(rows, block)
+
+    def test_each_vector_costs_one_product_when_asked_for(self, system):
+        apply, energies, _, block = system
+        calls = []
+
+        def counted(v):
+            calls.append(v.shape)
+            return apply(v)
+
+        vectors = _chebyshev_vectors(counted, block, 0.0, float(energies[-1] - energies[0]))
+        assert calls == []
+        for taken in range(1, 5):
+            next(vectors)
+            assert calls == [block.shape] * taken
 
 
 class TestSpectra:
