@@ -41,12 +41,12 @@ equation evaluated, and the pass count does not move.
 The propagator takes the system's rows as they are, with fixed values
 and pairs as masks under the same numbering; its result only renumbers
 the surviving rows onto the variables still free.  A Poly is built only
-for an Infeasible message.  The rules price each trial value in closed
-form: from the equation's plain interval, v = 0 takes off the terms that
-contain v, and v = 1 takes off its partners' terms and merges each m*v
-into m.  Only a trial interval that contains 0, on an equation with a
-pair that can sharpen it, is recomputed in full from the substituted
-terms.
+for an Infeasible message.  Every interval starts as the plain interval
+of the terms and is narrowed by one pair rule.  The rules price each trial
+value in closed form: from the equation's plain interval, v = 0 takes off
+the terms that contain v, and v = 1 takes off its partners' terms and
+merges each m*v into m; the pair rule then reads the linear coefficients
+the trial leaves, without building the substituted terms.
 
 Every step is a sound implication of the system together with the pairs
 recorded so far, so the solution set projected onto surviving variables
@@ -240,26 +240,21 @@ def _substitute(terms: dict[int, int], ones: int, zeros: int) -> dict[int, int]:
     return out
 
 
-def _joins(pairs: list[int], variables: int) -> bool:
-    """True if one of the pairs lies wholly within the variables."""
-    return any(pair & variables == pair for pair in pairs)
-
-
 class _Row:
     """One live residual and what the propagator knows about it.
 
     terms maps each monomial, as the mask of its variables' bits, to its
     nonzero coefficient.  variables is the mask of every variable the terms
-    mention and linear the mask of those with a linear term; key is the
-    terms as a hashable set for the duplicate check, and lo, hi their plain
-    interval (Poly.bounds()).  set_terms keeps all of them in step.
+    mention, key the terms as a hashable set for the duplicate check, and
+    lo, hi their plain interval (Poly.bounds()).  set_terms keeps all of
+    them in step.
 
     read is (variables, which of them are fixed, the pairs between them) as
     the last evaluation started; while the fixed values and pairs over those
     variables match it, the row would evaluate to no change.
     """
 
-    __slots__ = ("column", "terms", "variables", "linear", "key", "lo", "hi", "dead", "read")
+    __slots__ = ("column", "terms", "variables", "key", "lo", "hi", "dead", "read")
 
     def __init__(self, column: Optional[int], terms: dict[int, int]):
         self.column = column
@@ -270,19 +265,17 @@ class _Row:
     def set_terms(self, terms: dict[int, int]) -> None:
         self.terms = terms
         self.key = frozenset(terms.items())
-        variables = linear = 0
+        variables = 0
         lo = hi = terms.get(0, 0)
         for mono, coeff in terms.items():
             if not mono:
                 continue
             variables |= mono
-            if not mono & (mono - 1):
-                linear |= mono
             if coeff > 0:
                 hi += coeff
             else:
                 lo += coeff
-        self.variables, self.linear, self.lo, self.hi = variables, linear, lo, hi
+        self.variables, self.lo, self.hi = variables, lo, hi
 
 
 class _Propagator:
@@ -381,40 +374,30 @@ class _Propagator:
     # -- interval machinery ------------------------------------------
 
     @staticmethod
-    def _bounds(terms: dict[int, int], pairs: list[int]) -> tuple[int, int]:
-        """Value interval of a residual given as distinct {monomial mask: coefficient} terms.
+    def _sharpen(coefficient, lo: int, hi: int, pairs: list[int]) -> tuple[int, int]:
+        """Narrow the plain interval (lo, hi) of some terms by the pairs.
 
-        One monomial at a time; zero coefficients are skipped.  The pairs
-        sharpen the bound for pairs of exclusive linear terms of the same
-        sign: at most one of the two can be active, so the smaller one is
-        taken back off.  Pairs match greedily in the order given.  Every
-        sum is exact, so the order of the terms does not matter.
+        coefficient(x) is the linear coefficient of the variable bit x in
+        those terms, 0 or None where there is none.  Of two linear terms of
+        one sign whose variables form a pair, at most one can be active, so
+        the smaller one is taken back off.  Pairs match greedily in the
+        order given, and each term is used at most once.
         """
-        lo = hi = 0
-        lin_pos: dict[int, int] = {}
-        lin_neg: dict[int, int] = {}
-        for mono, coeff in terms.items():
-            if not coeff:
+        used = 0
+        for pair in pairs:
+            if pair & used:
                 continue
-            if not mono:
-                lo += coeff
-                hi += coeff
-            elif not mono & (mono - 1):
-                (lin_pos if coeff > 0 else lin_neg)[mono] = coeff
-            elif coeff > 0:
-                hi += coeff
-            else:
-                lo += coeff
-        hi += sum(lin_pos.values())
-        lo += sum(lin_neg.values())
-        if len(lin_pos) > 1 or len(lin_neg) > 1:
-            for pair in pairs:
-                x = pair & -pair
-                y = pair ^ x
-                if x in lin_pos and y in lin_pos:
-                    hi -= min(lin_pos.pop(x), lin_pos.pop(y))
-                if x in lin_neg and y in lin_neg:
-                    lo -= max(lin_neg.pop(x), lin_neg.pop(y))
+            x = pair & -pair
+            cx = coefficient(x)
+            if not cx:
+                continue
+            cy = coefficient(pair ^ x)
+            if cy and cx * cy > 0:
+                used |= pair
+                if cx > 0:
+                    hi -= min(cx, cy)
+                else:
+                    lo -= max(cx, cy)
         return lo, hi
 
     def _probe(self, row: _Row, var: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -423,16 +406,15 @@ class _Propagator:
         Each starts from the row's plain interval and moves only by the
         terms the trial reaches: var = 0 drops the terms that contain var;
         var = 1 drops the terms of its partners and merges each m*var into
-        m (a linear var into the constant).  An interval that contains 0 is
-        replaced by _bounds of the substituted terms when a pair of the row
-        joins two variables that may be linear there.  Pairs only narrow an
-        interval, so one that excludes 0 already gives _bounds' verdict.
+        m (a linear var into the constant).  _sharpen then narrows both by
+        the row's pairs, reading the linear coefficients the trial leaves:
+        var's own drops out at 0, and at 1 x's becomes terms[x] +
+        terms[x | var] for x outside var and its partners.
         """
         terms = row.terms
         partners = self._partners.get(var, 0)
         lo0 = lo1 = row.lo
         hi0 = hi1 = row.hi
-        linear1 = row.linear & ~(var | partners)  # may be linear at var = 1
         for mono, coeff in terms.items():
             if mono & var:
                 if coeff > 0:
@@ -448,8 +430,6 @@ class _Propagator:
                     lo1 += coeff
                     hi1 += coeff
                     continue
-                if not rest & (rest - 1):
-                    linear1 |= rest
                 old = terms.get(rest, 0)
                 if old > 0:
                     hi1 -= old
@@ -464,13 +444,14 @@ class _Propagator:
                     hi1 -= coeff
                 else:
                     lo1 -= coeff
-        at_zero, at_one = (lo0, hi0), (lo1, hi1)
         pairs = self._own_pairs(row.variables)
-        if pairs and lo0 <= 0 <= hi0 and _joins(pairs, row.linear & ~var):
-            at_zero = self._bounds(_substitute(terms, 0, var), pairs)
-        if pairs and lo1 <= 0 <= hi1 and _joins(pairs, linear1):
-            at_one = self._bounds(_substitute(terms, var, partners), pairs)
-        return at_zero, at_one
+        if not pairs:
+            return (lo0, hi0), (lo1, hi1)
+        get = terms.get
+        gone = var | partners
+        return (self._sharpen(lambda x: x != var and get(x), lo0, hi0, pairs),
+                self._sharpen(lambda x: not x & gone and get(x, 0) + get(x | var, 0),
+                              lo1, hi1, pairs))
 
     # -- passes -------------------------------------------------------
 
@@ -531,7 +512,7 @@ class _Propagator:
         return terms
 
     def _apply_rules(self, row: _Row) -> bool:
-        lo, hi = self._bounds(row.terms, self._own_pairs(row.variables))
+        lo, hi = self._sharpen(row.terms.get, row.lo, row.hi, self._own_pairs(row.variables))
         if lo > 0 or hi < 0:
             raise Infeasible(self._explain(row, row.terms))
         if row.hi == 0:

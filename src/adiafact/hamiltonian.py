@@ -124,10 +124,23 @@ class QubitMap:
         return len(self.variables)
 
     def index_of(self, assignment: Mapping[VarId, int]) -> int:
-        try:
-            return sum(bit for v, bit in _variable_bits(self.variables).items() if assignment[v])
-        except KeyError as exc:
-            raise UnmappedVariable(f"assignment is missing {exc.args[0]}") from exc
+        """The basis index of a 0/1 value for every mapped variable.
+
+        Raises:
+            UnmappedVariable: a mapped variable has no value.
+            ValueError: a value other than 0 or 1.
+        """
+        index = 0
+        for var, bit in _variable_bits(self.variables).items():
+            try:
+                value = assignment[var]
+            except KeyError as exc:
+                raise UnmappedVariable(f"assignment is missing {var}") from exc
+            if value not in (0, 1):
+                raise ValueError(f"{var} has value {value!r}, not 0 or 1")
+            if value:
+                index |= bit
+        return index
 
     def assignment_of(self, index: int) -> dict:
         if not 0 <= index < (1 << self.n):

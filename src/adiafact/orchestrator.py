@@ -76,6 +76,7 @@ def decode_assignment(
 
     Raises:
         UnmappedVariable: an interior bit is neither assigned nor fixed.
+        ValueError: an interior bit has a value other than 0 or 1.
     """
     merged = dict(system.fixed)
     merged.update(assignment)
@@ -88,6 +89,8 @@ def decode_assignment(
                 bit = merged[var]
             except KeyError as exc:
                 raise UnmappedVariable(f"no value for interior bit {var}") from exc
+            if bit not in (0, 1):
+                raise ValueError(f"interior bit {var} has value {bit!r}, not 0 or 1")
             value |= bit << i
         return value
 

@@ -336,6 +336,13 @@ class TestQubitMap:
         with pytest.raises(UnmappedVariable):
             QubitMap((P1, Q1)).index_of({P1: 1})
 
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_a_value_other_than_0_or_1_is_refused(self, system143, value):
+        # counted as truthy, either value would read index 8
+        qmap = QubitMap.from_system(system143)
+        with pytest.raises(ValueError, match=f"p1 has value {value}, not 0 or 1"):
+            qmap.index_of({P1: value, P2: 0, Q1: 0, Q2: 0})
+
 
 class TestDirectCost:
     def test_21_has_zero_at_3_times_7(self):

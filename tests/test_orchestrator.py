@@ -63,6 +63,13 @@ class TestDecode:
         with pytest.raises(UnmappedVariable):
             decode_assignment({VarId.p(1): 1}, system143)
 
+    @pytest.mark.parametrize("value", [5, 2, -1])
+    def test_a_bit_other_than_0_or_1_is_refused(self, system143, value):
+        # ORed in unchecked, p1 = 5 would set bits 1 and 3 and read (11, 11)
+        p1, p2, q1, q2 = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
+        with pytest.raises(ValueError, match=f"p1 has value {value}, not 0 or 1"):
+            decode_assignment({p1: value, p2: 0, q1: 1, q2: 0}, system143)
+
 
 class TestManifold:
     def test_ground_manifold_143(self, problem143):
