@@ -118,8 +118,8 @@ class EquationSystem:
         residuals = list(residuals)
         names = set().union(*forbidden_pairs, *(r.variables() for r, _ in residuals))
         variables = tuple(sorted(names))
-        equations = tuple(ColumnEquation(_poly_to_masks(residual, variables), variables, column)
-                          for residual, column in residuals)
+        equations = tuple([ColumnEquation(_poly_to_masks(residual, variables), variables, column)
+                           for residual, column in residuals])
         return cls(target, widths, variables, equations, fixed, tuple(forbidden_pairs))
 
     def free_variables(self) -> tuple[VarId, ...]:
@@ -220,8 +220,8 @@ def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
         _, source, dest = carry
         rows[source][bit[carry]] = -(1 << (dest - source))
         rows[dest][bit[carry]] = 1
-    equations = tuple(ColumnEquation({m: k for m, k in row.items() if k}, variables, c)
-                      for c, row in enumerate(rows))
+    equations = tuple([ColumnEquation({m: k for m, k in row.items() if k}, variables, c)
+                       for c, row in enumerate(rows)])
     return EquationSystem(target, (w_p, w_q), variables, equations, {}, ())
 
 
@@ -587,15 +587,15 @@ class _Propagator:
         alive = 0
         for mask in [row.variables for row in rows] + self._sorted_pairs():
             alive |= mask
-        variables = tuple(self._var(bit) for bit in _bits(alive))
+        variables = tuple([self._var(bit) for bit in _bits(alive)])
         moved = dict(zip(_bits(alive), _variable_bits(variables).values()))
-        equations = tuple(ColumnEquation(
+        equations = tuple([ColumnEquation(
             {sum(moved[bit] for bit in _bits(m)): c for m, c in row.terms.items()},
-            variables, row.column) for row in rows)
+            variables, row.column) for row in rows])
         fixed = dict(self.fixed)
         fixed.update((self._var(bit), int(bool(bit & self.ones)))
                      for bit in _bits(self.ones | self.zeros))
-        pairs = tuple(frozenset(map(self._var, _bits(pair))) for pair in self._sorted_pairs())
+        pairs = tuple([frozenset(map(self._var, _bits(pair))) for pair in self._sorted_pairs()])
         return EquationSystem(self.target, self.widths, variables, equations,
                               dict(sorted(fixed.items())), pairs)
 
@@ -716,7 +716,7 @@ def system_from_document(doc: dict) -> EquationSystem:
         fixed = {
             VarId.parse(name): _json_int(value) for name, value in doc.get("fixed", {}).items()
         }
-        pairs = tuple(_pair_from_names(names) for names in doc.get("forbidden_pairs", []))
+        pairs = tuple([_pair_from_names(names) for names in doc.get("forbidden_pairs", [])])
         declared = None
         if "variables" in doc:
             declared = tuple(sorted(VarId.parse(name) for name in doc["variables"]))

@@ -130,7 +130,7 @@ class Schedule:
             if not 0 <= c <= self.M:
                 raise ValueError(f"checkpoint {c} outside 0..{self.M}")
         object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "checkpoints", tuple(int(c) for c in self.checkpoints))
+        object.__setattr__(self, "checkpoints", tuple([int(c) for c in self.checkpoints]))
 
     @property
     def tau(self) -> float:

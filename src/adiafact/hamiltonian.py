@@ -20,11 +20,14 @@ and pairing costs one more pass over R's terms.
 Penalties are built on the system's monomial masks, where a product of
 monomials is the OR of their masks and a mask is its basis index in
 QubitMap(system.variables): assemble_problem adds every equation's
-penalty into one {mask: coefficient} dict and builds one Poly at the end.
-polynomial_to_diagonal reads a Poly back into masks and evaluates it on
-all 2^n basis states with a subset-sum (zeta) transform: each coefficient
-is placed at its mask, and n in-place passes add each entry into its
-partner with one more bit set, O(n * 2^n) whatever the number of terms.
+penalty into one {mask: coefficient} dict and returns it as a mask-backed
+Poly, whose terms are built only if a caller reads them.
+polynomial_to_diagonal takes that dict as it is under the map
+assemble_problem returned (any other Poly, or another map, is read into
+masks) and evaluates it on all 2^n basis states with a subset-sum (zeta)
+transform: each coefficient is placed at its mask, and n in-place passes
+add each entry into its partner with one more bit set, O(n * 2^n)
+whatever the number of terms.
 
 The mixer is the uniform transverse field g * sum_i X_i, whose ground
 state is the uniform-magnitude superposition used as the start of every
@@ -286,7 +289,9 @@ def assemble_problem(
     equations whose squared penalty would exceed quadratic order; "none"
     always squares, which keeps the penalty symmetric under the p/q swap
     at the cost of higher-degree monomials.  Every penalty is added mask
-    by mask into one accumulator, and the polynomial is built once.
+    by mask into one accumulator, which the returned polynomial wraps
+    under system.variables: its terms are built only when it is read, and
+    polynomial_to_diagonal under the returned map takes the masks as they are.
 
     Returns:
         (qubit map over the free variables, penalty polynomial).  The
@@ -304,7 +309,7 @@ def assemble_problem(
     acc: dict = {}
     for eq in system.equations:
         _add_penalty(acc, eq.terms, pairing)
-    return qmap, _masks_to_poly(acc, system.variables)
+    return qmap, Poly._from_masks(acc, system.variables)
 
 
 def polynomial_to_diagonal(poly: Poly, qmap: QubitMap) -> DiagonalOperator:
@@ -315,11 +320,13 @@ def polynomial_to_diagonal(poly: Poly, qmap: QubitMap) -> DiagonalOperator:
         DimensionTooLarge: the map exceeds the qubit cap.
         ValueError: a coefficient is not an int, or too large for an int64 diagonal.
     """
-    unmapped = set(poly.variables()) - set(qmap.variables)
-    if unmapped:
-        raise UnmappedVariable(f"no qubit for {sorted(unmapped)}")
+    try:
+        terms = _poly_to_masks(poly, qmap.variables)
+    except KeyError:
+        unmapped = set(poly.variables()) - set(qmap.variables)
+        raise UnmappedVariable(f"no qubit for {sorted(unmapped)}") from None
     _check_dim(qmap.n)
-    return DiagonalOperator(qmap.n, _basis_values(_poly_to_masks(poly, qmap.variables), qmap.n))
+    return DiagonalOperator(qmap.n, _basis_values(terms, qmap.n))
 
 
 def _basis_values(terms: dict, n: int) -> np.ndarray:

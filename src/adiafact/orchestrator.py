@@ -126,7 +126,7 @@ def brute_force_min(
         raise TooManyVariables(f"{len(variables)} variables exceed the limit of {limit}")
     qmap = QubitMap(variables)
     diagonal = DiagonalOperator(qmap.n, _basis_values(terms, qmap.n))
-    argmins = tuple(qmap.assignment_of(index) for index in diagonal.ground_indices())
+    argmins = tuple([qmap.assignment_of(index) for index in diagonal.ground_indices()])
     return diagonal.min_energy(), argmins
 
 

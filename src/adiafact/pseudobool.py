@@ -8,6 +8,10 @@ coefficients.  Coefficients are plain Python ints, so arithmetic never
 rounds and ground-state energies are compared against exact zero.  The
 compiler and the penalty hold them as {monomial mask: coefficient} under
 a sorted numbering (_variable_bits); _poly_to_masks and _masks_to_poly convert.
+Poly._from_masks wraps such a dict without converting it: the term dict
+is built on first read, and _poly_to_masks hands the stored dict back to
+a reader that passes the same numbering, so a penalty that only becomes
+a diagonal never builds its Monomials.
 """
 
 from __future__ import annotations
@@ -115,9 +119,10 @@ def _termkey(item):
 class PseudoBooleanPolynomial:
     """Immutable multilinear polynomial with exact integer coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_masks")
 
     def __init__(self, terms: Union[dict, Iterable, None] = None):
+        self._masks = None
         # the one place terms are accumulated, zeros dropped and the order fixed
         acc: dict[Monomial, int] = {}
         if terms:
@@ -131,6 +136,25 @@ class PseudoBooleanPolynomial:
                 else:
                     acc.pop(mono, None)
         self._terms = dict(sorted(acc.items(), key=_termkey))
+
+    @classmethod
+    def _from_masks(cls, terms: dict[int, int],
+                    variables: tuple[VarId, ...]) -> "PseudoBooleanPolynomial":
+        """The polynomial of {mask: coefficient} terms under _variable_bits(variables).
+
+        terms is kept, zero coefficients and all, and must not be mutated
+        afterwards; the term dict is built from it on first read.
+        """
+        poly = cls.__new__(cls)
+        poly._masks = (terms, variables)
+        return poly
+
+    def __getattr__(self, name: str):
+        # only a mask-backed polynomial's _terms is ever unset: build it once, on first read
+        if name != "_terms" or self._masks is None:
+            raise AttributeError(name)
+        self._terms = _masks_to_poly(*self._masks)._terms
+        return self._terms
 
     @classmethod
     def constant(cls, value: int) -> "PseudoBooleanPolynomial":
@@ -292,7 +316,15 @@ def _variable_bits(variables: tuple[VarId, ...]) -> dict[VarId, int]:
 
 
 def _poly_to_masks(poly: Poly, variables: tuple[VarId, ...]) -> dict[int, int]:
-    """poly as {monomial mask: coefficient} under _variable_bits(variables), in poly's order."""
+    """poly as {monomial mask: coefficient} under _variable_bits(variables), in poly's order.
+
+    For a mask-backed poly (Poly._from_masks) read under the very numbering
+    it was built under, its stored dict as it is: in accumulation order,
+    zero coefficients included.  The caller must not mutate the result.
+    Raises KeyError when poly mentions a variable outside variables.
+    """
+    if poly._masks is not None and poly._masks[1] is variables:
+        return poly._masks[0]
     bit = _variable_bits(variables)
     return {sum(bit[var] for var in mono): coeff for mono, coeff in poly.items()}
 

@@ -162,6 +162,38 @@ def test_penalties_and_diagonals_are_frozen():
     )
 
 
+def _unsolved_systems(lo, hi):
+    """Every split of odd n in [lo, hi] that propagation leaves feasible and unsolved."""
+    for n in range(lo | 1, hi + 1, 2):
+        for w_p, w_q in enumerate_width_splits(n):
+            try:
+                system = simplify(build_layout(n, w_p, w_q))
+            except Infeasible:
+                continue
+            if not system.is_solved:
+                yield system
+
+
+@pytest.mark.parametrize("pairing", ["last", "first", "none"])
+def test_mask_backed_penalties_read_as_their_plain_polys(pairing):
+    # each read is the first on its own penalty, so every reader builds the terms itself
+    readers = [len, hash, str, lambda poly: list(poly.items())]
+    checked = 0
+    for system in _unsolved_systems(9, 255):
+        qmap, penalty = assemble_problem(system, pairing)
+        plain = Poly(list(assemble_problem(system, pairing)[1].items()))
+        for read in readers:
+            assert read(assemble_problem(system, pairing)[1]) == read(plain)
+        assert assemble_problem(system, pairing)[1] == plain
+        assert plain == assemble_problem(system, pairing)[1]
+        if qmap.n <= qubit_cap():
+            # penalty is still unread here: its stored masks give the diagonal
+            assert np.array_equal(polynomial_to_diagonal(penalty, qmap).numerators,
+                                  polynomial_to_diagonal(plain, qmap).numerators)
+        checked += 1
+    assert checked == 137
+
+
 class TestAssembly143:
     def test_first_pairing_reproduces_the_eleven_terms(self, system143):
         _, penalty = assemble_problem(system143, pairing="first")
@@ -296,8 +328,26 @@ class TestDiagonal:
 
     def test_unmapped_variable(self, system143):
         _, penalty = assemble_problem(system143, pairing="first")
-        with pytest.raises(UnmappedVariable):
+        with pytest.raises(UnmappedVariable, match=r"^no qubit for \[VarId\(q2\)\]$"):
             polynomial_to_diagonal(penalty, QubitMap((P1, P2, Q1)))
+
+    def test_an_unmapped_variable_is_reported_before_the_cap(self, system143, monkeypatch):
+        monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "3")
+        _, penalty = assemble_problem(system143, pairing="first")
+        with pytest.raises(UnmappedVariable, match=r"^no qubit for \[VarId\(q2\)\]$"):
+            polynomial_to_diagonal(penalty, QubitMap((P1, P2, VarId.p(3), Q1)))
+
+    @pytest.mark.parametrize("pairing", ["last", "first", "none"])
+    def test_a_mask_backed_penalty_under_a_larger_map(self, system143, pairing):
+        # p3 sits between p2 and q1, so every q bit moves under the larger map
+        wider = QubitMap((P1, P2, VarId.p(3), Q1, Q2))
+        _, penalty = assemble_problem(system143, pairing)
+        plain = Poly(list(assemble_problem(system143, pairing)[1].items()))
+        energies = polynomial_to_diagonal(penalty, wider).numerators
+        assert np.array_equal(energies, polynomial_to_diagonal(plain, wider).numerators)
+        assert energies.tolist() == [
+            plain.evaluate(wider.assignment_of(index)) for index in range(1 << wider.n)
+        ]
 
     def test_qubit_cap_is_enforced(self, system143, monkeypatch):
         monkeypatch.setenv("ADIAFACT_MAX_QUBITS", "3")

@@ -245,8 +245,9 @@ class TestCapBeforePenalty:
 
 
 def test_a_poly_is_built_only_for_the_returned_penalty(monkeypatch):
-    # layout, propagation and assembly work on masks; Poly appears at the edges
-    from adiafact import Poly, build_layout, simplify
+    # layout, propagation, assembly and the diagonal work on masks; the penalty's
+    # Poly terms are built only when a caller reads them
+    from adiafact import Poly, assemble_problem, build_layout, simplify
 
     built = []
     original = Poly.__init__
@@ -256,9 +257,15 @@ def test_a_poly_is_built_only_for_the_returned_penalty(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Poly, "__init__", counted)
-    simplify(build_layout(143, 4, 4))
+    system = simplify(build_layout(143, 4, 4))
     assert len(built) == 0
     select_split(143)
+    assert len(built) == 0
+    _, penalty = assemble_problem(system)
+    assert len(built) == 0
+    len(penalty)
+    assert len(built) == 1
+    str(penalty), hash(penalty), list(penalty.items())
     assert len(built) == 1
 
 

@@ -23,6 +23,28 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_tuple_of_a_generator_expression_in_the_package():
+    # tuple(<generator>) cannot know its length: it allocates a guessed size and
+    # shrinks the tuple to fit.  When freed, the tuple goes to CPython's free list
+    # of its final size, which tuple(<generator>) never allocates from, so that
+    # list only fills (up to 2000 tuples per size).  Only a full gc collection
+    # empties it; once the penalty stopped building Poly Monomials, which kept gc
+    # collecting, these lists raised a screen walk's peak RSS.  tuple([...])
+    # allocates the exact size and reuses what it frees.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+        ]
+    assert found == []
+
+
 def _absolute_imports():
     """(location, top-level module) for every absolute import in the package."""
     for path in sorted(PACKAGE.rglob("*.py")):
