@@ -41,7 +41,7 @@ for pair in simplified.forbidden_pairs:
 print()
 
 print("free variables left for the quantum register:", end=" ")
-print(", ".join(str(v) for v in simplified.free_variables()))
+print(", ".join(str(v) for v in simplified.variables))
 
 # compile_system wraps the split search and the simplification
 system = compile_system(TARGET)

@@ -19,7 +19,8 @@ system = compile_system(143)
 
 for pairing in ("first", "last", "none"):
     _, penalty = assemble_problem(system, pairing=pairing)
-    print(f"pairing={pairing!r}: degree {penalty.degree}, {len(penalty)} terms")
+    degree = max((len(mono) for mono, _ in penalty.items()), default=0)
+    print(f"pairing={pairing!r}: degree {degree}, {len(penalty)} terms")
 print()
 
 qmap, penalty = assemble_problem(system, pairing="first")

@@ -39,7 +39,6 @@ from .errors import (
     IndexOutOfRange,
     Infeasible,
     InvariantViolation,
-    NotApplicable,
     NotFactorable,
     NumericalFailure,
     TooManyVariables,
@@ -53,9 +52,7 @@ from .hamiltonian import (
     assemble_problem,
     direct_cost_diagonal,
     interpolated_hamiltonian,
-    penalty_polynomial,
     polynomial_to_diagonal,
-    quadratize_equation,
     qubit_cap,
 )
 from .orchestrator import (
@@ -92,7 +89,6 @@ __all__ = [
     "Infeasible",
     "InvariantViolation",
     "Monomial",
-    "NotApplicable",
     "NotFactorable",
     "NumericalFailure",
     "Poly",
@@ -119,11 +115,9 @@ __all__ = [
     "initial_state",
     "interpolated_hamiltonian",
     "lowest_eigenvalues",
-    "penalty_polynomial",
     "polynomial_to_diagonal",
     "populations",
     "propagate_step",
-    "quadratize_equation",
     "qubit_cap",
     "run_schedule",
     "select_split",

@@ -122,18 +122,9 @@ class EquationSystem:
                            for residual, column in residuals])
         return cls(target, widths, variables, equations, fixed, tuple(forbidden_pairs))
 
-    def free_variables(self) -> tuple[VarId, ...]:
-        return self.variables
-
     @property
     def is_solved(self) -> bool:
         return not self.variables
-
-    def interior_variables(self) -> tuple[VarId, ...]:
-        wp, wq = self.widths
-        ps = [VarId.p(i) for i in range(1, wp - 1)]
-        qs = [VarId.q(i) for i in range(1, wq - 1)]
-        return tuple(ps + qs)
 
 
 def _validate_target(target: int) -> None:
@@ -246,8 +237,9 @@ class _Row:
     terms maps each monomial, as the mask of its variables' bits, to its
     nonzero coefficient.  variables is the mask of every variable the terms
     mention, key the terms as a hashable set for the duplicate check, and
-    lo, hi their plain interval (Poly.bounds()).  set_terms keeps all of
-    them in step.
+    lo, hi their plain interval: the constant plus every negative, and plus
+    every positive, coefficient, each monomial taken as an independent 0/1
+    term.  set_terms keeps all of them in step.
 
     read is (variables, which of them are fixed, the pairs between them) as
     the last evaluation started; while the fixed values and pairs over those

@@ -25,10 +25,6 @@ class Infeasible(AdiafactError):
     """Constraint propagation proved the equation system has no solution."""
 
 
-class NotApplicable(AdiafactError):
-    """The requested rewrite does not apply to this equation."""
-
-
 class EmptySystem(AdiafactError):
     """No free variables remain, so there is nothing to build an operator from."""
 

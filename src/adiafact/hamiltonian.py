@@ -17,11 +17,12 @@ polynomial is 2*R^2 + (2A + 2B - 1 - 4*A*B)*R, and that is how it is
 computed: the square R^2, which decides whether to pair at all, is reused,
 and pairing costs one more pass over R's terms.
 
-Penalties are built on the system's monomial masks, where a product of
-monomials is the OR of their masks and a mask is its basis index in
-QubitMap(system.variables): assemble_problem adds every equation's
-penalty into one {mask: coefficient} dict and returns it as a mask-backed
-Poly, whose terms are built only if a caller reads them.
+Penalties are built only by assemble_problem, on the system's monomial
+masks, where a product of monomials is the OR of their masks and a mask
+is its basis index in QubitMap(system.variables): assemble_problem adds
+every equation's penalty into one {mask: coefficient} dict and returns
+it as a mask-backed Poly, whose terms are built only if a caller reads
+them.
 polynomial_to_diagonal takes that dict as it is under the map
 assemble_problem returned (any other Poly, or another map, is read into
 masks) and evaluates it on all 2^n basis states with a subset-sum (zeta)
@@ -64,10 +65,9 @@ from .errors import (
     DimensionTooLarge,
     EmptySystem,
     InconsistentMap,
-    NotApplicable,
     UnmappedVariable,
 )
-from .pseudobool import Poly, VarId, _masks_to_poly, _poly_to_masks, _variable_bits
+from .pseudobool import Poly, VarId, _poly_to_masks, _variable_bits
 
 _CAP_ENV = "ADIAFACT_MAX_QUBITS"
 _DEFAULT_CAP = 14
@@ -117,10 +117,6 @@ class QubitMap:
             raise InconsistentMap("duplicate variables in qubit map")
         if tuple(sorted(self.variables)) != self.variables:
             raise InconsistentMap("qubit map must list variables in sorted order")
-
-    @classmethod
-    def from_system(cls, system: EquationSystem) -> "QubitMap":
-        return cls(system.variables)
 
     @property
     def n(self) -> int:
@@ -248,36 +244,6 @@ def _add_penalty(acc: dict, terms: dict, pairing: str) -> None:
             return
     for mono, coeff in square.items():
         acc[mono] = acc.get(mono, 0) + coeff
-
-
-def penalty_polynomial(residual: Poly) -> Poly:
-    """Squared residual: nonnegative, zero exactly where the residual vanishes."""
-    variables = residual.variables()
-    return _masks_to_poly(_square(list(_poly_to_masks(residual, variables).items())), variables)
-
-
-def quadratize_equation(residual: Poly, pairing: str = "last") -> Poly:
-    """Penalty for residual A*B + S built without squaring the product.
-
-    pairing picks which two-variable product becomes (A, B): "last" takes
-    the lexicographically last product term, "first" the first.  S keeps
-    any remainder of A*B's own coefficient.  The identity needs an
-    integer-valued S, which integer coefficients give.
-
-    Raises:
-        ValueError: pairing is neither "last" nor "first".
-        NotApplicable: no two-variable product to pair.
-    """
-    if pairing not in ("last", "first"):
-        raise ValueError(f"pairing must be 'last' or 'first', got {pairing!r}")
-    variables = residual.variables()
-    terms = list(_poly_to_masks(residual, variables).items())
-    product = _paired_product(terms, pairing)
-    if not product:
-        raise NotApplicable("no two-variable product term to pair")
-    acc: dict = {}
-    _add_paired(acc, terms, _square(terms), product)
-    return _masks_to_poly(acc, variables)
 
 
 def assemble_problem(

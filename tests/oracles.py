@@ -1,9 +1,11 @@
 """Independent reference computations for the test suite.
 
-Nothing here imports the package's compiler or engine internals beyond
-plain data types: solutions are recomputed by grade-school column
-arithmetic over candidate factor bits, and evolutions by scipy's matrix
-exponential, so agreement with the library is a genuine cross-check.
+Nothing here imports from the package but VarId (tests/test_source.py
+enforces it): solutions are recomputed by grade-school column arithmetic
+over candidate factor bits, polynomials by the arithmetic below on plain
+{frozenset of variables: coefficient} dicts, and evolutions by scipy's
+matrix exponential, so agreement with the library is a genuine
+cross-check.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def simplified_solutions(system) -> set:
     completed with the system's fixed values so it ranges over the same
     variables as the unsimplified layout.
     """
-    free = system.free_variables()
+    free = system.variables
     k = len(free)
     index = np.arange(1 << k)
     bits = {v: (index >> (k - 1 - i)) & 1 for i, v in enumerate(free)}
@@ -131,6 +133,65 @@ def simplified_solutions(system) -> set:
             solution[v] = int(bits[v][i])
         out.add(tuple(sorted(solution.items())))
     return out
+
+
+def poly_terms(poly) -> dict:
+    """A polynomial as {frozenset of variables: nonzero coefficient}.
+
+    poly is anything whose items() yields (variables, coefficient) pairs:
+    a library polynomial, read through items() only, or one of these dicts.
+    """
+    out: dict = {}
+    for variables, coeff in poly.items():
+        key = frozenset(variables)
+        out[key] = out.get(key, 0) + coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def poly_add(*polys) -> dict:
+    """The sum of the polynomials."""
+    out: dict = {}
+    for poly in polys:
+        for key, coeff in poly_terms(poly).items():
+            out[key] = out.get(key, 0) + coeff
+    return poly_terms(out)
+
+
+def poly_multiply(*polys) -> dict:
+    """The product of the polynomials; x*x = x, so a product of monomials is their union."""
+    out = {frozenset(): 1}
+    for poly in polys:
+        terms, step = poly_terms(poly), {}
+        for key, coeff in out.items():
+            for other, c in terms.items():
+                step[key | other] = step.get(key | other, 0) + coeff * c
+        out = poly_terms(step)
+    return out
+
+
+def poly_evaluate(poly, assignment):
+    """The polynomial's value where each variable takes its 0/1 value from assignment."""
+    return sum(coeff for key, coeff in poly_terms(poly).items()
+               if all(assignment[var] for var in key))
+
+
+def poly_substitute(poly, fixed) -> dict:
+    """The polynomial with the variables of fixed set to their 0/1 values."""
+    out: dict = {}
+    for key, coeff in poly_terms(poly).items():
+        if all(fixed.get(var, 1) for var in key):
+            rest = frozenset(var for var in key if var not in fixed)
+            out[rest] = out.get(rest, 0) + coeff
+    return poly_terms(out)
+
+
+def poly_bounds(poly) -> tuple:
+    """(lo, hi) with each monomial taken as an independent 0/1 term, so it holds every value."""
+    terms = poly_terms(poly)
+    constant = terms.get(frozenset(), 0)
+    lo = constant + sum(c for key, c in terms.items() if key and c < 0)
+    hi = constant + sum(c for key, c in terms.items() if key and c > 0)
+    return lo, hi
 
 
 def dense_mixer(n: int, g: float) -> np.ndarray:

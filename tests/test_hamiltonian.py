@@ -1,4 +1,4 @@
-"""Penalty construction, quadratization, diagonals, mixer."""
+"""Penalty construction, paired penalties, diagonals, mixer."""
 
 from fractions import Fraction
 from itertools import product
@@ -13,10 +13,10 @@ from adiafact import (
     DimensionMismatch,
     DimensionTooLarge,
     EmptySystem,
+    EquationSystem,
     InconsistentMap,
     Infeasible,
     Monomial,
-    NotApplicable,
     Poly,
     QubitMap,
     UnmappedVariable,
@@ -29,9 +29,7 @@ from adiafact import (
     gap_profile,
     initial_state,
     interpolated_hamiltonian,
-    penalty_polynomial,
     polynomial_to_diagonal,
-    quadratize_equation,
     qubit_cap,
     simplify,
 )
@@ -39,7 +37,8 @@ from adiafact import engine
 from adiafact.hamiltonian import _apply_interpolated, _basis_values
 from adiafact.pseudobool import _poly_to_masks
 
-from oracles import dense_mixer, flip_sum, odd_semiprimes
+from oracles import (dense_mixer, flip_sum, odd_semiprimes, poly_add, poly_evaluate,
+                     poly_multiply, poly_terms)
 from penalty_digest import penalty_digest
 
 P1, P2, Q1, Q2 = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
@@ -47,6 +46,16 @@ P1, P2, Q1, Q2 = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
 
 def poly_of(*terms):
     return Poly([(Monomial(vs), c) for c, vs in terms])
+
+
+def one_equation_penalty(residual, pairing):
+    """The penalty assemble_problem builds for the system of this one residual."""
+    system = EquationSystem.from_residuals(143, (4, 4), [(residual, None)], {}, ())
+    return assemble_problem(system, pairing)[1]
+
+
+def degree(poly):
+    return max((len(mono) for mono, _ in poly.items()), default=0)
 
 
 def all_points(variables):
@@ -62,11 +71,11 @@ def system143():
 class TestPenalty:
     def test_square_is_nonnegative_and_exact(self):
         residual = poly_of((1, [P1]), (1, [Q1]), (-1, []))
-        penalty = penalty_polynomial(residual)
+        penalty = one_equation_penalty(residual, "none")
         for point in all_points([P1, Q1]):
-            value = penalty.evaluate(point)
+            value = poly_evaluate(penalty, point)
             assert value >= 0
-            assert (value == 0) == (residual.evaluate(point) == 0)
+            assert (value == 0) == (poly_evaluate(residual, point) == 0)
 
     def test_quadratization_preserves_zero_set(self):
         # residual A*B + S over four variables, S with mixed signs
@@ -74,38 +83,33 @@ class TestPenalty:
             (1, [P1, Q2]), (1, [P2, Q1]), (-1, []),
         )
         for pairing in ("first", "last"):
-            penalty = quadratize_equation(residual, pairing)
+            penalty = one_equation_penalty(residual, pairing)
             for point in all_points([P1, P2, Q1, Q2]):
-                value = penalty.evaluate(point)
+                value = poly_evaluate(penalty, point)
                 assert value >= 0
-                assert (value == 0) == (residual.evaluate(point) == 0)
+                assert (value == 0) == (poly_evaluate(residual, point) == 0)
 
     def test_quadratization_lowers_degree_by_one(self):
         residual = poly_of((1, [P1, Q2]), (1, [P2, Q1]), (-1, []))
-        naive = penalty_polynomial(residual)
-        assert naive.degree == 4
-        assert quadratize_equation(residual).degree == 3
+        assert degree(one_equation_penalty(residual, "none")) == 4
+        assert degree(one_equation_penalty(residual, "last")) == 3
 
     def test_quadratization_keeps_integer_coefficients(self):
         residual = poly_of((1, [P1, Q2]), (1, [P2, Q1]), (-1, []))
-        penalty = quadratize_equation(residual)
-        assert all(c.denominator == 1 for _, c in penalty.items())
-
-    def test_quadratization_requires_a_product(self):
-        with pytest.raises(NotApplicable):
-            quadratize_equation(poly_of((1, [P1]), (1, [Q1]), (-1, [])))
+        for pairing in ("first", "last"):
+            penalty = one_equation_penalty(residual, pairing)
+            assert all(type(c) is int for _, c in penalty.items())
 
     def test_an_unknown_pairing_is_refused_with_or_without_a_product(self):
-        # the pairing is checked before the product search, so no NotApplicable
         for residual in (poly_of((1, [P1]), (1, [Q1]), (-1, [])),
                          poly_of((1, [P1, Q2]), (1, [P2, Q1]), (-1, []))):
             with pytest.raises(ValueError, match="pairing must be"):
-                quadratize_equation(residual, "bogus")
+                one_equation_penalty(residual, "bogus")
 
     def test_pairing_selects_first_or_last_product(self):
         residual = poly_of((1, [P1, Q2]), (1, [P2, Q1]), (-1, []))
-        first = quadratize_equation(residual, "first")
-        last = quadratize_equation(residual, "last")
+        first = one_equation_penalty(residual, "first")
+        last = one_equation_penalty(residual, "last")
         # first-pairing keeps the p1*q2 product linear-free; the images differ
         assert first != last
         assert first.coefficient(Monomial((P1, Q2))) == 1
@@ -113,11 +117,13 @@ class TestPenalty:
 
 
 def paired_by_poly_arithmetic(residual, product):
-    """A*B + (2A + 2B - 1)*S + 2*S^2 with S = residual - A*B, in Poly arithmetic."""
+    """A*B + (2A + 2B - 1)*S + 2*S^2 with S = residual - A*B, in the oracle's arithmetic."""
     a, b = product
-    s_part = residual - Poly({product: 1})
-    linear = 2 * Poly.variable(a) + 2 * Poly.variable(b) - 1
-    return Poly({product: 1}) + linear * s_part + 2 * s_part * s_part
+    ab = frozenset(product)
+    s_part = poly_add(residual, {ab: -1})
+    linear = {frozenset([a]): 2, frozenset([b]): 2, frozenset(): -1}
+    return poly_add({ab: 1}, poly_multiply(linear, s_part),
+                    poly_multiply({frozenset(): 2}, s_part, s_part))
 
 
 class TestPairedProductCoefficient:
@@ -135,23 +141,25 @@ class TestPairedProductCoefficient:
     @pytest.mark.parametrize("pairing, product", [("first", (P1, Q2)), ("last", (P2, Q1))])
     def test_quadratization_matches_poly_arithmetic(self, system103, pairing, product):
         residual = self.column3(system103)
-        product = Monomial(product)
-        assert (residual - Poly({product: 1})).coefficient(product) == -2
+        assert poly_add(residual, {frozenset(product): -1})[frozenset(product)] == -2
         expected = paired_by_poly_arithmetic(residual, product)
-        assert list(quadratize_equation(residual, pairing).items()) == list(expected.items())
+        assert poly_terms(one_equation_penalty(residual, pairing)) == expected
 
     @pytest.mark.parametrize("pairing", ["first", "last"])
     def test_assembly_matches_poly_arithmetic(self, system103, pairing):
-        expected = Poly()
+        expected = {}
         for eq in system103.equations:
-            square = eq.residual * eq.residual
-            products = [m for m, _ in eq.residual.items() if m.degree == 2]
-            if square.degree > 2 and products:
+            square = poly_multiply(eq.residual, eq.residual)
+            products = sorted(tuple(sorted(m)) for m in poly_terms(eq.residual) if len(m) == 2)
+            if max(map(len, square), default=0) > 2 and products:
                 product = products[0] if pairing == "first" else products[-1]
                 square = paired_by_poly_arithmetic(eq.residual, product)
-            expected = expected + square
+            expected = poly_add(expected, square)
         _, penalty = assemble_problem(system103, pairing)
-        assert list(penalty.items()) == list(expected.items())
+        assert poly_terms(penalty) == expected
+        # in Poly's order: degree first, then the sorted variable tuples
+        monomials = [mono for mono, _ in penalty.items()]
+        assert monomials == sorted(monomials, key=lambda mono: (len(mono), mono))
         assert penalty.coefficient(Monomial((P1, P2, Q1, Q2))) == 8
 
 
@@ -216,7 +224,7 @@ class TestAssembly143:
 
     def test_square_mode_keeps_the_degree_four_term(self, system143):
         _, penalty = assemble_problem(system143, pairing="none")
-        assert penalty.degree == 4
+        assert degree(penalty) == 4
         assert penalty.coefficient(Monomial((P1, P2, Q1, Q2))) == 2
 
     def test_all_modes_share_the_ground_set(self, system143):
@@ -266,7 +274,7 @@ class TestDiagonal:
         diag = polynomial_to_diagonal(penalty, qmap)
         for index in range(diag.dim):
             point = qmap.assignment_of(index)
-            assert diag.energies[index] == penalty.evaluate(point)
+            assert diag.energies[index] == poly_evaluate(penalty, point)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -281,7 +289,7 @@ class TestDiagonal:
         values = _basis_values(_poly_to_masks(poly, qmap.variables), qmap.n)
         assert values.dtype == np.int64
         assert values.tolist() == [
-            poly.evaluate(qmap.assignment_of(index)) for index in range(1 << qmap.n)
+            poly_evaluate(poly, qmap.assignment_of(index)) for index in range(1 << qmap.n)
         ]
 
     def test_storage_is_a_read_only_int64_array(self, system143):
@@ -346,7 +354,7 @@ class TestDiagonal:
         energies = polynomial_to_diagonal(penalty, wider).numerators
         assert np.array_equal(energies, polynomial_to_diagonal(plain, wider).numerators)
         assert energies.tolist() == [
-            plain.evaluate(wider.assignment_of(index)) for index in range(1 << wider.n)
+            poly_evaluate(plain, wider.assignment_of(index)) for index in range(1 << wider.n)
         ]
 
     def test_qubit_cap_is_enforced(self, system143, monkeypatch):
@@ -363,7 +371,7 @@ class TestDiagonal:
 
 class TestQubitMap:
     def test_order_and_indexing(self, system143):
-        qmap = QubitMap.from_system(system143)
+        qmap = QubitMap(system143.variables)
         assert qmap.variables == (P1, P2, Q1, Q2)
         assert qmap.index_of({P1: 0, P2: 1, Q1: 1, Q2: 0}) == 6
         assert qmap.index_of({P1: 1, P2: 0, Q1: 0, Q2: 1}) == 9
@@ -389,7 +397,7 @@ class TestQubitMap:
     @pytest.mark.parametrize("value", [2, -1])
     def test_a_value_other_than_0_or_1_is_refused(self, system143, value):
         # counted as truthy, either value would read index 8
-        qmap = QubitMap.from_system(system143)
+        qmap = QubitMap(system143.variables)
         with pytest.raises(ValueError, match=f"p1 has value {value}, not 0 or 1"):
             qmap.index_of({P1: value, P2: 0, Q1: 0, Q2: 0})
 

@@ -54,7 +54,7 @@ class TestDecode:
 
     def test_end_bits_are_implicit(self, system143):
         # all interior bits zero gives 1001b = 9 on both factors
-        zeros = {v: 0 for v in system143.interior_variables()}
+        zeros = {v: 0 for v in (VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2))}
         assert decode_assignment(zeros, system143) == (9, 9)
 
     def test_missing_interior_bit(self, system143):
@@ -229,7 +229,7 @@ class TestCapBeforePenalty:
         assemble = orchestrator.assemble_problem
 
         def within_cap(system, pairing="last"):
-            n = QubitMap.from_system(system).n
+            n = QubitMap(system.variables).n
             assert n <= qubit_cap(), f"penalty assembled for a {n}-qubit register"
             return assemble(system, pairing=pairing)
 

@@ -71,6 +71,20 @@ def test_package_does_not_import_fractions():
     assert [where for where, name in _absolute_imports() if name == "fractions"] == []
 
 
+def test_the_oracles_import_only_varid_from_the_package():
+    # a reference that calls library code cannot catch that code's faults, so the
+    # oracles take nothing from the package but the plain VarId type
+    path = Path(__file__).with_name("oracles.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "adiafact"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "adiafact":
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if (node.module, alias.name) != ("adiafact", "VarId")]
+    assert found == []
+
+
 def test_all_lists_exactly_the_public_names_in_sorted_order():
     # a removed export cannot leave a stale entry behind, nor a new one go unlisted
     public = {
