@@ -25,17 +25,19 @@ on it:
   * forcing whole equations that sit at an interval endpoint of zero,
   * recording forbidden pairs from x + y = 1 constraints.
 
-Propagation is incremental.  When an equation's evaluation (settle, then
-rules) starts, it records its variables, which of them are fixed and the
-pairs between two of them; a later pass evaluates it again only when the
-fixed values or the pairs over those variables differ.  An equation split
-off by the endpoint rule starts unevaluated.  A skipped equation still
-takes part in the pass's duplicate check.  Skipping is exact: settle and
-rules read only the equation's polynomial, the fixed values of its own
-variables and the pairs between them, and its variables only shrink;
-settling is idempotent (substitution only removes variables, so it cannot
-make a product that a pair forbids); and an evaluation that changes nothing
-has no side effect.  So every pass returns what it would with every
+Propagation records each forbidden pair once, as partner masks, and is
+incremental.  When an equation's evaluation (settle, then rules) starts,
+it records its variables, which of them are fixed and the pairs between
+two of them, the one pair list the evaluation reads; a later pass
+evaluates it again only when the fixed values or the pairs over those
+variables differ.  An equation split off by the endpoint rule starts
+unevaluated.  A skipped equation still takes part in the pass's
+duplicate check.  Skipping is exact: settle and rules read only the
+equation's polynomial, the fixed values of its own variables and the
+pairs between them, and its variables only shrink; settling is
+idempotent (substitution only removes variables, so it cannot make a
+product that a pair forbids); and an evaluation that changes nothing has
+no side effect.  So every pass returns what it would with every
 equation evaluated, and the pass count does not move.
 
 The propagator takes the system's rows as they are, with fixed values
@@ -243,7 +245,8 @@ class _Row:
 
     read is (variables, which of them are fixed, the pairs between them) as
     the last evaluation started; while the fixed values and pairs over those
-    variables match it, the row would evaluate to no change.
+    variables match it, the row would evaluate to no change.  Its pair list
+    is the one that evaluation reads throughout.
     """
 
     __slots__ = ("column", "terms", "variables", "key", "lo", "hi", "dead", "read")
@@ -277,6 +280,8 @@ class _Propagator:
     ascending popcount, then descending mask (_mask_order), and the order
     of pairs as sorted VarId tuples is descending mask.  Fixed values are
     the masks ones and zeros, and a pair is the mask of its two variables.
+    The pairs are recorded once, as partner masks: _partners maps each
+    paired variable's bit to the mask of its partners.
     """
 
     def __init__(self, system: EquationSystem):
@@ -285,15 +290,13 @@ class _Propagator:
         self.variables = system.variables
         bit = _variable_bits(self.variables)
         self.ones = self.zeros = 0
-        self.pairs: set[int] = set()
         self._partners: dict[int, int] = {}  # variable bit -> mask of the variables paired with it
+        self._own: dict[int, list[int]] = {}  # _own_pairs memo, emptied when _partners changes
         self.fixed = system.fixed  # passed through to the result
         for var in bit.keys() & system.fixed.keys():
             self._fix(bit[var], system.fixed[var])
         for pair in system.forbidden_pairs:
-            x, y = (bit[var] for var in pair)
-            self._link(x, y)
-        self._pairs_changed()
+            self._add_pair(*(bit[var] for var in pair))  # a fixed member settles the pair
         # append-only, so a row's index is its creation order
         self.rows = [_Row(eq.column, eq.terms) for eq in system.equations]
         # every pass fixes a variable, records a pair, or deletes material,
@@ -308,28 +311,13 @@ class _Propagator:
     def _live(self) -> Iterable[_Row]:
         return (row for row in self.rows if not row.dead)
 
-    def _link(self, x: int, y: int) -> None:
-        self.pairs.add(x | y)
-        self._partners[x] = self._partners.get(x, 0) | y
-        self._partners[y] = self._partners.get(y, 0) | x
-
-    def _pairs_changed(self) -> None:
-        self._pair_order: Optional[list[int]] = None
-        self._own: dict[int, list[int]] = {}
-
-    def _sorted_pairs(self) -> list[int]:
-        """Every pair, descending; rebuilt only after the pairs change."""
-        if self._pair_order is None:
-            self._pair_order = sorted(self.pairs, reverse=True)
-        return self._pair_order
-
     def _own_pairs(self, variables: int) -> list[int]:
-        """The pairs between two of the given variables, in _sorted_pairs order."""
+        """The pairs between two of the given variables, descending."""
         own = self._own.get(variables)
         if own is None:
-            own = self._own[variables] = [
-                pair for pair in self._sorted_pairs() if pair & variables == pair
-            ]
+            own = self._own[variables] = sorted(
+                [x | y for x, partners in self._partners.items() if x & variables
+                 for y in _bits(partners & variables & (x - 1))], reverse=True)
         return own
 
     def _fix(self, var: int, value: int) -> bool:
@@ -343,10 +331,11 @@ class _Propagator:
             self.zeros |= var
         partners = self._partners.pop(var, 0)
         if partners:
-            self._pairs_changed()
+            self._own = {}
         for other in _bits(partners):
-            self.pairs.discard(var | other)
-            self._partners[other] &= ~var
+            rest = self._partners.pop(other) & ~var
+            if rest:
+                self._partners[other] = rest
             if value == 1:
                 self._fix(other, 0)
         return True
@@ -357,10 +346,11 @@ class _Propagator:
                 return self._fix(other, 0)
             if var & self.zeros:
                 return False
-        if (x | y) in self.pairs:
+        if self._partners.get(x, 0) & y:
             return False
-        self._link(x, y)
-        self._pairs_changed()
+        self._partners[x] = self._partners.get(x, 0) | y
+        self._partners[y] = self._partners.get(y, 0) | x
+        self._own = {}
         return True
 
     # -- interval machinery ------------------------------------------
@@ -392,7 +382,8 @@ class _Propagator:
                     lo -= max(cx, cy)
         return lo, hi
 
-    def _probe(self, row: _Row, var: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    def _probe(self, row: _Row, var: int,
+               pairs: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
         """Intervals of the row at var = 0 and at var = 1, var's partners then 0.
 
         Each starts from the row's plain interval and moves only by the
@@ -436,7 +427,6 @@ class _Propagator:
                     hi1 -= coeff
                 else:
                     lo1 -= coeff
-        pairs = self._own_pairs(row.variables)
         if not pairs:
             return (lo0, hi0), (lo1, hi1)
         get = terms.get
@@ -461,8 +451,15 @@ class _Propagator:
             variables, was_fixed, pairs = row.read
             awake = fixed & variables != was_fixed or self._own_pairs(variables) != pairs
             if awake:
-                row.read = (row.variables, fixed & row.variables, self._own_pairs(row.variables))
-                changed = self._settle(row) or changed
+                # The evaluation reads this one list, and it may go stale without
+                # changing a result: until _record_pair_sum at the end, pairs are
+                # only dropped, by _fix, and each dropped pair has a variable that
+                # the next _settle removes from the row.  That _strip_pairs finds
+                # no monomial with both of its variables (the first settle took
+                # them out), and _sharpen skips a pair whose variable is gone.
+                pairs = self._own_pairs(row.variables)
+                row.read = (row.variables, fixed & row.variables, pairs)
+                changed = self._settle(row, pairs) or changed
                 if row.dead:
                     continue
             if row.key in seen:
@@ -471,14 +468,14 @@ class _Propagator:
                 continue
             seen.add(row.key)
             if awake:
-                changed = self._apply_rules(row) or changed
+                changed = self._apply_rules(row, pairs) or changed
         return changed
 
-    def _settle(self, row: _Row) -> bool:
+    def _settle(self, row: _Row, pairs: list[int]) -> bool:
         """Strip pairs, substitute fixed values, normalize the sign; True if the row changed."""
         terms = row.terms
-        if self.pairs:
-            terms = self._strip_pairs(terms, self._own_pairs(row.variables))
+        if pairs:
+            terms = self._strip_pairs(terms, pairs)
         if row.variables & (self.ones | self.zeros):
             terms = _substitute(terms, self.ones, self.zeros)
         if not terms:
@@ -503,8 +500,8 @@ class _Propagator:
                 terms = {mono: c for mono, c in terms.items() if mono & pair != pair}
         return terms
 
-    def _apply_rules(self, row: _Row) -> bool:
-        lo, hi = self._sharpen(row.terms.get, row.lo, row.hi, self._own_pairs(row.variables))
+    def _apply_rules(self, row: _Row, pairs: list[int]) -> bool:
+        lo, hi = self._sharpen(row.terms.get, row.lo, row.hi, pairs)
         if lo > 0 or hi < 0:
             raise Infeasible(self._explain(row, row.terms))
         if row.hi == 0:
@@ -516,13 +513,13 @@ class _Propagator:
         for var in _bits(row.variables):  # the row's variables on entry, in VarId order
             if var & (self.ones | self.zeros):
                 continue
-            feasible = [t_lo <= 0 <= t_hi for t_lo, t_hi in self._probe(row, var)]
+            feasible = [t_lo <= 0 <= t_hi for t_lo, t_hi in self._probe(row, var, pairs)]
             if not feasible[0] and not feasible[1]:
                 raise Infeasible(self._explain(row, row.terms))
             if feasible[0] != feasible[1]:
                 self._fix(var, 0 if feasible[0] else 1)
                 changed = True
-                self._settle(row)
+                self._settle(row, pairs)
                 if row.dead:
                     return True
 
@@ -575,9 +572,10 @@ class _Propagator:
         rows = sorted(
             self._live(), key=lambda r: r.column if r.column is not None else 1 << 30
         )
+        pairs = self._own_pairs((1 << len(self.variables)) - 1)
         # renumber the rows onto the surviving variables
         alive = 0
-        for mask in [row.variables for row in rows] + self._sorted_pairs():
+        for mask in [row.variables for row in rows] + pairs:
             alive |= mask
         variables = tuple([self._var(bit) for bit in _bits(alive)])
         moved = dict(zip(_bits(alive), _variable_bits(variables).values()))
@@ -587,9 +585,9 @@ class _Propagator:
         fixed = dict(self.fixed)
         fixed.update((self._var(bit), int(bool(bit & self.ones)))
                      for bit in _bits(self.ones | self.zeros))
-        pairs = tuple([frozenset(map(self._var, _bits(pair))) for pair in self._sorted_pairs()])
         return EquationSystem(self.target, self.widths, variables, equations,
-                              dict(sorted(fixed.items())), pairs)
+                              dict(sorted(fixed.items())),
+                              tuple([frozenset(map(self._var, _bits(pair))) for pair in pairs]))
 
 
 def simplify(system: EquationSystem) -> EquationSystem:

@@ -184,11 +184,22 @@ class TestSimplify143:
         assert len(system.fixed) == 10
 
     def test_idempotent(self):
-        once = simplify(build_layout(143, 4, 4))
-        twice = simplify(once)
-        assert residuals(twice) == residuals(once)
-        assert twice.fixed == once.fixed
-        assert twice.forbidden_pairs == once.forbidden_pairs
+        # every feasible split of odd n in 9..255, 143 at (4, 4) among them; a
+        # second simplify hands the propagator fixed values and pairs
+        splits = [(n, *widths) for n in range(9, 256, 2) for widths in enumerate_width_splits(n)]
+        feasible = 0
+        for split in splits:
+            try:
+                once = simplify(build_layout(*split))
+            except Infeasible:
+                continue
+            feasible += 1
+            twice = simplify(once)
+            assert residuals(twice) == residuals(once), split
+            assert twice.fixed == once.fixed, split
+            assert twice.forbidden_pairs == once.forbidden_pairs, split
+            assert twice.variables == once.variables, split
+        assert feasible == 208
 
 
 class TestSimplifyGeneral:
@@ -219,6 +230,25 @@ class TestSimplifyGeneral:
     def test_compile_system_all_splits_infeasible(self):
         with pytest.raises(Infeasible):
             compile_system(11)
+
+    @pytest.mark.parametrize("value", [1, 0])
+    def test_an_input_pair_with_a_fixed_member_is_settled(self, value):
+        # the pair {p1, p2} over p1, which the input already fixes: p1 = 1
+        # sends p2 to 0, and p1 = 0 leaves nothing for the pair to forbid
+        p1, p2, q1 = VarId.p(1), VarId.p(2), VarId.q(1)
+        residual = poly_of((1, [p2]), (1, [q1]), (-1, []))
+        system = simplify(EquationSystem.from_residuals(
+            143, (4, 4), [(residual, None)], {p1: value}, (frozenset((p1, p2)),)))
+        if value:
+            assert system.is_solved and not system.equations
+            assert system.fixed == {p1: 1, p2: 0, q1: 1}
+            assert system.forbidden_pairs == ()
+        else:
+            assert system.variables == (p2, q1)
+            assert system.fixed == {p1: 0}
+            assert system.forbidden_pairs == (frozenset((p2, q1)),)
+            assert residuals(system) == [residual]
+        assert system_from_document(system_to_document(system)) == system
 
     def test_pass_budget_overrun_is_typed(self, monkeypatch):
         from adiafact import compiler
@@ -316,7 +346,9 @@ def _probed(poly, pairs, var):
     residuals = [(poly, None), (Poly.variable(var), None)]
     system = EquationSystem.from_residuals(143, (4, 4), residuals, {}, tuple(pairs))
     propagator = compiler._Propagator(system)
-    return propagator, propagator._probe(propagator.rows[0], _variable_bits(system.variables)[var])
+    row = propagator.rows[0]
+    return propagator, propagator._probe(row, _variable_bits(system.variables)[var],
+                                         propagator._own_pairs(row.variables))
 
 
 @st.composite
@@ -330,6 +362,53 @@ def _paired_rows(draw):
     terms += draw(st.lists(st.tuples(st.integers(-4, 4).filter(bool), monomials), max_size=4))
     two = st.sets(st.sampled_from(variables), min_size=2, max_size=2).map(frozenset)
     return poly_of(*terms), variables, draw(st.sets(two, max_size=6))
+
+
+@st.composite
+def _pair_records(draw):
+    """A variable count up to 8, steps of _add_pair and _fix on their bits, and masks to read."""
+    size = draw(st.integers(2, 8))
+    var = st.integers(0, size - 1).map(lambda i: 1 << i)
+    pair = st.tuples(st.just("pair"), var, var).filter(lambda step: step[1] != step[2])
+    fix = st.tuples(st.just("fix"), var, st.sampled_from((0, 1)))
+    steps = draw(st.lists(st.one_of(pair, pair, fix), max_size=24))
+    masks = draw(st.lists(st.integers(0, (1 << size) - 1), min_size=1, max_size=4))
+    return size, steps, masks + [(1 << size) - 1]
+
+
+class TestPairRecord:
+    """The pairs among a mask, derived from the partner masks, follow every change to them."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_pair_records())
+    def test_own_pairs_are_the_standing_pairs_in_descending_order(self, record):
+        size, steps, masks = record
+        variables = tuple(sorted([VarId.p(i) for i in range(1, 5)] +
+                                 [VarId.q(i) for i in range(1, 5)])[:size])
+        propagator = compiler._Propagator(EquationSystem(143, (4, 4), variables, (), {}, ()))
+        standing = set()  # every pair recorded and not yet dropped, as masks
+
+        def check():
+            for mask in masks:
+                expected = sorted([p for p in standing if p & mask == p], reverse=True)
+                assert propagator._own_pairs(mask) == expected, (mask, steps)
+
+        check()
+        for step, x, y in steps:
+            fixed = propagator.ones | propagator.zeros
+            try:
+                if step == "pair":
+                    propagator._add_pair(x, y)
+                    if not (x | y) & fixed:
+                        standing.add(x | y)
+                else:
+                    propagator._fix(x, y)
+            except Infeasible:
+                return  # propagation stops here
+            # a fixed variable is in no pair
+            fixed = propagator.ones | propagator.zeros
+            standing = {p for p in standing if not p & fixed}
+            check()
 
 
 class TestPairRule:
@@ -352,12 +431,15 @@ class TestPairRule:
 
         with mock.patch.object(compiler._Propagator, "_sharpen", staticmethod(recorded)):
             propagator = compiler._Propagator(system)
+            row = propagator.rows[0]
             with contextlib.suppress(Infeasible):
-                propagator._apply_rules(propagator.rows[0])
+                propagator._apply_rules(row, propagator._own_pairs(row.variables))
         lo, hi = intervals[0]
         assert (lo, hi) == _pair_narrowed_bounds(poly, pairs)
         propagator = compiler._Propagator(system)  # _apply_rules may have fixed variables
-        probes = {var: propagator._probe(propagator.rows[0], bit[var]) for var in variables}
+        row = propagator.rows[0]
+        own = propagator._own_pairs(row.variables)
+        probes = {var: propagator._probe(row, bit[var], own) for var in variables}
         for var, trials in probes.items():
             partners = [other for pair in pairs if var in pair for other in pair - {var}]
             at_one = dict.fromkeys(partners, 0) | {var: 1}
@@ -448,9 +530,9 @@ class TestIncrementalPropagation:
             settled.append([])
             return original_pass(self)
 
-        def logged_settle(self, row):
+        def logged_settle(self, row, pairs):
             settled[-1].append(row.column)
-            return original_settle(self, row)
+            return original_settle(self, row, pairs)
 
         monkeypatch.setattr(compiler._Propagator, "_pass", logged_pass)
         monkeypatch.setattr(compiler._Propagator, "_settle", logged_settle)
@@ -478,9 +560,9 @@ class TestIncrementalPropagation:
             rules_per_pass.append(0)
             return original_pass(self)
 
-        def counted_rules(self, row):
+        def counted_rules(self, row, pairs):
             rules_per_pass[-1] += 1
-            return original_rules(self, row)
+            return original_rules(self, row, pairs)
 
         monkeypatch.setattr(compiler._Propagator, "_pass", counted_pass)
         monkeypatch.setattr(compiler._Propagator, "_apply_rules", counted_rules)
