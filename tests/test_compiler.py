@@ -32,9 +32,7 @@ from adiafact import (
 from adiafact.pseudobool import _variable_bits
 
 import oracles
-from compile_digest import compile_digest, targets_digest
-from evaluation_totals import evaluation_totals
-from infeasible_digest import messages_digest
+from gates import walk
 
 
 def poly_of(*terms):
@@ -259,23 +257,23 @@ class TestSimplifyGeneral:
 
 
 class TestCompileDigest:
-    def test_output_below_256_is_frozen(self):
+    def test_output_below_256_is_frozen(self, gates_below_256):
         # every document, equation column and verdict of the 640 splits of
         # odd n in 9..255, 147 at widths (3, 5) among them; a propagator
         # change that moves any of them must declare it and re-freeze this
         digest = "d8c4a12ef86a2bd11b59c69efd0a26ec4e4634ad1174d5e98f091dfe377bcf41"
-        assert compile_digest(9, 255) == (digest, 640, 208)
+        assert gates_below_256.compile == (digest, 640, 208)
 
     def test_large_screen_targets_are_frozen(self):
         # the screen workload's large targets: 1763 = 41*43, and 10403 = 101*103,
         # 30227 = 167*181 and the prime 1046527 past the 9..2047 range CI hashes
         digest = "d075dba4d60b64cf9d074c8c857d797ed566fa88fb00a838716900b52eb19a26"
-        assert targets_digest((1763, 10403, 30227, 1046527)) == (digest, 52, 34)
+        assert walk((1763, 10403, 30227, 1046527)).compile == (digest, 52, 34)
 
-    def test_infeasible_messages_below_256_are_frozen(self):
-        # tests/infeasible_digest.py over 9..2047 and the large targets runs in CI
+    def test_infeasible_messages_below_256_are_frozen(self, gates_below_256):
+        # tests/gates.py hashes them over 9..2047 and the large targets in CI
         digest = "fd823fa2c23997a3031880aa9741e99c282f2887beae34fa9da45a50cfaef369"
-        assert messages_digest(range(9, 256, 2)) == (digest, 432)
+        assert gates_below_256.infeasible == (digest, 432)
 
 
 def _pass_log(monkeypatch) -> list:
@@ -501,13 +499,13 @@ class TestIncrementalPropagation:
 
     def test_rows_kept_awake_give_the_same_output_and_passes(self, monkeypatch):
         log = _pass_log(monkeypatch)
-        default = compile_digest(9, 255)
+        default = walk(range(9, 256, 2)).compile
         default_passes = list(log)
         log.clear()
         # every row evaluated in every pass: a row's record always reads as new
         monkeypatch.setattr(compiler._Row, "read", property(lambda self: (0, 0, None),
                                                             lambda self, value: None))
-        assert compile_digest(9, 255) == default
+        assert walk(range(9, 256, 2)).compile == default
         assert log == default_passes
         assert default_passes.count(False) == 208  # one fixpoint per feasible split
 
@@ -543,10 +541,10 @@ class TestIncrementalPropagation:
         # is skipped though a was fixed and a pair recorded outside it
         assert settled == [[0, 1, 2, 3, 4], [0, 2, 3], []]
 
-    def test_evaluation_totals_below_256_are_frozen(self):
+    def test_evaluation_totals_below_256_are_frozen(self, gates_below_256):
         # a looser awake rule keeps every output but evaluates more rows;
-        # tests/evaluation_totals.py over 9..2047 and the large targets runs in CI
-        assert evaluation_totals(range(9, 256, 2)) == {
+        # tests/gates.py counts them over 9..2047 and the large targets in CI
+        assert gates_below_256.evaluations == {
             "_apply_rules": 7153, "_settle": 11184, "_pass": 1889, "_probe": 22868}
 
     @pytest.mark.parametrize("layout", [(143, 4, 4), (899, 5, 5)],

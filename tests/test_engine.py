@@ -734,7 +734,7 @@ class TestSpectra:
             gap_profile(diag, 0.6, points=5, k=2)
 
 
-class TestLanczosGapProfile:
+class TestFilteredGapProfile:
     @pytest.mark.parametrize("target", [323, 121])
     def test_every_sample_matches_dense(self, registers, monkeypatch, target):
         problem = registers[target]

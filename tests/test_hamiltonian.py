@@ -39,7 +39,6 @@ from adiafact.pseudobool import _poly_to_masks
 
 from oracles import (dense_mixer, flip_sum, odd_semiprimes, poly_add, poly_evaluate,
                      poly_multiply, poly_terms)
-from penalty_digest import penalty_digest
 
 P1, P2, Q1, Q2 = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
 
@@ -163,9 +162,9 @@ class TestPairedProductCoefficient:
         assert penalty.coefficient(Monomial((P1, P2, Q1, Q2))) == 8
 
 
-def test_penalties_and_diagonals_are_frozen():
-    # tests/penalty_digest.py over 9..1023 runs in CI; this is its short range
-    assert penalty_digest(9, 255) == (
+def test_penalties_and_diagonals_are_frozen(gates_below_256):
+    # tests/gates.py hashes them over 9..1023 in CI; this is its short range
+    assert gates_below_256.penalty == (
         "4e38c660b06941edbcef3d523b7d0fedf9a299573874d1609fb24214816e16df", 137, 354,
     )
 
