@@ -6,9 +6,10 @@ the free bits onto qubits turns it into a diagonal; the zero-energy
 indices decode straight back to p and q.
 """
 
+import itertools
+
 from adiafact import (
     assemble_problem,
-    brute_force_min,
     compile_system,
     decode_assignment,
     ground_manifold,
@@ -42,7 +43,13 @@ for index in manifold.indices:
     print(f"  |{index}> = |{bits}>  ->  p={p}, q={q},  p*q={p * q}")
 print()
 
-# exhaustive enumeration agrees with the diagonal, exactly
-floor, argmins = brute_force_min(penalty)
-indices = tuple(qmap.index_of(a) for a in argmins)
-print(f"brute force over all assignments: min {floor} at indices {indices}")
+# evaluating the printed polynomial term by term at every assignment agrees, exactly
+terms = list(penalty.items())
+values = {}
+for bits in itertools.product((0, 1), repeat=qmap.n):
+    assignment = dict(zip(qmap.variables, bits))
+    value = sum(c for mono, c in terms if all(assignment[v] for v in mono))
+    values[qmap.index_of(assignment)] = value
+floor = min(values.values())
+indices = tuple(sorted(i for i, value in values.items() if value == floor))
+print(f"term-by-term evaluation over all assignments: min {floor} at indices {indices}")

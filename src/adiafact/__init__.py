@@ -41,7 +41,6 @@ from .errors import (
     InvariantViolation,
     NotFactorable,
     NumericalFailure,
-    TooManyVariables,
     TooSmall,
     UnmappedVariable,
     WidthMismatch,
@@ -59,7 +58,6 @@ from .orchestrator import (
     FactorResult,
     GroundManifold,
     SweepPoint,
-    brute_force_min,
     decode_assignment,
     factor,
     ground_manifold,
@@ -96,14 +94,12 @@ __all__ = [
     "QubitMap",
     "Schedule",
     "SweepPoint",
-    "TooManyVariables",
     "TooSmall",
     "TracePoint",
     "UnmappedVariable",
     "VarId",
     "WidthMismatch",
     "assemble_problem",
-    "brute_force_min",
     "build_layout",
     "compile_system",
     "decode_assignment",

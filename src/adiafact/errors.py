@@ -45,10 +45,6 @@ class DimensionMismatch(AdiafactError):
     """Two operators or states that must share a dimension do not."""
 
 
-class TooManyVariables(AdiafactError):
-    """Exhaustive enumeration was asked to scan more variables than allowed."""
-
-
 class IndexOutOfRange(AdiafactError):
     """A basis-state or eigenvalue index falls outside the valid range."""
 

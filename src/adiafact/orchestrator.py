@@ -12,7 +12,7 @@ population is reported as a diagnostic, never used as a gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,22 +24,17 @@ from .errors import (
     Infeasible,
     InvariantViolation,
     NotFactorable,
-    TooManyVariables,
     UnmappedVariable,
 )
 from .engine import EvolutionTrace, Schedule, gap_profile, run_schedule
 from .hamiltonian import (
     DiagonalOperator,
     QubitMap,
-    _add_penalty,
-    _basis_values,
     assemble_problem,
     polynomial_to_diagonal,
     qubit_cap,
 )
-from .pseudobool import Poly, VarId, _poly_to_masks, _variable_bits
-
-ENUMERATION_LIMIT = 24
+from .pseudobool import VarId
 
 
 @dataclass(frozen=True)
@@ -53,13 +48,10 @@ def ground_manifold(problem: DiagonalOperator) -> GroundManifold:
     return GroundManifold(problem.ground_indices(), problem.min_energy())
 
 
-def success_probability(
-    populations: np.ndarray, manifold: Union[GroundManifold, Sequence[int]]
-) -> float:
+def success_probability(populations: np.ndarray, manifold: GroundManifold) -> float:
     """Total population on the manifold indices."""
-    indices = manifold.indices if isinstance(manifold, GroundManifold) else tuple(manifold)
     total = 0.0
-    for index in indices:
+    for index in manifold.indices:
         if not 0 <= index < len(populations):
             raise IndexOutOfRange(f"index {index} outside 0..{len(populations) - 1}")
         total += float(populations[index])
@@ -96,38 +88,6 @@ def decode_assignment(
 
     w_p, w_q = system.widths
     return read("p", w_p), read("q", w_q)
-
-
-def brute_force_min(
-    objective: Union[Poly, EquationSystem], limit: int = ENUMERATION_LIMIT
-) -> tuple[int, tuple[dict, ...]]:
-    """Exact minimum of a polynomial (or a system's violation measure) by enumeration.
-
-    For an EquationSystem the objective is the sum of squared residuals
-    plus the forbidden-pair products, so the minimum is 0 exactly when
-    the system is solvable and the argmin set is the solution set.
-
-    Returns:
-        (minimum value, assignments attaining it in basis-index order).
-
-    Raises:
-        TooManyVariables: more than limit variables to enumerate.
-        ValueError: a coefficient is not an int, or too large for exact int64 evaluation.
-    """
-    if isinstance(objective, EquationSystem):
-        variables, terms, bit = objective.variables, {}, _variable_bits(objective.variables)
-        pairs = [{bit[x] | bit[y]: 1} for x, y in objective.forbidden_pairs]  # x*y, its own square
-        for row in [eq.terms for eq in objective.equations] + pairs:
-            _add_penalty(terms, row, "none")  # the squared residual
-    else:
-        variables = objective.variables()
-        terms = _poly_to_masks(objective, variables)
-    if len(variables) > limit:
-        raise TooManyVariables(f"{len(variables)} variables exceed the limit of {limit}")
-    qmap = QubitMap(variables)
-    diagonal = DiagonalOperator(qmap.n, _basis_values(terms, qmap.n))
-    argmins = tuple([qmap.assignment_of(index) for index in diagonal.ground_indices()])
-    return diagonal.min_energy(), argmins
 
 
 def _verified(target: int, p: int, q: int) -> tuple[int, int]:
@@ -214,7 +174,6 @@ def factor(
     T: float = 20.0,
     M: int = 20,
     pairing: str = "last",
-    checkpoints: tuple[int, ...] = (),
     gap_points: int = 51,
 ) -> FactorResult:
     """Factor an odd target by compiled adiabatic evolution.
@@ -222,7 +181,7 @@ def factor(
     Args:
         target: odd integer >= 9.
         widths: try only this split instead of the enumeration order.
-        g, T, M, checkpoints: schedule parameters (see Schedule).
+        g, T, M: schedule parameters (see Schedule).
         pairing: penalty strategy passed to assemble_problem.
         gap_points: s samples for the reported minimal gap; 0 skips it.
 
@@ -243,7 +202,7 @@ def factor(
             schedule=None,
         )
     manifold = ground_manifold(problem)
-    schedule = Schedule(g=g, T=T, M=M, checkpoints=checkpoints)
+    schedule = Schedule(g=g, T=T, M=M)
     min_gap = None
     if gap_points:
         min_gap = gap_profile(problem, g, points=gap_points, k=2).min_gap

@@ -6,6 +6,7 @@ not output capture is on.  Tolerances and time budgets are fixed here
 on purpose; loosening them is a regression, not a fix.
 """
 
+import itertools
 import time
 from contextlib import contextmanager
 
@@ -19,7 +20,6 @@ from adiafact import (
     Schedule,
     VarId,
     assemble_problem,
-    brute_force_min,
     build_layout,
     compile_system,
     decode_assignment,
@@ -36,7 +36,7 @@ from adiafact import (
     success_probability,
 )
 
-from oracles import column_solutions, odd_semiprimes, simplified_solutions
+from oracles import column_solutions, odd_semiprimes, poly_evaluate, simplified_solutions
 
 P1, P2, Q1, Q2 = VarId.p(1), VarId.p(2), VarId.q(1), VarId.q(2)
 
@@ -104,9 +104,13 @@ def test_criterion_3_ground_manifold():
         assert manifold.energy == 0
         assert manifold.indices == (6, 9)
 
-        floor, argmins = brute_force_min(penalty)
-        assert floor == 0
-        assert tuple(qmap.index_of(a) for a in argmins) == (6, 9)
+        # the penalty at each of the 16 assignments, evaluated outside the diagonal kernel
+        cube = itertools.product((0, 1), repeat=4)
+        assignments = [dict(zip(qmap.variables, bits)) for bits in cube]
+        values = [poly_evaluate(penalty, a) for a in assignments]
+        assert min(values) == 0
+        zeros = [a for a, value in zip(assignments, values) if value == 0]
+        assert tuple(sorted(qmap.index_of(a) for a in zeros)) == (6, 9)
 
 
 def test_criterion_4_headline_simulation():

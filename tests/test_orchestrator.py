@@ -1,7 +1,6 @@
-"""End-to-end factoring, decoding and exact brute-force cross-checks."""
+"""End-to-end factoring, decoding and exact cross-checks against the oracles."""
 
 import json
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,14 +10,13 @@ from adiafact import (
     DimensionTooLarge,
     EmptySystem,
     EvenInput,
+    GroundManifold,
     IndexOutOfRange,
     InvariantViolation,
     NotFactorable,
     TooSmall,
-    TooManyVariables,
     VarId,
     assemble_problem,
-    brute_force_min,
     compile_system,
     decode_assignment,
     factor,
@@ -30,7 +28,7 @@ from adiafact import (
     sweep,
 )
 
-from oracles import odd_semiprimes
+from oracles import odd_semiprimes, poly_evaluate, simplified_solutions
 
 SUCCESS_143 = 0.9887597017028644
 
@@ -83,49 +81,32 @@ class TestManifold:
         pops[6], pops[9] = 0.25, 0.5
         _, diag = problem143
         assert success_probability(pops, ground_manifold(diag)) == 0.75
-        assert success_probability(pops, [6]) == 0.25
+        assert success_probability(pops, GroundManifold((6,), 0)) == 0.25
 
     def test_out_of_range_index(self):
         with pytest.raises(IndexOutOfRange):
-            success_probability(np.zeros(4), [4])
+            success_probability(np.zeros(4), GroundManifold((4,), 0))
 
 
 class TestBruteForce:
-    def test_system_minimum_is_zero_on_the_solution_set(self, system143, problem143):
-        value, argmins = brute_force_min(system143)
-        assert value == 0
-        decoded = sorted(decode_assignment(a, system143) for a in argmins)
+    """The library's diagonal against exhaustive evaluation in tests/oracles.py."""
+
+    def test_system_minimum_is_zero_on_the_solution_set(self, system143):
+        solutions = simplified_solutions(system143)
+        decoded = sorted(decode_assignment(dict(s), system143) for s in solutions)
         assert decoded == [(11, 13), (13, 11)]
 
     def test_agrees_with_the_diagonal(self, system143, problem143):
         qmap, diag = problem143
         _, penalty = assemble_problem(system143, pairing="first")
-        value, argmins = brute_force_min(penalty)
-        assert value == diag.min_energy() == 0
-        assert tuple(qmap.index_of(a) for a in argmins) == diag.ground_indices()
+        values = [poly_evaluate(penalty, qmap.assignment_of(i)) for i in range(1 << qmap.n)]
+        assert tuple(values) == diag.energies
+        assert min(values) == diag.min_energy() == 0
+        assert tuple(i for i, v in enumerate(values) if v == 0) == diag.ground_indices()
 
-    def test_constant_polynomial(self):
-        from adiafact import Poly
-
-        value, argmins = brute_force_min(Poly.constant(37))
-        assert value == 37 and type(value) is int
-        assert argmins == ({},)
-
-    def test_integer_minimum_is_an_int(self, system143):
-        value, _ = brute_force_min(system143)
-        assert type(value) is int
-
-    def test_fractional_coefficients_are_refused(self):
-        from adiafact import Monomial, Poly
-
-        p1 = VarId.p(1)
-        poly = Poly([(Monomial((p1,)), Fraction(-1, 3)), (Monomial(), Fraction(1, 6))])
-        with pytest.raises(ValueError, match="not an integer"):
-            brute_force_min(poly)
-
-    def test_variable_limit(self, system143):
-        with pytest.raises(TooManyVariables):
-            brute_force_min(system143, limit=3)
+    def test_integer_minimum_is_an_int(self, problem143):
+        _, diag = problem143
+        assert type(ground_manifold(diag).energy) is int
 
 
 class TestFactor:
@@ -196,10 +177,7 @@ class TestFactor:
         assert d["n"] == 35 and (d["p"], d["q"]) == (5, 7)
         assert d["mode"] == "adiabatic"
         assert d["schedule"]["M"] == 20
-
-    def test_checkpoints_propagate_to_the_trace(self):
-        result = factor(143, checkpoints=(0, 10, 20), gap_points=0)
-        assert [p.step for p in result.trace.points] == [0, 10, 20]
+        assert d["schedule"]["checkpoints"] == [0, 5, 10, 15, 20]
 
     def test_gap_point_count_is_checked_before_the_anneal(self, monkeypatch):
         from adiafact import orchestrator
