@@ -31,7 +31,7 @@ print()
 
 diag = polynomial_to_diagonal(penalty, qmap)
 print("qubit order:", ", ".join(str(v) for v in qmap.variables))
-print("diagonal energies:", [int(e) for e in diag.energies])
+print("diagonal energies:", diag.numerators.tolist())
 print()
 
 manifold = ground_manifold(diag)
@@ -49,7 +49,8 @@ values = {}
 for bits in itertools.product((0, 1), repeat=qmap.n):
     assignment = dict(zip(qmap.variables, bits))
     value = sum(c for mono, c in terms if all(assignment[v] for v in mono))
-    values[qmap.index_of(assignment)] = value
+    # the basis index reads the bits in qubit order, the first variable on top
+    values[int("".join(str(assignment[v]) for v in qmap.variables), 2)] = value
 floor = min(values.values())
 indices = tuple(sorted(i for i, value in values.items() if value == floor))
 print(f"term-by-term evaluation over all assignments: min {floor} at indices {indices}")

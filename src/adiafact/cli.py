@@ -148,7 +148,7 @@ def _cmd_compile(args) -> int:
     with _open_out(args.out) as stream:
         writer = csv.writer(stream)
         writer.writerow(["index", "energy"])
-        for index, energy in enumerate(problem.energies):
+        for index, energy in enumerate(problem.numerators.tolist()):
             writer.writerow([index, _frac_str(energy)])
     return 0
 

@@ -7,8 +7,9 @@ are applied in order to the mixer ground state.  Natural units throughout
 
 Each step is propagated one of two ways, both exact to roundoff:
 
-- dense: the eigensystem of the 2^n x 2^n H(s) (propagate_step), O(8^n).
-  A run of consecutive dense steps is one (m, 2^n, 2^n) stack from
+- dense: the eigensystem of the 2^n x 2^n H(s), O(8^n).  Both dense
+  solvers (propagate_step, lowest_eigenvalues) take (m, 2^n, 2^n) stacks
+  only: a run of consecutive dense steps is one stack from
   interpolated_hamiltonian over an array of s, decomposed in one eigh
   call and applied first to last; a stack holds at most _STACK_BYTES of
   matrices and at least one, so memory does not grow with M;
@@ -54,7 +55,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import islice
 from typing import IO, Optional
 
@@ -209,19 +210,17 @@ class GapTrace:
 
 
 def initial_state(n: int) -> np.ndarray:
-    """Mixer ground state: amplitude (-1)^popcount(b) / 2^(n/2) on basis state b."""
+    """Mixer ground state: the product of n one-qubit ground states (|0> - |1>) / sqrt(2).
+
+    Amplitude (-1)^popcount(b) / 2^(n/2) on basis state b.
+    """
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
     _check_dim(n)
-    dim = 1 << n
-    # fold the bits of every index onto bit 0, which ends up holding the parity
-    parity = np.arange(dim)
-    shift = 1
-    while shift < n:
-        parity ^= parity >> shift
-        shift <<= 1
-    signs = (1 - 2 * (parity & 1)).astype(np.float64)
-    return (signs / np.sqrt(dim)).astype(np.complex128)
+    # the tensor product as an outer product: np.kron took 2 to 5 times longer up to 10 qubits
+    # (numpy 2.4, 2 cores)
+    signs = reduce(np.multiply.outer, [np.array([1.0, -1.0])] * n).ravel()
+    return (signs / np.sqrt(1 << n)).astype(np.complex128)
 
 
 def populations(state: np.ndarray) -> np.ndarray:
@@ -229,26 +228,27 @@ def populations(state: np.ndarray) -> np.ndarray:
 
 
 def _check_stack(hamiltonian: np.ndarray) -> int:
-    """The size of a square matrix or of each matrix of an (m, dim, dim) stack."""
-    if hamiltonian.ndim not in (2, 3) or hamiltonian.shape[-1] != hamiltonian.shape[-2]:
+    """Both dense solvers' input checks, a finite (m, dim, dim) stack; returns dim."""
+    if hamiltonian.ndim != 3 or hamiltonian.shape[1] != hamiltonian.shape[2]:
         raise DimensionMismatch(
-            f"Hamiltonian shape {hamiltonian.shape} is not square or a stack of square matrices"
+            f"Hamiltonian shape {hamiltonian.shape} is not a stack of square matrices"
         )
+    if not np.all(np.isfinite(hamiltonian)):
+        raise NumericalFailure("Hamiltonian contains non-finite entries")
     return hamiltonian.shape[-1]
 
 
 def propagate_step(state: np.ndarray, hamiltonian: np.ndarray, tau: float) -> np.ndarray:
-    """Apply exp(-i * hamiltonian * tau) to the state.
+    """Apply exp(-i * H_j * tau) for each H_j of an (m, dim, dim) stack, first to last.
 
-    The exponential is synthesized from the eigendecomposition of the
-    (real symmetric or Hermitian) Hamiltonian.  An (m, dim, dim) stack of
-    Hamiltonians is m steps, decomposed in one call and applied first to
-    last; the result is then the (m, dim) array of the states after each
-    step.
+    Each exponential is synthesized from the eigendecomposition of its
+    (real symmetric or Hermitian) matrix, and the whole stack is
+    decomposed in one call.  Returns the (m, dim) array of the states
+    after each step; a one-element stack is one step.
 
     Raises:
-        DimensionMismatch: state and Hamiltonian sizes differ, or a
-            Hamiltonian is not square.
+        DimensionMismatch: the Hamiltonian is not a stack of square
+            matrices, or the state's size differs from theirs.
         NumericalFailure: non-finite entries or a failed eigensolve.
     """
     dim = _check_stack(hamiltonian)
@@ -256,15 +256,11 @@ def propagate_step(state: np.ndarray, hamiltonian: np.ndarray, tau: float) -> np
         raise DimensionMismatch(
             f"state of length {state.shape} against matrix {hamiltonian.shape}"
         )
-    if not np.all(np.isfinite(hamiltonian)):
-        raise NumericalFailure("Hamiltonian contains non-finite entries")
     try:
         energies, basis = np.linalg.eigh(hamiltonian)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
     phases = np.exp(-1j * energies * tau)
-    if hamiltonian.ndim == 2:
-        return basis @ (phases * (basis.conj().T @ state))
     states = np.empty((len(hamiltonian), dim), dtype=np.result_type(basis, state, phases))
     for step, (vectors, turn) in enumerate(zip(basis, phases)):
         state = states[step] = vectors @ (turn * (vectors.conj().T @ state))
@@ -438,27 +434,23 @@ def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrac
 
 
 def lowest_eigenvalues(hamiltonian: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest eigenvalues, ascending.
+    """The k smallest eigenvalues of each matrix of an (m, dim, dim) stack.
 
-    Of an (m, dim, dim) stack, those of each matrix, as an (m, k) array
-    from one call.
+    An (m, k) array, ascending within a row, from one call.
 
     Raises:
-        DimensionMismatch: the Hamiltonian is not square or a stack of
-            square matrices.
+        DimensionMismatch: the Hamiltonian is not a stack of square matrices.
         IndexOutOfRange: k outside 1..dim.
         NumericalFailure: non-finite entries or a failed eigensolve.
     """
     dim = _check_stack(hamiltonian)
     if not 1 <= k <= dim:
         raise IndexOutOfRange(f"k={k} outside 1..{dim}")
-    if not np.all(np.isfinite(hamiltonian)):
-        raise NumericalFailure("Hamiltonian contains non-finite entries")
     try:
         energies = np.linalg.eigvalsh(hamiltonian)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolve failed: {exc}") from exc
-    return energies[..., :k]
+    return energies[:, :k]
 
 
 def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:

@@ -30,12 +30,12 @@ transform: each coefficient is placed at its mask, and n in-place passes
 add each entry into its partner with one more bit set, O(n * 2^n)
 whatever the number of terms.
 
-The mixer is the uniform transverse field g * sum_i X_i, whose ground
-state is the uniform-magnitude superposition used as the start of every
-schedule; it exists only inside interpolated_hamiltonian(s, g, problem),
-which builds
-H(s) = (1 - s) * g * sum_i X_i + s * problem as a dense matrix (over a 1-D
-array of s, the stack of their matrices), and
+The mixer is the uniform transverse field g * sum_i X_i.  Its ground
+state, the start of every schedule, and its levels at s = 0 are closed
+forms in engine (initial_state, gap_profile).  As an operator it is built
+by two functions here: interpolated_hamiltonian(s, g, problem), which
+builds H(s) = (1 - s) * g * sum_i X_i + s * problem as dense matrices, the
+(m, dim, dim) stack of a 1-D array of m values of s, and
 _apply_interpolated(s, g, problem, v), which applies H(s) to a real
 vector, or to a stack of them in one call, without forming it (H(s) is
 real, so a complex state is the stack of its real and imaginary parts;
@@ -55,7 +55,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -122,25 +121,6 @@ class QubitMap:
     def n(self) -> int:
         return len(self.variables)
 
-    def index_of(self, assignment: Mapping[VarId, int]) -> int:
-        """The basis index of a 0/1 value for every mapped variable.
-
-        Raises:
-            UnmappedVariable: a mapped variable has no value.
-            ValueError: a value other than 0 or 1.
-        """
-        index = 0
-        for var, bit in _variable_bits(self.variables).items():
-            try:
-                value = assignment[var]
-            except KeyError as exc:
-                raise UnmappedVariable(f"assignment is missing {var}") from exc
-            if value not in (0, 1):
-                raise ValueError(f"{var} has value {value!r}, not 0 or 1")
-            if value:
-                index |= bit
-        return index
-
     def assignment_of(self, index: int) -> dict:
         if not 0 <= index < (1 << self.n):
             raise ValueError(f"index {index} outside 0..{(1 << self.n) - 1}")
@@ -169,10 +149,6 @@ class DiagonalOperator:
     @property
     def dim(self) -> int:
         return 1 << self.n
-
-    @cached_property
-    def energies(self) -> tuple[int, ...]:
-        return tuple(self.numerators.tolist())
 
     @cached_property
     def as_array(self) -> np.ndarray:
@@ -372,11 +348,13 @@ def _flip_sum_matrix(bits: int) -> np.ndarray:
 
 
 def interpolated_hamiltonian(s, g: float, problem: DiagonalOperator) -> np.ndarray:
-    """(1 - s) * g * sum_i X_i + s * problem, as a dense real symmetric matrix.
+    """(1 - s) * g * sum_i X_i + s * problem, as dense real symmetric matrices.
 
-    s is one value, giving a (dim, dim) matrix, or a 1-D array of m
-    values, giving the (m, dim, dim) stack of their matrices in order.
-    Every s, g and the qubit cap are checked before anything is allocated.
+    A 1-D array of m values of s gives the (m, dim, dim) stack of their
+    matrices in order, the form the dense solvers take (engine.propagate_step,
+    engine.lowest_eigenvalues).  One value gives one (dim, dim) matrix, for
+    inspection.  Every s, g and the qubit cap are checked before anything
+    is allocated.
     """
     values = np.asarray(s, dtype=np.float64)
     if values.ndim > 1:

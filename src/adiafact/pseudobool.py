@@ -104,10 +104,6 @@ class Monomial(tuple):
         """The union of two monomials."""
         return Monomial(tuple.__add__(self, other))
 
-    @property
-    def degree(self) -> int:
-        return len(self)
-
     def __str__(self) -> str:
         return "*".join(str(v) for v in self) if self else "1"
 
@@ -174,10 +170,6 @@ class PseudoBooleanPolynomial:
 
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)
-
-    @property
-    def constant_term(self) -> int:
-        return self._terms.get(ONE, 0)
 
     def __len__(self) -> int:
         return len(self._terms)

@@ -175,6 +175,14 @@ def poly_evaluate(poly, assignment):
                if all(assignment[var] for var in key))
 
 
+def basis_index(assignment, variables) -> int:
+    """The basis index of a 0/1 assignment, variables[0] the most significant bit."""
+    index = 0
+    for var in variables:
+        index = 2 * index + assignment[var]
+    return index
+
+
 def poly_substitute(poly, fixed) -> dict:
     """The polynomial with the variables of fixed set to their 0/1 values."""
     out: dict = {}

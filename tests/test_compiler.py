@@ -133,7 +133,7 @@ class TestLayout:
     def test_carry_coefficients_are_powers_of_two(self):
         for eq in build_layout(143, 4, 4).equations:
             for mono, coeff in eq.rhs.items():
-                if mono.degree == 0:
+                if len(mono) == 0:
                     continue
                 assert coeff.denominator == 1
                 value = coeff.numerator
@@ -699,7 +699,7 @@ class TestDocument:
         doc = system_to_document(compile_system(143, (4, 4)))
         doc["equations"][0]["rhs"] = [[f"{k}/1", []]]
         loaded = system_from_document(doc)
-        constant = loaded.equations[0].rhs.constant_term
+        constant = loaded.equations[0].rhs.coefficient(Monomial())
         assert type(constant) is int and constant == k
         written = system_to_document(loaded)
         if not k:

@@ -98,11 +98,11 @@ def routed_run(problem, schedule):
 
 
 def dense_run(problem, schedule):
-    """The schedule stepped through propagate_step on the dense H(s) only."""
+    """The schedule stepped through propagate_step on the dense H(s) only, one-step stacks."""
     state = initial_state(problem.n)
     for step in range(1, schedule.M + 1):
-        h = interpolated_hamiltonian(schedule.s_at(step), schedule.g, problem)
-        state = propagate_step(state, h, schedule.tau)
+        h = interpolated_hamiltonian(np.array([schedule.s_at(step)]), schedule.g, problem)
+        state = propagate_step(state, h, schedule.tau)[0]
     return state
 
 
@@ -112,8 +112,8 @@ def stepped_run(problem, schedule, paths):
     for step, path in enumerate(paths, start=1):
         s = schedule.s_at(step)
         if path == "d":
-            h = interpolated_hamiltonian(s, schedule.g, problem)
-            state = propagate_step(state, h, schedule.tau)
+            h = interpolated_hamiltonian(np.array([s]), schedule.g, problem)
+            state = propagate_step(state, h, schedule.tau)[0]
         else:
             lo, hi = interval(problem, schedule, s)
             coeffs = _bessel_coefficients((hi - lo) / 2 * schedule.tau)
@@ -211,25 +211,28 @@ class TestPropagateStep:
         # so one step multiplies by exp(+i g tau) exactly
         g, tau = 0.6, 0.7
         psi = initial_state(1)
-        out = propagate_step(psi, dense_mixer(1, g), tau)
+        out = propagate_step(psi, dense_mixer(1, g)[None], tau)[0]
         assert np.allclose(out, np.exp(1j * g * tau) * psi, atol=1e-14)
 
     def test_unitarity(self, problem143):
         rng = np.random.default_rng(7)
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
         state /= np.linalg.norm(state)
-        h = interpolated_hamiltonian(0.37, 0.6, problem143)
-        out = propagate_step(state, h, 1.0)
+        h = interpolated_hamiltonian(np.array([0.37]), 0.6, problem143)
+        out = propagate_step(state, h, 1.0)[0]
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatch):
-            propagate_step(np.zeros(4, complex), np.zeros((2, 2)), 1.0)
+            propagate_step(np.zeros(4, complex), np.zeros((1, 2, 2)), 1.0)
         with pytest.raises(DimensionMismatch):
-            propagate_step(np.zeros(2, complex), np.zeros((2, 3)), 1.0)
+            propagate_step(np.zeros(2, complex), np.zeros((1, 2, 3)), 1.0)
+        # one matrix is not a stack
+        with pytest.raises(DimensionMismatch):
+            propagate_step(np.zeros(2, complex), np.zeros((2, 2)), 1.0)
 
     def test_nonfinite_rejected(self):
-        h = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        h = np.array([[[np.nan, 0.0], [0.0, 1.0]]])
         with pytest.raises(NumericalFailure):
             propagate_step(np.zeros(2, complex), h, 1.0)
 
@@ -240,7 +243,7 @@ class TestPropagateStep:
         assert states.shape == (4, 16)
         state = initial_state(4)
         for matrix, after in zip(stack, states):
-            state = propagate_step(state, matrix, 0.7)
+            state = propagate_step(state, matrix[None], 0.7)[0]
             assert np.array_equal(after, state)
         one = propagate_step(initial_state(4), stack[:1], 0.7)
         assert one.shape == (1, 16) and np.array_equal(one[0], states[0])
@@ -268,7 +271,7 @@ class TestRunSchedule:
         sched = Schedule()
         trace = run_schedule(problem143, sched)
         reference = expm_schedule(
-            np.array([float(e) for e in problem143.energies]),
+            np.array([float(e) for e in problem143.numerators.tolist()]),
             sched.g,
             sched.T,
             sched.M,
@@ -649,17 +652,17 @@ class TestChebyshevRecurrence:
 
 class TestSpectra:
     def test_lowest_eigenvalues_sorted_subset(self, problem143):
-        h = interpolated_hamiltonian(0.5, 0.6, problem143)
-        three = lowest_eigenvalues(h, 3)
+        h = interpolated_hamiltonian(np.array([0.5]), 0.6, problem143)
+        three = lowest_eigenvalues(h, 3)[0]
         assert list(three) == sorted(three)
-        assert np.allclose(three, np.linalg.eigvalsh(h)[:3])
+        assert np.allclose(three, np.linalg.eigvalsh(h[0])[:3])
 
     def test_a_stack_gives_each_matrix_its_levels(self, problem143):
         stack = interpolated_hamiltonian(np.array([0.2, 0.5, 0.8]), 0.6, problem143)
         levels = lowest_eigenvalues(stack, 3)
         assert levels.shape == (3, 3)
         for matrix, row in zip(stack, levels):
-            assert np.array_equal(row, lowest_eigenvalues(matrix, 3))
+            assert np.array_equal(row, lowest_eigenvalues(matrix[None], 3)[0])
         # k is checked against the matrix size, not the stack's length
         assert lowest_eigenvalues(np.zeros((2, 2, 2)), 2).shape == (2, 2)
         for k in (0, 3):
@@ -669,7 +672,8 @@ class TestSpectra:
             lowest_eigenvalues(stack, 17)
 
     def test_shape_checks(self):
-        for h in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 3)), np.zeros((1, 1, 2, 2))):
+        for h in (np.zeros((2, 2)), np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 3)),
+                  np.zeros((1, 1, 2, 2))):
             with pytest.raises(DimensionMismatch):
                 lowest_eigenvalues(h, 1)
 
@@ -684,7 +688,7 @@ class TestSpectra:
             lowest_eigenvalues(stack, 1)
 
     def test_k_range(self, problem143):
-        h = interpolated_hamiltonian(0.5, 0.6, problem143)
+        h = interpolated_hamiltonian(np.array([0.5]), 0.6, problem143)
         with pytest.raises(IndexOutOfRange):
             lowest_eigenvalues(h, 0)
         with pytest.raises(IndexOutOfRange):
@@ -947,8 +951,10 @@ class TestStackedDenseRoute:
         for g, k in ((0.6, 2), (1.1, 3)):
             trace = gap_profile(problem, g, points=21, k=k)
             assert (trace.products > 0) == (target == 295)
-            expected = [lowest_eigenvalues(interpolated_hamiltonian(s, g, problem), k)
-                        for s in trace.s_values[1:-1]]
+            expected = [
+                lowest_eigenvalues(interpolated_hamiltonian(np.array([s]), g, problem), k)[0]
+                for s in trace.s_values[1:-1]
+            ]
             assert np.array_equal(trace.energies[1:-1], np.array(expected))
             gaps = trace.energies[:-1, 1] - trace.energies[:-1, 0]
             assert trace.min_gap == float(np.min(gaps))

@@ -262,18 +262,18 @@ class TestDiagonal:
     def test_143_energies(self, system143):
         qmap, penalty = assemble_problem(system143, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
-        assert [int(e) for e in diag.energies] == [
+        assert [int(e) for e in diag.numerators.tolist()] == [
             5, 2, 4, 1, 4, 3, 0, 1, 2, 0, 3, 1, 1, 1, 1, 3,
         ]
         assert diag.max_energy() == 5
-        assert all(e.denominator == 1 for e in diag.energies)
+        assert all(e.denominator == 1 for e in diag.numerators.tolist())
 
     def test_diagonal_matches_pointwise_evaluation(self, system143):
         qmap, penalty = assemble_problem(system143, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
         for index in range(diag.dim):
             point = qmap.assignment_of(index)
-            assert diag.energies[index] == poly_evaluate(penalty, point)
+            assert diag.numerators[index] == poly_evaluate(penalty, point)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -296,7 +296,7 @@ class TestDiagonal:
         diag = polynomial_to_diagonal(penalty, qmap)
         assert diag.numerators.dtype == np.int64
         assert not diag.numerators.flags.writeable
-        assert all(type(e) is int for e in diag.energies)
+        assert all(type(e) is int for e in diag.numerators.tolist())
         assert diag.ground_indices() == (6, 9)
         assert all(type(i) is int for i in diag.ground_indices())
 
@@ -313,7 +313,7 @@ class TestDiagonal:
         for energies in (np.array([0.5, 1.7]), np.array([0.0, 1.0]), [0.5, 1], [2**70, 0], wraps):
             with pytest.raises(ValueError, match="integers"):
                 DiagonalOperator(1, energies)
-        assert DiagonalOperator(1, np.array([3, -2], dtype=np.int8)).energies == (3, -2)
+        assert DiagonalOperator(1, np.array([3, -2], dtype=np.int8)).numerators.tolist() == [3, -2]
 
     def test_equality_is_identity(self, system143):
         qmap, penalty = assemble_problem(system143, pairing="first")
@@ -372,9 +372,8 @@ class TestQubitMap:
     def test_order_and_indexing(self, system143):
         qmap = QubitMap(system143.variables)
         assert qmap.variables == (P1, P2, Q1, Q2)
-        assert qmap.index_of({P1: 0, P2: 1, Q1: 1, Q2: 0}) == 6
-        assert qmap.index_of({P1: 1, P2: 0, Q1: 0, Q2: 1}) == 9
         assert qmap.assignment_of(6) == {P1: 0, P2: 1, Q1: 1, Q2: 0}
+        assert qmap.assignment_of(9) == {P1: 1, P2: 0, Q1: 0, Q2: 1}
 
     def test_carries_sort_after_interior_bits(self):
         variables = (P1, Q1, VarId.carry(1, 2), VarId.carry(2, 3))
@@ -389,23 +388,12 @@ class TestQubitMap:
         with pytest.raises(InconsistentMap):
             QubitMap((Q1, P1))
 
-    def test_missing_assignment(self):
-        with pytest.raises(UnmappedVariable):
-            QubitMap((P1, Q1)).index_of({P1: 1})
-
-    @pytest.mark.parametrize("value", [2, -1])
-    def test_a_value_other_than_0_or_1_is_refused(self, system143, value):
-        # counted as truthy, either value would read index 8
-        qmap = QubitMap(system143.variables)
-        with pytest.raises(ValueError, match=f"p1 has value {value}, not 0 or 1"):
-            qmap.index_of({P1: value, P2: 0, Q1: 0, Q2: 0})
-
 
 class TestDirectCost:
     def test_21_has_zero_at_3_times_7(self):
         diag = direct_cost_diagonal(21, 2, 3)
         index = (3 << 3) | 7
-        assert diag.energies[index] == 0
+        assert diag.numerators[index] == 0
         assert diag.min_energy() == 0
 
     def test_143_spectral_range(self):
