@@ -5,7 +5,7 @@ propagation leaves behind: three tiny equations over four bits, every
 carry variable pinned to a constant.
 """
 
-from adiafact import build_layout, compile_system, enumerate_width_splits, simplify
+from adiafact import build_layout, enumerate_width_splits, select_split, simplify
 
 TARGET = 143
 
@@ -43,7 +43,8 @@ print()
 print("free variables left for the quantum register:", end=" ")
 print(", ".join(str(v) for v in simplified.variables))
 
-# compile_system wraps the split search and the simplification
-system = compile_system(TARGET)
+# select_split walks the splits in the order above to the first one whose
+# penalty has a zero-energy state; factor and the compile command take it too
+system = select_split(TARGET)[0]
 assert system.widths == (4, 4)
-print(f"\ncompile_system({TARGET}) picks widths {system.widths} on its own")
+print(f"\nselect_split({TARGET}) picks widths {system.widths}, the split factor anneals")

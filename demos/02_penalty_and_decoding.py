@@ -10,13 +10,13 @@ import itertools
 
 from adiafact import (
     assemble_problem,
-    compile_system,
     decode_assignment,
     ground_manifold,
     polynomial_to_diagonal,
+    select_split,
 )
 
-system = compile_system(143)
+system = select_split(143)[0]
 
 for pairing in ("first", "last", "none"):
     _, penalty = assemble_problem(system, pairing=pairing)

@@ -9,23 +9,19 @@ import numpy as np
 
 from adiafact import (
     Schedule,
-    assemble_problem,
-    compile_system,
     ground_manifold,
-    polynomial_to_diagonal,
     run_schedule,
+    select_split,
     success_probability,
 )
 
-system = compile_system(143)
-qmap, penalty = assemble_problem(system)
-problem = polynomial_to_diagonal(penalty, qmap)
+problem = select_split(143)[2]
 manifold = ground_manifold(problem)
 
 schedule = Schedule(g=0.6, T=20.0, M=20, checkpoints=(0, 5, 10, 15, 20))
 trace = run_schedule(problem, schedule)
 
-print(f"register: {qmap.n} qubits, schedule g={schedule.g} T={schedule.T} M={schedule.M}")
+print(f"register: {problem.n} qubits, schedule g={schedule.g} T={schedule.T} M={schedule.M}")
 print(f"ground manifold: indices {manifold.indices}\n")
 
 print("population on the manifold as s advances:")

@@ -5,17 +5,9 @@ schedule must run; at s = 1 the two factorization states are exactly
 degenerate, so the gap there closes by construction.
 """
 
-from adiafact import (
-    assemble_problem,
-    compile_system,
-    gap_profile,
-    polynomial_to_diagonal,
-    sweep,
-)
+from adiafact import gap_profile, select_split, sweep
 
-system = compile_system(143)
-qmap, penalty = assemble_problem(system)
-problem = polynomial_to_diagonal(penalty, qmap)
+problem = select_split(143)[2]
 
 profile = gap_profile(problem, 0.6, points=21, k=3)
 print("three lowest energies along s (21 samples):")

@@ -6,24 +6,16 @@ so its range grows only with the bit width.  Narrow spectra are what
 keep the required evolution time on the desk.
 """
 
-from adiafact import (
-    assemble_problem,
-    compile_system,
-    direct_cost_diagonal,
-    polynomial_to_diagonal,
-)
+from adiafact import direct_cost_diagonal, select_split
 
 print(f"{'N':>5} {'direct max':>12} {'table max':>10} {'ratio':>10}")
 for target in (15, 35, 143, 323):
-    system = compile_system(target)
-    w_p, w_q = system.widths
-    direct = direct_cost_diagonal(target, w_p, w_q)
-    if system.is_solved:
+    system, _, table = select_split(target)
+    direct = direct_cost_diagonal(target, *system.widths)
+    if table is None:
         # propagation solved it outright; the table "spectrum" is trivial
         print(f"{target:5d} {int(direct.max_energy()):12d} {'solved':>10}")
         continue
-    qmap, penalty = assemble_problem(system)
-    table = polynomial_to_diagonal(penalty, qmap)
     ratio = direct.max_energy() / table.max_energy()
     print(
         f"{target:5d} {int(direct.max_energy()):12d} {int(table.max_energy()):10d}"
@@ -33,8 +25,6 @@ for target in (15, 35, 143, 323):
 print()
 print("the 143 instance in numbers:")
 direct = direct_cost_diagonal(143, 4, 4)
-system = compile_system(143)
-qmap, penalty = assemble_problem(system)
-table = polynomial_to_diagonal(penalty, qmap)
+table = select_split(143)[2]
 print(f"  direct encoding: {direct.n} qubits, max energy {int(direct.max_energy())}")
-print(f"  table scheme:    {qmap.n} qubits, max energy {int(table.max_energy())}")
+print(f"  table scheme:    {table.n} qubits, max energy {int(table.max_energy())}")

@@ -11,7 +11,6 @@ from .compiler import (
     ColumnEquation,
     EquationSystem,
     build_layout,
-    compile_system,
     enumerate_width_splits,
     simplify,
     system_from_document,
@@ -101,7 +100,6 @@ __all__ = [
     "WidthMismatch",
     "assemble_problem",
     "build_layout",
-    "compile_system",
     "decode_assignment",
     "direct_cost_diagonal",
     "enumerate_width_splits",

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import orchestrator
-from .compiler import _frac_str, compile_system, system_from_document, system_to_document
+from .compiler import _frac_str, build_layout, simplify, system_from_document, system_to_document
 from .engine import _FLOAT_FMT, Schedule, gap_profile, run_schedule
 from .errors import (
     AdiafactError,
@@ -44,16 +44,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_FIRST_FEASIBLE = "bit widths of the factors (default: first feasible split)"
 _FACTOR_SPLIT = "bit widths of the factors (default: the split factor anneals or solves)"
 
 
-def _add_instance_args(parser, widths_help: str, target_optional: bool = False):
+def _add_instance_args(parser, target_optional: bool = False):
     if target_optional:
         parser.add_argument("target", type=int, nargs="?", help="odd integer to compile")
     else:
         parser.add_argument("target", type=int, help="odd integer to compile")
-    parser.add_argument("--widths", type=int, nargs=2, metavar=("WP", "WQ"), help=widths_help)
+    parser.add_argument("--widths", type=int, nargs=2, metavar=("WP", "WQ"), help=_FACTOR_SPLIT)
     parser.add_argument(
         "--paper-pairing", action="store_true",
         help="pair the lexicographically first product when quadratizing",
@@ -71,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compile = sub.add_parser("compile", help="compile a target into an equation system")
-    _add_instance_args(p_compile, _FIRST_FEASIBLE)
+    _add_instance_args(p_compile)
     p_compile.add_argument(
         "--format", choices=("json", "csv"), default="json",
         help="json: system document; csv: penalty diagonal (index, energy)",
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--out", help="write here instead of stdout")
 
     p_sim = sub.add_parser("simulate", help="run the adiabatic schedule")
-    _add_instance_args(p_sim, _FACTOR_SPLIT, target_optional=True)
+    _add_instance_args(p_sim, target_optional=True)
     _add_schedule_args(p_sim)
     p_sim.add_argument(
         "--system", help="load a compiled system document instead of compiling"
@@ -91,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="write the evolution trace CSV here")
 
     p_spec = sub.add_parser("spectrum", help="sample the low spectrum along s")
-    _add_instance_args(p_spec, _FACTOR_SPLIT)
+    _add_instance_args(p_spec)
     p_spec.add_argument("--g", type=float, default=0.6, help="transverse field strength")
     p_spec.add_argument("--levels", type=int, default=3, help="how many energies per sample")
     p_spec.add_argument("--points", type=int, default=101, help="number of s samples")
     p_spec.add_argument("--out", help="write the CSV here instead of stdout")
 
     p_factor = sub.add_parser("factor", help="factor a target end to end")
-    _add_instance_args(p_factor, _FACTOR_SPLIT)
+    _add_instance_args(p_factor)
     _add_schedule_args(p_factor)
     p_factor.add_argument(
         "--points", type=int, default=51, help="s samples for the reported min gap (0: skip)"
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--out", help="write the result JSON here")
 
     p_sweep = sub.add_parser("sweep", help="vary one schedule axis")
-    _add_instance_args(p_sweep, _FACTOR_SPLIT)
+    _add_instance_args(p_sweep)
     _add_schedule_args(p_sweep)
     p_sweep.add_argument("--axis", choices=("g", "T", "M"), required=True)
     p_sweep.add_argument(
@@ -132,12 +131,11 @@ def _pairing(args) -> str:
     return "first" if args.paper_pairing else "last"
 
 
-def _widths(args) -> Optional[tuple[int, int]]:
-    return tuple(args.widths) if args.widths else None
-
-
 def _cmd_compile(args) -> int:
-    system = compile_system(args.target, _widths(args))
+    if args.widths:  # laid out as given, even a split that factor() refuses
+        system = simplify(build_layout(args.target, *args.widths))
+    else:
+        system = orchestrator.select_split(args.target, None, _pairing(args))[0]
     if args.format == "json":
         with _open_out(args.out) as stream:
             json.dump(system_to_document(system), stream, indent=2)
@@ -169,7 +167,7 @@ def _load_problem(args):
         return system, polynomial_to_diagonal(penalty, qmap)
     if args.target is None:
         raise ValueError("a target (or --system) is required")
-    system, _, problem = orchestrator.select_split(args.target, _widths(args), _pairing(args))
+    system, _, problem = orchestrator.select_split(args.target, args.widths, _pairing(args))
     if problem is None:
         raise EmptySystem(f"{args.target}: nothing left to solve")
     return system, problem
@@ -211,7 +209,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_factor(args) -> int:
     result = orchestrator.factor(
         args.target,
-        widths=_widths(args),
+        widths=args.widths,
         g=args.g,
         T=args.T,
         M=args.M,
@@ -229,7 +227,7 @@ def _cmd_sweep(args) -> int:
         args.target,
         args.axis,
         args.values,
-        widths=_widths(args),
+        widths=args.widths,
         g=args.g,
         T=args.T,
         M=args.M,

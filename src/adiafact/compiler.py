@@ -607,24 +607,6 @@ def simplify(system: EquationSystem) -> EquationSystem:
     return propagator.result()
 
 
-def compile_system(target: int, widths: Optional[tuple[int, int]] = None) -> EquationSystem:
-    """Lay out and simplify; without explicit widths, the first feasible split wins.
-
-    Raises:
-        Infeasible: the given widths (or every enumerated split) admit no
-            factorization.
-    """
-    if widths is not None:
-        return simplify(build_layout(target, widths[0], widths[1]))
-    last_error: Optional[Infeasible] = None
-    for w_p, w_q in enumerate_width_splits(target):
-        try:
-            return simplify(build_layout(target, w_p, w_q))
-        except Infeasible as exc:
-            last_error = exc
-    raise Infeasible(f"{target}: every width split is infeasible") from last_error
-
-
 # -- JSON document ----------------------------------------------------
 
 

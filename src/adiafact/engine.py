@@ -469,11 +469,11 @@ def _filtered_lowest(apply, block, k, hi, n) -> tuple[Optional[np.ndarray], np.n
     by QR.  Its degree is the one whose gain on the k-th level over
     theta_max, about e^(2 d / sqrt(ratio)) with ratio = (hi - theta_max) /
     (theta_max - theta_(k-1)), carries the residual one e-fold below the
-    tolerance, and at least _MIN_DEGREE; a warm block mostly converges after
-    one filter.  Returns the k lowest Ritz values, or None when
-    an iteration of p * (degree + 1) products does not pay against a dense
-    sample (_matrix_free_pays), with the block's Ritz vectors and the
-    products spent.
+    tolerance, at most the one that grows theta_0 over theta_(k-1) e^18
+    times, and at least _MIN_DEGREE; a warm block mostly converges after one
+    filter.  Returns the k lowest Ritz values, or None when an iteration of
+    p * (degree + 1) products does not pay against a dense sample
+    (_matrix_free_pays), with the block's Ritz vectors and the products spent.
 
     Raises:
         NumericalFailure: a non-finite product, a failed eigensolve, or no
@@ -496,16 +496,24 @@ def _filtered_lowest(apply, block, k, hi, n) -> tuple[Optional[np.ndarray], np.n
             return theta[:k], block, products
         # a filter of degree d shrinks the residual about e^(2 d / sqrt(ratio))
         # times; aim one e-fold past the tolerance
+        centre, radius = (hi + theta[-1]) / 2, (hi - theta[-1]) / 2
         spread, degree = float(theta[-1] - theta[k - 1]), math.inf
         if spread > 0:
             ratio = max(hi - theta[-1], 0.0) / spread
-            degree = max(_MIN_DEGREE, (math.log(residual / _RESIDUAL_TOL) + 1) / 2 * math.sqrt(ratio))
+            degree = (math.log(residual / _RESIDUAL_TOL) + 1) / 2 * math.sqrt(ratio)
+            if ratio > 0:
+                # T_d grows theta_0 over theta_(k-1) e^(d * lead) times, x = (centre - theta) / radius;
+                # past e^18 the other rows fall below roundoff and QR returns noise
+                x_0, x_k = 1 + (theta[-1] - theta[[0, k - 1]]) / radius
+                lead = math.acosh(x_0) - math.acosh(x_k)
+                if degree * lead > 18:
+                    degree = 18 / lead
+            degree = max(_MIN_DEGREE, degree)
         if not _matrix_free_pays(n, p * (degree + 1)):
             return None, block, products
         degree = math.ceil(degree)
         # the degree-th vector of the filter that damps [theta_max, hi],
         # scaled to about 1 at theta_0; the generator is dropped with it
-        centre, radius = (hi + theta[-1]) / 2, (hi - theta[-1]) / 2
         block = _orthonormal_rows(next(islice(
             _chebyshev_vectors(apply, block, centre, radius, radius / (theta[0] - centre)),
             degree - 1, None)))

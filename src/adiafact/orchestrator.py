@@ -126,34 +126,45 @@ class FactorResult:
         }
 
 
+def _fits_a_pair(target: int, w_p: int, w_q: int) -> bool:
+    """Whether p's range for target = p * q, odd p of w_p bits and q of w_q bits, is not empty."""
+    low = max((1 << (w_p - 1)) + 1, -(-target // ((1 << w_q) - 1)))  # ceil(N / (2^w_q - 1))
+    return low <= min((1 << w_p) - 1, target // ((1 << (w_q - 1)) + 1))
+
+
 def select_split(
     target: int, widths: Optional[tuple[int, int]] = None, pairing: str = "last"
 ) -> tuple[EquationSystem, Optional[QubitMap], Optional[DiagonalOperator]]:
     """(simplified system, qubit map, penalty diagonal) of the split to anneal.
 
     Walks enumerate_width_splits(target) in balance order (only widths
-    when given) to the first split that propagation solves outright (map
-    and diagonal are then None), or whose register fits the qubit cap
-    and whose penalty diagonal has a zero-energy state.
+    when given), past every split that no factor pair fits (_fits_a_pair),
+    to the first split that propagation solves outright (map and diagonal
+    are then None), or whose register fits the qubit cap and whose
+    penalty diagonal has a zero-energy state.
 
     Raises:
         EvenInput, TooSmall, WidthMismatch: bad target or explicit widths.
         DimensionTooLarge: the only viable splits exceed the qubit cap
-            (the message names the smallest register skipped).
+            (the message names the smallest split skipped and its qubits).
         NotFactorable: every split is infeasible or has no zero-energy state.
     """
     splits = [tuple(widths)] if widths is not None else enumerate_width_splits(target)
-    smallest: Optional[int] = None  # smallest register skipped for the cap
+    smallest: Optional[tuple[int, tuple[int, int]]] = None  # (qubits, widths) skipped for the cap
     for w_p, w_q in splits:
+        layout = build_layout(target, w_p, w_q)  # refuses bad widths first
+        if not _fits_a_pair(target, w_p, w_q):
+            continue
         try:
-            system = simplify(build_layout(target, w_p, w_q))
+            system = simplify(layout)
         except Infeasible:
             continue
         if system.is_solved:
             return system, None, None
         n = len(system.variables)
         if n > qubit_cap():
-            smallest = min(n, smallest or n)
+            if smallest is None or n < smallest[0]:
+                smallest = (n, (w_p, w_q))
             continue  # skipped before its penalty is built
         qmap, penalty = assemble_problem(system, pairing=pairing)
         problem = polynomial_to_diagonal(penalty, qmap)
@@ -161,7 +172,7 @@ def select_split(
             return system, qmap, problem
     if smallest is not None:
         raise DimensionTooLarge(
-            f"{target}: the smallest skipped split needs {smallest} qubits,"
+            f"{target}: the smallest skipped split {smallest[1]} needs {smallest[0]} qubits,"
             f" above the cap of {qubit_cap()}"
         )
     raise NotFactorable(f"{target}: no width split admits a zero-energy factorization")

@@ -2,16 +2,21 @@
 
 Nothing here imports from the package but VarId (tests/test_source.py
 enforces it): solutions are recomputed by grade-school column arithmetic
-over candidate factor bits, polynomials by the arithmetic below on plain
-{frozenset of variables: coefficient} dicts, and evolutions by scipy's
-matrix exponential, so agreement with the library is a genuine
+over candidate factor bits, factor pairs by trial division, polynomials
+by the arithmetic below on plain {frozenset of variables: coefficient}
+dicts, evolutions by scipy's matrix exponential and low levels by
+scipy's sparse eigsh, so agreement with the library is a genuine
 cross-check.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import eigsh
 
 from adiafact import VarId
 
@@ -31,6 +36,15 @@ def odd_semiprimes(limit: int) -> list[int]:
                 break
             out.add(p * q)
     return sorted(out)
+
+
+def factor_pairs(n: int) -> list[tuple[int, int]]:
+    """Every ordered pair (p, q) of factors above 1 with p * q == n, by trial division."""
+    pairs = []
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            pairs += [(p, n // p), (n // p, p)]
+    return pairs
 
 
 def odd_primes(lo: int, hi: int) -> list[int]:
@@ -211,6 +225,17 @@ def dense_mixer(n: int, g: float) -> np.ndarray:
             if bin(i ^ j).count("1") == 1:
                 mixer[i, j] = g
     return mixer
+
+
+def sparse_levels(diag: np.ndarray, g: float, s: float, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of (1 - s) g sum_i X_i + s diag(E), by scipy's eigsh on a sparse H."""
+    dim = len(diag)
+    index = np.arange(dim)
+    flips = [scipy.sparse.csr_matrix((np.ones(dim), (index, index ^ (1 << i))), shape=(dim, dim))
+             for i in range(dim.bit_length() - 1)]
+    hamiltonian = (1 - s) * g * sum(flips) + scipy.sparse.diags(s * np.asarray(diag, dtype=float))
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    return np.sort(eigsh(hamiltonian, k=k, which="SA", tol=1e-12, v0=v0)[0])
 
 
 def flip_sum(v: np.ndarray) -> np.ndarray:

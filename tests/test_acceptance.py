@@ -21,7 +21,6 @@ from adiafact import (
     VarId,
     assemble_problem,
     build_layout,
-    compile_system,
     decode_assignment,
     direct_cost_diagonal,
     enumerate_width_splits,
@@ -68,7 +67,7 @@ def poly_of(*terms):
 def test_criterion_1_compiler_regression():
     with verdict(1, "compile 143 (4,4): the three residual equations, all carries fixed"):
         t0 = time.perf_counter()
-        system = compile_system(143, (4, 4))
+        system = simplify(build_layout(143, 4, 4))
         elapsed = time.perf_counter() - t0
 
         residuals = {eq.residual for eq in system.equations}
@@ -90,7 +89,7 @@ def test_criterion_1_compiler_regression():
 
 def test_criterion_2_hamiltonian_regression():
     with verdict(2, "pairing-first penalty equals the known 11-term polynomial exactly"):
-        system = compile_system(143, (4, 4))
+        system = simplify(build_layout(143, 4, 4))
         _, penalty = assemble_problem(system, pairing="first")
         expected = poly_of(
             (5, []),
@@ -103,7 +102,7 @@ def test_criterion_2_hamiltonian_regression():
 
 def test_criterion_3_ground_manifold():
     with verdict(3, "diagonal minimum is exactly 0, attained exactly at indices 6 and 9"):
-        system = compile_system(143, (4, 4))
+        system = simplify(build_layout(143, 4, 4))
         qmap, penalty = assemble_problem(system, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
         manifold = ground_manifold(diag)
@@ -122,7 +121,7 @@ def test_criterion_3_ground_manifold():
 def test_criterion_4_headline_simulation():
     with verdict(4, "g=0.6 T=20 M=20 puts 0.989 +/- 0.005 on the ground manifold"):
         t0 = time.perf_counter()
-        system = compile_system(143, (4, 4))
+        system = simplify(build_layout(143, 4, 4))
         qmap, penalty = assemble_problem(system)
         diag = polynomial_to_diagonal(penalty, qmap)
         schedule = Schedule(g=0.6, T=20.0, M=20)
@@ -135,7 +134,7 @@ def test_criterion_4_headline_simulation():
 
 def test_criterion_5_spectrum_shape():
     with verdict(5, "E0 starts at -2.4, stays separated for s<1, meets E1 at 0 when s=1"):
-        system = compile_system(143, (4, 4))
+        system = simplify(build_layout(143, 4, 4))
         qmap, penalty = assemble_problem(system, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
         profile = gap_profile(diag, 0.6, points=101, k=3)
@@ -187,7 +186,7 @@ def test_criterion_7_soundness_sweep():
 
 def test_criterion_8_numerical_invariants():
     with verdict(8, "unitary steps, bounded norm drift, unit populations, swap symmetry"):
-        system = compile_system(143, (4, 4))
+        system = simplify(build_layout(143, 4, 4))
         qmap, penalty = assemble_problem(system, pairing="first")
         diag = polynomial_to_diagonal(penalty, qmap)
         dim = 1 << qmap.n
@@ -216,8 +215,8 @@ def test_criterion_8_numerical_invariants():
         # equal-width instances; quadratization picks one product per
         # equation and loses this symmetry, so it is checked where the
         # operator itself commutes with the swap
-        for target in (35, 143):
-            sq_system = compile_system(target)
+        for target, width in ((35, 3), (143, 4)):
+            sq_system = simplify(build_layout(target, width, width))
             sq_map, sq_penalty = assemble_problem(sq_system, pairing="none")
             sq_diag = polynomial_to_diagonal(sq_penalty, sq_map)
             sq_trace = run_schedule(sq_diag, Schedule(g=0.6, T=20.0, M=20))
@@ -244,7 +243,7 @@ def test_criterion_9_spectral_scaling():
         direct = direct_cost_diagonal(143, 4, 4)
         assert direct.max_energy() >= 2 * 10**4  # (143 - 1*1)^2 and worse
 
-        system = compile_system(143, (4, 4))
+        system = simplify(build_layout(143, 4, 4))
         qmap, penalty = assemble_problem(system, pairing="first")
         table = polynomial_to_diagonal(penalty, qmap)
         assert table.max_energy() <= 20

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiafact import compile_system, system_to_document
+from adiafact import NotFactorable, build_layout, select_split, simplify, system_to_document
 from adiafact.cli import main
 
 SUCCESS_143 = 0.9887597017028644
@@ -25,6 +25,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _energies(csv_text):
+    """The energies of compile's index,energy CSV, each written k/1."""
+    return [int(row.split(",")[1].removesuffix("/1")) for row in csv_text.split()[1:]]
 
 
 class TestCompile:
@@ -49,8 +54,7 @@ class TestCompile:
         lines = out.strip().splitlines()
         assert lines[0] == "index,energy"
         assert len(lines) == 17
-        energies = [int(row.split(",")[1].split("/")[0]) for row in lines[1:]]
-        assert energies == [5, 2, 4, 1, 4, 3, 0, 1, 2, 0, 3, 1, 1, 1, 1, 3]
+        assert _energies(out) == [5, 2, 4, 1, 4, 3, 0, 1, 2, 0, 3, 1, 1, 1, 1, 3]
 
     def test_csv_diagonals_are_frozen(self, capsys):
         # sha256 over "N code\n" + stdout per target; the CSV is all integers,
@@ -68,6 +72,41 @@ class TestCompile:
         code, out, _ = run_cli(capsys, "compile", "143", "--out", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["n"] == 143
+
+    def test_compile_falls_through_to_feasible_split(self, capsys):
+        system, qmap, problem = select_split(15)
+        assert system.widths == (2, 3)  # (2, 2) gives 3*3 = 9 != 15
+        assert system.is_solved and qmap is None and problem is None
+        code, out, _ = run_cli(capsys, "compile", "15")
+        assert code == 0 and json.loads(out)["widths"] == [2, 3]
+
+    def test_compile_all_splits_infeasible(self, capsys):
+        with pytest.raises(NotFactorable) as refused:
+            select_split(11)
+        assert run_cli(capsys, "compile", "11") == (2, "", f"adiafact: {refused.value}\n")
+
+    def test_compile_takes_the_split_factor_takes(self, capsys):
+        # the first split that propagation does not refute is (4, 4) for 119,
+        # with no zero-energy state, and (4, 5) for 265, 15 qubits over the
+        # cap; factor anneals (3, 5) and (3, 6)
+        for target, widths in (("119", [3, 5]), ("265", [3, 6])):
+            code, out, _ = run_cli(capsys, "compile", target)
+            assert code == 0 and json.loads(out)["widths"] == widths
+            code, out, _ = run_cli(capsys, "compile", target, "--format", "csv")
+            assert code == 0 and min(_energies(out)) == 0
+        # factor solves 33 on (2, 4) by propagation alone, so there is no diagonal
+        code, out, _ = run_cli(capsys, "compile", "33")
+        assert code == 0 and json.loads(out)["widths"] == [2, 4]
+        code, out, err = run_cli(capsys, "compile", "33", "--format", "csv")
+        assert (code, out) == (1, "") and "nothing left to solve" in err
+
+    def test_explicit_widths_compile_a_split_factor_refuses(self, capsys):
+        # (3, 3) of 33 has no zero-energy state, and (6, 6) of 1763 has 20 qubits
+        code, out, _ = run_cli(capsys, "compile", "33", "--widths", "3", "3", "--format", "csv")
+        assert code == 0 and min(_energies(out)) == 1
+        code, out, _ = run_cli(capsys, "compile", "1763", "--widths", "6", "6")
+        assert code == 0 and len(json.loads(out)["variables"]) == 20
+        assert run_cli(capsys, "compile", "1763")[0] == 1
 
 
 class TestSimulate:
@@ -402,7 +441,7 @@ class TestExitCodes:
 @lru_cache(maxsize=None)
 def _good_documents() -> tuple:
     return tuple(
-        system_to_document(compile_system(target, widths))
+        system_to_document(simplify(build_layout(target, *widths)))
         for target, widths in ((143, (4, 4)), (323, (5, 5)), (899, (5, 5)))
     )
 

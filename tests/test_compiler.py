@@ -21,7 +21,6 @@ from adiafact import (
     WidthMismatch,
     build_layout,
     compiler,
-    compile_system,
     decode_assignment,
     enumerate_width_splits,
     simplify,
@@ -218,15 +217,6 @@ class TestSimplifyGeneral:
         system = simplify(build_layout(9, 2, 2))
         assert system.is_solved
         assert not system.equations
-
-    def test_compile_system_falls_through_to_feasible_split(self):
-        system = compile_system(15)
-        assert system.widths == (2, 3)  # (2, 2) gives 3*3 = 9 != 15
-        assert system.is_solved
-
-    def test_compile_system_all_splits_infeasible(self):
-        with pytest.raises(Infeasible):
-            compile_system(11)
 
     @pytest.mark.parametrize("value", [1, 0])
     def test_an_input_pair_with_a_fixed_member_is_settled(self, value):
@@ -635,7 +625,7 @@ class TestSolutionPreservation:
 
 class TestDocument:
     def test_roundtrip_143(self):
-        system = compile_system(143, (4, 4))
+        system = simplify(build_layout(143, 4, 4))
         doc = system_to_document(system)
         assert doc["n"] == 143
         assert doc["widths"] == [4, 4]
@@ -682,12 +672,12 @@ class TestDocument:
             assert decoded == factorizations
 
     def test_rationals_serialize_as_num_den(self):
-        doc = system_to_document(compile_system(143, (4, 4)))
+        doc = system_to_document(simplify(build_layout(143, 4, 4)))
         coeffs = {c for eq in doc["equations"] for c, _ in eq["lhs"] + eq["rhs"]}
         assert coeffs == {"1/1"}
 
     def test_loaded_coefficients_match_the_layout_types(self):
-        system = compile_system(143, (4, 4))
+        system = simplify(build_layout(143, 4, 4))
         loaded = system_from_document(system_to_document(system))
         for eq in loaded.equations:
             assert all(type(c) is int for _, c in eq.residual.items())
@@ -696,7 +686,7 @@ class TestDocument:
     @given(st.integers(min_value=-2**80, max_value=2**80))
     def test_every_integer_coefficient_loads_and_writes_back(self, k):
         # "k/1" is the one spelling; the constant of p1 + q1 = 1 takes any k
-        doc = system_to_document(compile_system(143, (4, 4)))
+        doc = system_to_document(simplify(build_layout(143, 4, 4)))
         doc["equations"][0]["rhs"] = [[f"{k}/1", []]]
         loaded = system_from_document(doc)
         constant = loaded.equations[0].rhs.coefficient(Monomial())
@@ -709,7 +699,7 @@ class TestDocument:
     def test_malformed_document(self):
         with pytest.raises(ValueError):
             system_from_document({"n": 143})
-        good = system_to_document(compile_system(143, (4, 4)))
+        good = system_to_document(simplify(build_layout(143, 4, 4)))
         bad = dict(good, variables=["p1"])
         with pytest.raises(ValueError):
             system_from_document(bad)

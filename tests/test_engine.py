@@ -16,7 +16,7 @@ from adiafact import (
     NumericalFailure,
     Schedule,
     assemble_problem,
-    compile_system,
+    build_layout,
     direct_cost_diagonal,
     gap_profile,
     initial_state,
@@ -27,6 +27,7 @@ from adiafact import (
     propagate_step,
     run_schedule,
     select_split,
+    simplify,
 )
 from adiafact import engine
 from adiafact.engine import (
@@ -38,7 +39,7 @@ from adiafact.engine import (
 )
 from adiafact.hamiltonian import _apply_interpolated
 
-from oracles import dense_mixer, expm_schedule
+from oracles import dense_mixer, expm_schedule, sparse_levels
 
 # frozen reference values, computed once with an independent
 # scipy.linalg.expm propagation of the same discretized schedule
@@ -48,7 +49,7 @@ MIN_GAP_143 = 1.818155342778935e-05
 
 @pytest.fixture(scope="module")
 def problem143():
-    system = compile_system(143, (4, 4))
+    system = simplify(build_layout(143, 4, 4))
     qmap, penalty = assemble_problem(system, pairing="first")
     return polynomial_to_diagonal(penalty, qmap)
 
@@ -753,6 +754,23 @@ class TestFilteredGapProfile:
         assert ground.min_gap is None and ground.products > 0
         assert np.max(np.abs(ground.energies[:, 0] - expected[:, 0])) <= 1e-12
 
+    @pytest.mark.parametrize("target, s", [(121, 0.001), (145, 0.0025)])
+    def test_a_cold_start_next_to_the_mixer_converges(self, target, s):
+        # the first interior sample of a 1001- and a 401-point profile: the
+        # mixer's first excited level is an n-fold cluster that the block
+        # cannot hold, and a filter steep enough to split it off would grow
+        # the ground direction over every other row past roundoff
+        problem = select_split(target)[2]
+        second = np.sort(problem.as_array)[1]
+        size = int(np.count_nonzero(problem.as_array <= second)) + engine._GUARD
+        noise = np.random.default_rng(engine._NOISE_SEED).standard_normal((size - 1, problem.dim))
+        block = engine._orthonormal_rows(np.vstack([initial_state(problem.n).real, noise]))
+        hi = s * float(problem.max_energy()) + (1 - s) * 0.6 * problem.n
+        apply = partial(_apply_interpolated, s, 0.6, problem)
+        found, _, products = engine._filtered_lowest(apply, block, 2, hi, problem.n)
+        assert found is not None and products > 0
+        assert np.max(np.abs(found - sparse_levels(problem.as_array, 0.6, s, 2))) <= 1e-10
+
     def test_an_eleven_qubit_register_matches_dense(self):
         problem = select_split(133)[2]
         assert problem.n == 11
@@ -765,7 +783,7 @@ class TestFilteredGapProfile:
         # 121 = 11 * 11 squared without pairing keeps the p/q swap symmetry;
         # a diagonal of (popcount - 3)^2 commutes with every qubit
         # permutation, which makes E1 = E2 at every interior s
-        system = compile_system(121, (4, 4))
+        system = simplify(build_layout(121, 4, 4))
         qmap, penalty = assemble_problem(system, pairing="none")
         popcount = np.array([bin(b).count("1") for b in range(1 << 9)])
         permutation_symmetric = DiagonalOperator(9, (popcount - 3) ** 2)

@@ -23,7 +23,6 @@ from adiafact import (
     VarId,
     assemble_problem,
     build_layout,
-    compile_system,
     direct_cost_diagonal,
     enumerate_width_splits,
     gap_profile,
@@ -64,7 +63,7 @@ def all_points(variables):
 
 @pytest.fixture(scope="module")
 def system143():
-    return compile_system(143, (4, 4))
+    return simplify(build_layout(143, 4, 4))
 
 
 class TestPenalty:
@@ -130,7 +129,7 @@ class TestPairedProductCoefficient:
 
     @pytest.fixture(scope="class")
     def system103(self):
-        return compile_system(103, (4, 4))
+        return simplify(build_layout(103, 4, 4))
 
     def column3(self, system):
         (residual,) = [eq.residual for eq in system.equations if eq.column == 3]
@@ -237,7 +236,7 @@ class TestAssembly143:
 
     def test_empty_system(self):
         with pytest.raises(EmptySystem):
-            assemble_problem(compile_system(15))  # solved in preprocessing
+            assemble_problem(simplify(build_layout(15, 2, 3)))  # solved in preprocessing
 
 
 def test_residuals_and_penalties_have_int_coefficients():

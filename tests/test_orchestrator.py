@@ -1,10 +1,13 @@
 """End-to-end factoring, decoding and exact cross-checks against the oracles."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiafact import (
     DimensionTooLarge,
@@ -16,26 +19,29 @@ from adiafact import (
     NotFactorable,
     TooSmall,
     VarId,
+    WidthMismatch,
     assemble_problem,
-    compile_system,
+    build_layout,
     decode_assignment,
+    enumerate_width_splits,
     factor,
     ground_manifold,
     polynomial_to_diagonal,
     qubit_cap,
     select_split,
+    simplify,
     success_probability,
     sweep,
 )
 
-from oracles import odd_semiprimes, poly_evaluate, simplified_solutions
+from oracles import factor_pairs, odd_semiprimes, poly_evaluate, simplified_solutions
 
 SUCCESS_143 = 0.9887597017028644
 
 
 @pytest.fixture(scope="module")
 def system143():
-    return compile_system(143, (4, 4))
+    return simplify(build_layout(143, 4, 4))
 
 
 @pytest.fixture(scope="module")
@@ -222,10 +228,47 @@ class TestCapBeforePenalty:
             assert (system.widths, problem.ground_indices()) == expected
 
 
+class TestSplitsNoPairFits:
+    """select_split skips a split whose range of p is empty before it simplifies it."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(4, (1 << 15) - 1).map(lambda k: 2 * k + 1))
+    def test_every_skipped_split_has_no_factorization(self, target):
+        from adiafact.orchestrator import _fits_a_pair
+
+        fitting = {(p.bit_length(), q.bit_length()) for p, q in factor_pairs(target)}
+        for w_p, w_q in enumerate_width_splits(target):
+            if not _fits_a_pair(target, w_p, w_q):
+                assert (w_p, w_q) not in fitting, (target, w_p, w_q)
+
+    def test_a_prime_on_explicit_widths_is_not_simplified(self, monkeypatch):
+        # 1046527 is prime; propagation leaves 46 variables on (9, 11), which
+        # the cap used to report as "needs 46 qubits"
+        from adiafact import orchestrator
+
+        def refuse(system):
+            raise AssertionError(f"simplified {system.widths}")
+
+        monkeypatch.setattr(orchestrator, "simplify", refuse)
+        with pytest.raises(NotFactorable):
+            select_split(1046527, (9, 11))
+
+    def test_bad_widths_are_refused_before_the_skip(self):
+        with pytest.raises(WidthMismatch, match=r"^need 2 <= w_p <= w_q, got \(1, 7\)$"):
+            select_split(143, (1, 7))
+        with pytest.raises(WidthMismatch, match=r"^widths \(3, 3\) sum to 6; expected 8 or 9 for 143$"):
+            select_split(143, (3, 3))
+
+    def test_the_cap_error_names_the_smallest_skipped_split(self):
+        message = f"1763: the smallest skipped split (6, 6) needs 20 qubits, above the cap of {qubit_cap()}"
+        with pytest.raises(DimensionTooLarge, match=f"^{re.escape(message)}$"):
+            select_split(1763)
+
+
 def test_a_poly_is_built_only_for_the_returned_penalty(monkeypatch):
     # layout, propagation, assembly and the diagonal work on masks; the penalty's
     # Poly terms are built only when a caller reads them
-    from adiafact import Poly, assemble_problem, build_layout, simplify
+    from adiafact import Poly
 
     built = []
     original = Poly.__init__
@@ -303,7 +346,7 @@ class TestSweep:
 
 
 class TestOneSplitPolicy:
-    """sweep, simulate and spectrum anneal the split factor() anneals, or refuse alike."""
+    """compile, sweep, simulate and spectrum take the split factor() anneals, or refuse alike."""
 
     @pytest.fixture
     def annealed(self, monkeypatch):
@@ -342,9 +385,12 @@ class TestOneSplitPolicy:
                 with pytest.raises(type(exc)):
                     sweep(target, "T", [1.0], gap_points=0)
                 code = 2 if isinstance(exc, NotFactorable) else 1
-                for argv in (("simulate", target), ("spectrum", target, "--points", 2)):
+                for argv in (("compile", target), ("simulate", target),
+                             ("spectrum", target, "--points", 2)):
                     assert cli(*argv) == (code, "", f"adiafact: {exc}\n"), argv
                 continue
+            code, out, _ = cli("compile", target)
+            assert code == 0 and json.loads(out)["widths"] == list(result.widths), target
             if result.mode == "preprocessed":
                 with pytest.raises(EmptySystem):
                     sweep(target, "T", [1.0], gap_points=0)

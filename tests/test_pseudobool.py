@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiafact import Monomial, Poly, VarId, assemble_problem, compile_system
+from adiafact import Monomial, Poly, VarId, assemble_problem, build_layout, simplify
 from adiafact.pseudobool import _masks_to_poly, _poly_to_masks, _variable_bits
 
 from oracles import poly_add, poly_bounds, poly_evaluate, poly_multiply, poly_terms
@@ -38,7 +38,7 @@ def test_varid_str_roundtrip():
 
 
 def test_copies_and_pickles_round_trip_equal():
-    system = compile_system(143, (4, 4))
+    system = simplify(build_layout(143, 4, 4))
     _, penalty = assemble_problem(system)  # mask-backed and unread
     for value in (VarId.p(1), VarId.carry(2, 4), Monomial((VarId.q(2), VarId.p(1))), penalty,
                   system):
