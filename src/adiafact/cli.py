@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import orchestrator
-from .compiler import _frac_str, build_layout, simplify, system_from_document, system_to_document
+from .compiler import build_layout, simplify, system_from_document, system_to_document
 from .engine import _FLOAT_FMT, Schedule, gap_profile, run_schedule
 from .errors import (
     AdiafactError,
@@ -146,8 +146,7 @@ def _cmd_compile(args) -> int:
     with _open_out(args.out) as stream:
         writer = csv.writer(stream)
         writer.writerow(["index", "energy"])
-        for index, energy in enumerate(problem.numerators.tolist()):
-            writer.writerow([index, _frac_str(energy)])
+        writer.writerows(enumerate(problem.numerators.tolist()))
     return 0
 
 
@@ -184,7 +183,7 @@ def _cmd_simulate(args) -> int:
         "widths": list(system.widths),
         "qubits": problem.n,
         "ground_manifold": list(manifold.indices),
-        "ground_energy": _frac_str(manifold.energy),
+        "ground_energy": manifold.energy,
         "success_probability": orchestrator.success_probability(
             trace.final_populations, manifold
         ),

@@ -177,6 +177,12 @@ def _carries(w_p: int, w_q: int) -> list[VarId]:
     return carries
 
 
+def _table_variables(w_p: int, w_q: int) -> tuple[VarId, ...]:
+    """The table's variables, sorted: the interior bits of p, then of q, then every carry."""
+    interiors = [VarId(kind, i) for kind, w in zip("pq", (w_p, w_q)) for i in range(1, w - 1)]
+    return tuple(interiors + _carries(w_p, w_q))
+
+
 def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
     """Lay out the multiplication table for target = p*q at the given widths.
 
@@ -197,9 +203,7 @@ def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
     """
     _validate_split(target, w_p, w_q)
 
-    interiors = [VarId(kind, i) for kind, w in zip("pq", (w_p, w_q)) for i in range(1, w - 1)]
-    carries = _carries(w_p, w_q)
-    variables = tuple(interiors + carries)  # sorted: p, then q, then carries by column
+    variables = _table_variables(w_p, w_q)
     bit = _variable_bits(variables)
     # residual of column c: products and incoming carries, minus target bit and outgoing carries
     rows = [{0: -((target >> c) & 1)} for c in range(w_p + w_q)]
@@ -209,7 +213,7 @@ def build_layout(target: int, w_p: int, w_q: int) -> EquationSystem:
         q_mask = bit.get(VarId.q(j), 0)
         for i, p_mask in enumerate(p_masks):
             rows[i + j][p_mask | q_mask] = rows[i + j].get(p_mask | q_mask, 0) + 1
-    for carry in carries:
+    for carry in variables[w_p + w_q - 4:]:  # the carries, after the interior bits
         _, source, dest = carry
         rows[source][bit[carry]] = -(1 << (dest - source))
         rows[dest][bit[carry]] = 1
@@ -610,20 +614,15 @@ def simplify(system: EquationSystem) -> EquationSystem:
 # -- JSON document ----------------------------------------------------
 
 
-def _frac_str(value: int) -> str:
-    return f"{value}/1"
-
-
-def _frac_parse(text) -> int:
-    """Inverse of _frac_str; int() also reads "+3" and "03", so text must print back as itself."""
-    numerator = text.removesuffix("/1") if isinstance(text, str) else ""
-    if not numerator.removeprefix("-").isdecimal() or _frac_str(int(numerator)) != text:
-        raise ValueError(f"coefficient {text!r} is not an integer written k/1")
-    return int(numerator)
+def _json_int(value) -> int:
+    """value itself if it is a JSON integer; a float, a bool, null or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 def _poly_to_terms(poly: Poly) -> list:
-    return [[_frac_str(coeff), [str(v) for v in mono]] for mono, coeff in poly.items()]
+    return [[coeff, [str(v) for v in mono]] for mono, coeff in poly.items()]
 
 
 def _residual_from_document(equation: dict) -> Poly:
@@ -631,7 +630,7 @@ def _residual_from_document(equation: dict) -> Poly:
     terms = []
     for side, sign in (("lhs", 1), ("rhs", -1)):
         for coeff, names in equation[side]:
-            value = _frac_parse(coeff)
+            value = _json_int(coeff)
             variables = [VarId.parse(name) for name in names]
             if len(set(variables)) != len(variables):
                 raise ValueError(f"monomial {names} names a variable twice")
@@ -640,7 +639,7 @@ def _residual_from_document(equation: dict) -> Poly:
 
 
 def system_to_document(system: EquationSystem) -> dict:
-    """Serialize to the interchange document (integer coefficients written "k/1")."""
+    """Serialize to the interchange document, every coefficient a JSON integer."""
     return {
         "n": system.target,
         "widths": list(system.widths),
@@ -656,13 +655,6 @@ def system_to_document(system: EquationSystem) -> dict:
     }
 
 
-def _json_int(value) -> int:
-    """value itself if it is a JSON integer; a float, string or bool is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{value!r} is not an integer")
-    return value
-
-
 def _pair_from_names(names: list) -> frozenset:
     pair = frozenset(VarId.parse(name) for name in names)
     if len(names) != 2 or len(pair) != 2:
@@ -673,11 +665,11 @@ def _pair_from_names(names: list) -> frozenset:
 def system_from_document(doc: dict) -> EquationSystem:
     """Inverse of system_to_document; column provenance is not retained.
 
-    n and every fixed value must be JSON integers, widths a list of exactly
-    two, and every coefficient an integer k spelt "k/1" ("1/3", "6/2", "3"
-    and "+3/1" are refused).  A monomial may name each variable once.  The
-    variables list is optional; when present, even empty, it must list
-    exactly the free variables.
+    n, every coefficient and every fixed value must be JSON integers (a
+    float, a bool, null or any string, one that spells an integer too, is
+    refused), and widths a list of exactly two.  A monomial may name each
+    variable once.  The variables list is optional; when present, even
+    empty, it must list exactly the free variables.
     """
     try:
         target = _json_int(doc["n"])
@@ -712,7 +704,8 @@ def _validate_layout_rules(system: EquationSystem) -> None:
             equation or a forbidden pair still mentions, or a variable
             outside the table.
     """
-    table = set(build_layout(system.target, *system.widths).variables)
+    _validate_split(system.target, *system.widths)
+    table = set(_table_variables(*system.widths))
     for var, value in system.fixed.items():
         if value not in (0, 1):
             raise ValueError(f"malformed system document: {var} fixed to {value}, not 0 or 1")

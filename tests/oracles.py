@@ -4,9 +4,9 @@ Nothing here imports from the package but VarId (tests/test_source.py
 enforces it): solutions are recomputed by grade-school column arithmetic
 over candidate factor bits, factor pairs by trial division, polynomials
 by the arithmetic below on plain {frozenset of variables: coefficient}
-dicts, evolutions by scipy's matrix exponential and low levels by
-scipy's sparse eigsh, so agreement with the library is a genuine
-cross-check.
+dicts, evolutions by scipy's matrix exponential (dense expm, or
+expm_multiply on a sparse H) and low levels by scipy's sparse eigsh, so
+agreement with the library is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import numpy as np
 import scipy.sparse
 from scipy.linalg import expm
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, expm_multiply
 
 from adiafact import VarId
 
@@ -227,15 +227,33 @@ def dense_mixer(n: int, g: float) -> np.ndarray:
     return mixer
 
 
-def sparse_levels(diag: np.ndarray, g: float, s: float, k: int) -> np.ndarray:
-    """The k lowest eigenvalues of (1 - s) g sum_i X_i + s diag(E), by scipy's eigsh on a sparse H."""
+def _mixer_ground_state(dim: int) -> np.ndarray:
+    """The ground state of +g sum_i X_i: amplitude (-1)^popcount(b) / sqrt(dim) on state b."""
+    signs = [(-1.0) ** bin(b).count("1") for b in range(dim)]
+    return np.array(signs, dtype=complex) / np.sqrt(dim)
+
+
+def _sparse_hamiltonian(diag: np.ndarray, g: float, s: float):
+    """(1 - s) g sum_i X_i + s diag(E) as a scipy.sparse matrix."""
     dim = len(diag)
     index = np.arange(dim)
     flips = [scipy.sparse.csr_matrix((np.ones(dim), (index, index ^ (1 << i))), shape=(dim, dim))
              for i in range(dim.bit_length() - 1)]
-    hamiltonian = (1 - s) * g * sum(flips) + scipy.sparse.diags(s * np.asarray(diag, dtype=float))
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    return np.sort(eigsh(hamiltonian, k=k, which="SA", tol=1e-12, v0=v0)[0])
+    return (1 - s) * g * sum(flips) + scipy.sparse.diags(s * np.asarray(diag, dtype=float))
+
+
+def sparse_levels(diag: np.ndarray, g: float, s: float, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of (1 - s) g sum_i X_i + s diag(E), by scipy's eigsh on a sparse H."""
+    v0 = np.random.default_rng(0).standard_normal(len(diag))
+    return np.sort(eigsh(_sparse_hamiltonian(diag, g, s), k=k, which="SA", tol=1e-12, v0=v0)[0])
+
+
+def sparse_schedule(diag: np.ndarray, g: float, T: float, M: int) -> np.ndarray:
+    """expm_schedule's evolution with the sparse H(s_m) of sparse_levels, by scipy's expm_multiply."""
+    state = _mixer_ground_state(len(diag))
+    for m in range(1, M + 1):
+        state = expm_multiply(-1j * (T / M) * _sparse_hamiltonian(diag, g, m / M), state)
+    return state
 
 
 def flip_sum(v: np.ndarray) -> np.ndarray:
@@ -252,9 +270,7 @@ def expm_schedule(diag: np.ndarray, g: float, T: float, M: int) -> np.ndarray:
     """Reference evolution with scipy.linalg.expm, literal s_m = m/M rule."""
     dim = len(diag)
     mixer = dense_mixer(dim.bit_length() - 1, g)
-    state = np.array(
-        [(-1.0) ** bin(b).count("1") for b in range(dim)], dtype=complex
-    ) / np.sqrt(dim)
+    state = _mixer_ground_state(dim)
     tau = T / M
     for m in range(1, M + 1):
         s = m / M

@@ -97,7 +97,7 @@ def test_criterion_2_hamiltonian_regression():
             (2, [P1, Q1]), (1, [P1, Q2]), (-3, [P2, Q1]), (2, [P2, Q2]),
             (2, [P1, P2, Q1]), (2, [P2, Q1, Q2]),
         )
-        assert penalty == expected  # exact rational equality, no tolerance
+        assert penalty == expected  # exact integer equality, no tolerance
 
 
 def test_criterion_3_ground_manifold():

@@ -39,7 +39,7 @@ from adiafact.engine import (
 )
 from adiafact.hamiltonian import _apply_interpolated
 
-from oracles import dense_mixer, expm_schedule, sparse_levels
+from oracles import dense_mixer, expm_schedule, sparse_levels, sparse_schedule
 
 # frozen reference values, computed once with an independent
 # scipy.linalg.expm propagation of the same discretized schedule
@@ -76,6 +76,26 @@ def dense_levels(problem, g, s_values, k):
 
 def no_dense_matrix(*args):
     raise AssertionError("dense H(s) built")
+
+
+def sparse_oracle_errors(target):
+    """The engine's largest level and amplitude errors against the sparse oracles.
+
+    On factor()'s register for target: the 9 interior samples of an
+    11-point k = 2 profile against sparse_levels, and the default
+    schedule's final state against sparse_schedule.  CI runs it on 209 and
+    265 (13 and 14 qubits); tier-1 on 145 (12 qubits).
+    """
+    problem, sched = select_split(target)[2], Schedule()
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(engine, "interpolated_hamiltonian", no_dense_matrix)
+        profile = gap_profile(problem, sched.g, points=11, k=2)
+        final = run_schedule(problem, sched).final_state
+    levels = np.array([sparse_levels(problem.as_array, sched.g, s, 2)
+                       for s in profile.s_values[1:-1]])
+    reference = sparse_schedule(problem.as_array, sched.g, sched.T, sched.M)
+    return (float(np.max(np.abs(profile.energies[1:-1] - levels))),
+            float(np.max(np.abs(final - reference))))
 
 
 def routed_run(problem, schedule):
@@ -770,6 +790,11 @@ class TestFilteredGapProfile:
         found, _, products = engine._filtered_lowest(apply, block, 2, hi, problem.n)
         assert found is not None and products > 0
         assert np.max(np.abs(found - sparse_levels(problem.as_array, 0.6, s, 2))) <= 1e-10
+
+    def test_a_twelve_qubit_register_matches_the_sparse_oracles(self):
+        # no dense H(s) on 145's 12 qubits: every sample and step is matrix-free
+        level_error, state_error = sparse_oracle_errors(145)
+        assert level_error <= 1e-10 and state_error <= 1e-10
 
     def test_an_eleven_qubit_register_matches_dense(self):
         problem = select_split(133)[2]

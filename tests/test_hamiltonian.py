@@ -265,7 +265,7 @@ class TestDiagonal:
             5, 2, 4, 1, 4, 3, 0, 1, 2, 0, 3, 1, 1, 1, 1, 3,
         ]
         assert diag.max_energy() == 5
-        assert all(e.denominator == 1 for e in diag.numerators.tolist())
+        assert all(type(e) is int for e in diag.numerators.tolist())
 
     def test_diagonal_matches_pointwise_evaluation(self, system143):
         qmap, penalty = assemble_problem(system143, pairing="first")
