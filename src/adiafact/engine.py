@@ -20,10 +20,13 @@ Each step is propagated one of two ways, both exact to roundoff:
   imaginary parts run through the recurrence as the two rows of one real
   stack, and each coefficient's factor (-i)^k is a quarter turn of that
   pair.  The three-term recurrence is the one the spectral filters run
-  (_chebyshev_vectors), unscaled, updated in place on each product's
-  output.  The product (hamiltonian._apply_interpolated) applies the mixer
-  as one small dense flip-sum matrix product per block of at most six
-  qubits: two products up to 12 qubits, one more for each further six.
+  (_chebyshev_vectors), unscaled.  It runs on H = a * sum_i X_i + diag(b),
+  with a = (1 - s) * g and b = s * E made once per step as float64, and
+  folds the interval's centre and radius into a and b, so that a product
+  is the flip sum alone (hamiltonian._apply_flip_sum) plus two passes, in
+  three buffers that rotate without allocating.  The flip sum is one small
+  dense flip-sum matrix product per block of at most six qubits: two
+  products up to 12 qubits, one more for each further six.
 
 One rule picks the path for every step and every spectrum sample
 (_matrix_free_pays).  A dense solve of the 2^n-square H(s) costs O(8^n) and
@@ -41,7 +44,15 @@ Chebyshev-filtered subspace iteration (_filtered_lowest; Zhou, Saad, Tiago
 largest Ritz value up to the same exact upper end, and which multiplies
 the whole block in one product call.  The filter is the steps' Chebyshev
 recurrence (_chebyshev_vectors), scaled to about 1 at the lowest Ritz
-value.  An iteration of degree d costs p * (d + 1) products; a sample
+value.  Each product also yields the block's flip images sum_i X_i v, so
+H(s) v = (1 - s) * g * sum_i X_i v + s * E * v is known at every s for
+the vectors already seen: a sample starts from one Rayleigh-Ritz step
+over the k converged Ritz vectors of the last _WINDOW filtered samples
+plus the carried block (_window_start), which costs no product and
+starts the filter closer than the carried block alone, so its degree
+falls; the filter's own Rayleigh-Ritz step still certifies every level
+with real products.  An iteration of degree d costs p * (d + 1) products,
+priced before a sample's first product from the last degree; a sample
 where that does not pay, which includes every register of up to 6
 qubits, is a dense eigenvalue solve.  Dense samples never feed the block:
 they are collected during the walk along s and solved after it as stacks
@@ -55,7 +66,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import islice
 from typing import IO, Optional
 
@@ -64,7 +75,7 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, NumericalFailure
 from .hamiltonian import (
     DiagonalOperator,
-    _apply_interpolated,
+    _apply_flip_sum,
     _check_dim,
     _check_field,
     interpolated_hamiltonian,
@@ -94,6 +105,18 @@ _MAX_ITERATIONS = 100
 _GUARD = 2
 _MIN_DEGREE = 8
 _NOISE_SEED = 143
+# gap_profile warm-starts each filtered sample from the k Ritz vectors of the
+# last _WINDOW filtered samples (_window_start), whose span drops directions of
+# Gram eigenvalue at most _SPAN_TOL^2 plus the Gram matrix's roundoff (_EPS
+# relative).  51-point k = 2 profiles of 121 took 19605, 16940, 12350, 9630 and
+# 8760 products at windows of 1 (the carried block alone), 2, 4, 6 and 8
+# samples; in two sets of 12 alternating rounds (2 cores, 2 OpenBLAS threads,
+# numpy 2.4) windows of 4, 6 and 8 took medians of 118, 109 and 121 ms, then
+# 115, 99 and 99 ms, so 6 keeps the smaller window at the same speed.  A span
+# tolerance of 1e-6 took 10930 products, one of 1e-10 the same 9630.
+_WINDOW = 6
+_SPAN_TOL = 1e-8
+_EPS = float(np.finfo(np.float64).eps)
 # The dense steps of a run and the dense samples of a profile are solved as
 # (m, dim, dim) stacks, one LAPACK call each, of at most _STACK_BYTES of
 # matrices and at least one: 128 matrices at 4 qubits, 8 at 6, 2 at 7 and
@@ -297,48 +320,57 @@ def _term_floor(x: float) -> float:
     return 0.0 if x <= 2 * _TERM_TOL else x + 10 * x ** (1 / 3)
 
 
-def _chebyshev_vectors(apply, rows, centre, radius, first=1.0):
+def _chebyshev_vectors(a, b, rows, centre, radius, first=1.0):
     """Yield y_1, y_2, ... of the scaled Chebyshev recurrence in X = (H - centre) / radius.
 
-    y_0 is rows, y_1 = first * X y_0 and y_(k+1) = 2 * sigma_(k+1) * X y_k -
-    sigma_k * sigma_(k+1) * y_(k-1), with sigma_1 = first and sigma_(k+1) =
-    1 / (2 / first - sigma_k) (Zhou, Saad, Tiago & Chelikowsky, J. Comput.
-    Phys. 219, 172, 2006, algorithm 3.1).  At first = 1 every sigma is
-    exactly 1 and y_k is T_k(X) y_0, the plain recurrence of a Chebyshev
-    expansion.  At first = radius / (scale - centre), scale below the
-    interval [centre - radius, centre + radius], y_k is T_k(X) y_0 /
-    T_k((scale - centre) / radius): a filter that damps the interval and
+    H = a * sum_i X_i + diag(b), with a a number and b a float64 array of
+    2^n entries.  y_0 is rows, y_1 = first * X y_0 and y_(k+1) = 2 *
+    sigma_(k+1) * X y_k - sigma_k * sigma_(k+1) * y_(k-1), with sigma_1 =
+    first and sigma_(k+1) = 1 / (2 / first - sigma_k) (Zhou, Saad, Tiago &
+    Chelikowsky, J. Comput. Phys. 219, 172, 2006, algorithm 3.1).  At first
+    = 1 every sigma is exactly 1 and y_k is T_k(X) y_0, the plain recurrence
+    of a Chebyshev expansion.  At first = radius / (scale - centre), scale
+    below the interval [centre - radius, centre + radius], y_k is T_k(X) y_0
+    / T_k((scale - centre) / radius): a filter that damps the interval and
     amplifies the spectrum below it, about 1 at scale, so that a high
     degree cannot overflow.
 
-    Each vector costs one apply call, made when the vector is asked for.
-    apply(v) must return H @ v for every row of v as a new array: the
-    recurrence updates that array in place into the next vector, with one
-    scratch array for the terms it subtracts.  It writes neither into rows
-    nor into a vector it has yielded, so a caller may keep any of them.
+    Each vector costs one product call (hamiltonian._apply_flip_sum), made
+    when the vector is asked for.  Centre, radius and the sigmas are folded
+    into the product's two terms: y_(k+1) = c_a * sum_i X_i y_k + c_b * y_k
+    - f * y_(k-1), with c_a = (2 * sigma_(k+1) / radius) * a and c_b the
+    same factor times b - centre.  Three buffers, each allocated once,
+    rotate through y_(k-1), y_k and y_(k+1), and one scratch array takes
+    the product's upper blocks and the terms added to it, so the
+    recurrence allocates nothing per vector.  It never writes into rows, and a
+    yielded vector stays as it is while the next two are asked for; the
+    third after it overwrites it, so a caller keeps one longer by copying it.
     """
-    scratch, previous, current, sigma = np.empty_like(rows), rows, apply(rows), first
-    current -= np.multiply(rows, centre, out=scratch)
-    current *= first / radius
+    shifted = b - centre
+    diagonal, scratch, spare = np.empty_like(shifted), np.empty_like(rows), np.empty_like(rows)
+    previous = current = rows
+    sigma, scale, factor = first, first / radius, 0.0
     while True:
+        _apply_flip_sum(current, spare, scratch)
+        spare *= scale * a
+        spare += np.multiply(current, np.multiply(shifted, scale, out=diagonal), out=scratch)
+        # y_1 has no y_(-1) term (factor 0); a step's factors (first = 1) are
+        # all exactly 1, and 1.0 * y is y bit for bit: the product is skipped
+        if factor:
+            spare -= previous if factor == 1.0 else np.multiply(previous, factor, out=scratch)
+        # y_(k-1)'s buffer takes y_(k+2); rows is never written
+        previous, current, spare = current, spare, np.empty_like(rows) if previous is rows else previous
         yield current
         following = 1 / (2 / first - sigma)
-        vector = apply(current)
-        vector -= np.multiply(current, centre, out=scratch)
-        vector *= 2 * following / radius
-        # a step's factors (first = 1) are all exactly 1, and 1.0 * y is y bit
-        # for bit: the product is skipped
-        factor = sigma * following
-        vector -= previous if factor == 1.0 else np.multiply(previous, factor, out=scratch)
-        previous, current, sigma = current, vector, following
+        scale, factor, sigma = 2 * following / radius, sigma * following, following
 
 
-def _chebyshev_step(apply, state, tau, lo, hi, coeffs) -> np.ndarray:
+def _chebyshev_step(a, b, state, tau, lo, hi, coeffs) -> np.ndarray:
     """exp(-i * H * tau) @ state by a Chebyshev expansion.
 
-    apply(v) returns H @ v as a new array for every row of a real v, H
-    real symmetric with spectrum in [lo, hi], and coeffs are
-    _bessel_coefficients(r * tau).  With H = c + r * X (c, r the
+    H = a * sum_i X_i + diag(b) (b a float64 array) is real symmetric with
+    spectrum in [lo, hi], and coeffs are _bessel_coefficients(r * tau).
+    With H = c + r * X (c, r the
     interval's centre and half-width), exp(-i * H * tau) is
     exp(-i * c * tau) * sum_k a_k * J_k(r * tau) * T_k(X), with a_0 = 1 and
     a_k = 2 * (-i)^k.  X is real, so the state's real and imaginary parts
@@ -359,7 +391,7 @@ def _chebyshev_step(apply, state, tau, lo, hi, coeffs) -> np.ndarray:
     weights = 2 * coeffs[:, None, None] * turns[np.arange(coeffs.size) % 4]
     pair = np.stack([state.real, state.imag])
     result = coeffs[0] * pair
-    for weight, vector in zip(weights[1:], _chebyshev_vectors(apply, pair, centre, radius)):
+    for weight, vector in zip(weights[1:], _chebyshev_vectors(a, b, pair, centre, radius)):
         result += weight @ vector
     result = (result[0] + 1j * result[1]) * np.exp(-1j * centre * tau)
     if not np.isfinite(np.vdot(result, result).real):
@@ -422,8 +454,7 @@ def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrac
             state = states[-1]
             dense.clear()
         if chebyshev:
-            apply = partial(_apply_interpolated, s, g, problem)
-            state = _chebyshev_step(apply, state, tau, lo, hi, coeffs)
+            state = _chebyshev_step((1 - s) * g, s * problem.as_array, state, tau, lo, hi, coeffs)
             products += coeffs.size - 1
             if step in marks:
                 points.append(TracePoint(step, s, populations(state)))
@@ -458,31 +489,82 @@ def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.qr(vectors.T)[0].T)
 
 
-def _filtered_lowest(apply, block, k, hi, n) -> tuple[Optional[np.ndarray], np.ndarray, int]:
-    """The k lowest eigenvalues of a real symmetric H by Chebyshev-filtered subspace iteration.
+def _window_start(a, b, window, pair) -> np.ndarray:
+    """The lowest Ritz vectors of H = a * sum_i X_i + diag(b) over a window's span plus a block's.
 
-    apply(x) returns H @ x for every row of x at once; block holds p >= k
-    orthonormal rows and hi bounds the spectrum of H from above.  Each
-    iteration is a Rayleigh-Ritz step on the block, then, unless the k
-    lowest Ritz pairs have residuals |H x - theta x| of at most
-    _RESIDUAL_TOL, a Chebyshev filter that damps [theta_max, hi] followed
-    by QR.  Its degree is the one whose gain on the k-th level over
-    theta_max, about e^(2 d / sqrt(ratio)) with ratio = (hi - theta_max) /
-    (theta_max - theta_(k-1)), carries the residual one e-fold below the
-    tolerance, at most the one that grows theta_0 over theta_(k-1) e^18
-    times, and at least _MIN_DEGREE; a warm block mostly converges after one
-    filter.  Returns the k lowest Ritz values, or None when an iteration of
-    p * (degree + 1) products does not pay against a dense sample
-    (_matrix_free_pays), with the block's Ritz vectors and the products spent.
+    window and pair are (2, m, dim) stacks of real rows [0] and their
+    images sum_i X_i [1], so H @ v = a * sum_i X_i v + b * v costs no
+    product.  pair's p rows are orthonormal; window's need not be.  Twice,
+    the window's rows are projected off the block and whitened through
+    the eigensystem of their Gram matrix, dropping each direction whose
+    Gram eigenvalue is at or below _SPAN_TOL^2, where its image would be
+    mostly roundoff, plus the Gram matrix's own roundoff, m * eps times
+    its largest eigenvalue; the second pass restores orthonormality to
+    roundoff.
+    Only the rows go through these steps: coeffs records each basis row as
+    a combination of the block's and the window's rows, and takes the flip
+    images of the basis from theirs.  Returns the p lowest Ritz vectors of
+    H over the block plus what is left of the window, as the orthonormal
+    rows of a (p, dim) array, the form _filtered_lowest takes.
+
+    Raises:
+        NumericalFailure: a failed eigensolve.
+    """
+    p, m = pair.shape[1], window.shape[1]
+    rows, coeffs = window[0], np.eye(m, p + m, p)
+    try:
+        for _ in range(2):
+            overlap = rows @ pair[0].T
+            rows = rows - overlap @ pair[0]
+            coeffs[:, :p] -= overlap
+            values, vectors = np.linalg.eigh(rows @ rows.T)
+            keep = values > _SPAN_TOL**2 + values.size * _EPS * values.max(initial=0.0)
+            turn = (vectors[:, keep] / np.sqrt(values[keep])).T
+            rows, coeffs = turn @ rows, turn @ coeffs
+        basis = np.vstack([pair[0], rows])
+        coeffs = np.vstack([np.eye(p, p + m), coeffs])
+        # basis @ (a * sum_i X_i basis + b * basis).T, the flip images taken through coeffs
+        flips = np.hstack([basis @ pair[1].T, basis @ window[1].T])
+        ritz = np.linalg.eigh(a * (flips @ coeffs.T) + (basis * b) @ basis.T)[1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Rayleigh-Ritz eigensolve failed: {exc}") from exc
+    return ritz[:, :p].T @ basis
+
+
+def _filtered_lowest(a, b, block, k, hi, n) -> tuple[Optional[np.ndarray], np.ndarray, int, float]:
+    """The k lowest eigenvalues of H = a * sum_i X_i + diag(b) by Chebyshev-filtered subspace iteration.
+
+    block holds p >= k orthonormal rows and hi bounds the spectrum of H
+    from above.  Each iteration is a Rayleigh-Ritz step on the block, one
+    product of the whole block, then, unless the k lowest Ritz pairs have
+    residuals |H x - theta x| of at most _RESIDUAL_TOL, a Chebyshev filter
+    that damps [theta_max, hi] followed by QR.  Its degree is the one whose
+    gain on the k-th level over theta_max, about e^(2 d / sqrt(ratio)) with
+    ratio = (hi - theta_max) / (theta_max - theta_(k-1)), carries the
+    residual one e-fold below the tolerance, at most the one that grows
+    theta_0 over theta_(k-1) e^18 times, and at least _MIN_DEGREE; a warm
+    block mostly converges after one filter.
+
+    Returns (levels, pair, products, degree): the k lowest Ritz values,
+    or None when an iteration of p * (degree + 1) products does not pay
+    against a dense sample (_matrix_free_pays); the (2, p, dim) stack of
+    the block's Ritz vectors and their images sum_i X_i; the products
+    spent; and the degree of the last filter priced, _MIN_DEGREE when
+    none was.
 
     Raises:
         NumericalFailure: a non-finite product, a failed eigensolve, or no
             convergence within _MAX_ITERATIONS iterations.
     """
-    p, products = block.shape[0], 0
+    p, products, degree = block.shape[0], 0, _MIN_DEGREE
+    scratch = np.empty_like(block)
     for _ in range(_MAX_ITERATIONS):
-        image = apply(block)
+        pair = np.empty((2,) + block.shape)
+        pair[0] = block
+        _apply_flip_sum(pair[0], pair[1], scratch)
         products += p
+        image = np.multiply(block, b, out=scratch)
+        image += a * pair[1]
         projection = block @ image.T
         if not np.all(np.isfinite(projection)):
             raise NumericalFailure("filtered subspace met a non-finite product")
@@ -490,10 +572,11 @@ def _filtered_lowest(apply, block, k, hi, n) -> tuple[Optional[np.ndarray], np.n
             theta, ritz = np.linalg.eigh(projection)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"Rayleigh-Ritz eigensolve failed: {exc}") from exc
-        block, image = ritz.T @ block, ritz.T @ image
-        residual = np.linalg.norm(image[:k] - theta[:k, None] * block[:k], axis=1).max()
+        pair = ritz.T @ pair
+        block, flips = pair
+        residual = np.linalg.norm(a * flips[:k] + (b - theta[:k, None]) * block[:k], axis=1).max()
         if residual <= _RESIDUAL_TOL:
-            return theta[:k], block, products
+            return theta[:k], pair, products, degree
         # a filter of degree d shrinks the residual about e^(2 d / sqrt(ratio))
         # times; aim one e-fold past the tolerance
         centre, radius = (hi + theta[-1]) / 2, (hi - theta[-1]) / 2
@@ -510,14 +593,13 @@ def _filtered_lowest(apply, block, k, hi, n) -> tuple[Optional[np.ndarray], np.n
                     degree = 18 / lead
             degree = max(_MIN_DEGREE, degree)
         if not _matrix_free_pays(n, p * (degree + 1)):
-            return None, block, products
-        degree = math.ceil(degree)
-        # the degree-th vector of the filter that damps [theta_max, hi],
+            return None, pair, products, degree
+        # the ceil(degree)-th vector of the filter that damps [theta_max, hi],
         # scaled to about 1 at theta_0; the generator is dropped with it
         block = _orthonormal_rows(next(islice(
-            _chebyshev_vectors(apply, block, centre, radius, radius / (theta[0] - centre)),
-            degree - 1, None)))
-        products += p * degree
+            _chebyshev_vectors(a, b, block, centre, radius, radius / (theta[0] - centre)),
+            math.ceil(degree) - 1, None)))
+        products += p * math.ceil(degree)
     raise NumericalFailure(f"filtered subspace did not converge within {_MAX_ITERATIONS} iterations")
 
 
@@ -533,18 +615,28 @@ def gap_profile(
     The endpoints are closed forms: at s = 0 the levels g * (2j - n) with
     multiplicity C(n, j), at s = 1 the sorted diagonal.  Interior samples
     come from one block carried from each sample to the next
-    (_filtered_lowest).  Its size p is the number of diagonal entries at or
-    below the k-th smallest, which bounds the multiplicity of every level
-    among the k lowest near s = 1, plus _GUARD; the first block is the
-    mixer ground state plus p - 1 seeded random vectors.  A sample whose
-    next filtered iteration, p * (d + 1) products for a filter of degree
-    d, costs more than a dense solve (_matrix_free_pays) is a dense solve,
-    and a profile whose cheapest iteration cannot pay builds no block.
-    Dense samples never feed the block, so they are collected during the
-    walk and solved after it, in s order, as stacks of up to
-    _stack_size(dim) matrices, one lowest_eigenvalues call each.
-    products counts the products of one state by H(s) spent on filtered
-    samples, those that ended dense included.
+    (_filtered_lowest), on H(s) = a * sum_i X_i + diag(b) with a = (1 - s)
+    * g and b = s * E made once per sample.  Its size p is the number of
+    diagonal entries at or below the k-th smallest, which bounds the
+    multiplicity of every level among the k lowest near s = 1, plus
+    _GUARD; the first block is the mixer ground state plus p - 1 seeded
+    random vectors.  From the second filtered sample on, the block is
+    warm-started: the k converged Ritz vectors of each of the last
+    _WINDOW filtered samples are kept with their images sum_i X_i v, and
+    one Rayleigh-Ritz step of H(s) over their span plus the carried block
+    (_window_start) costs no product, since H(s) v = a * sum_i X_i v + b *
+    v; its p lowest Ritz vectors start the filter, whose own Rayleigh-Ritz
+    step certifies every level with real products.  A sample is priced
+    before its first product, at p * (d + 1) products for d the degree of
+    the last filter priced (_MIN_DEGREE before any): when that costs more
+    than a dense solve (_matrix_free_pays) the sample is a dense solve, as
+    is a sample whose own next iteration cannot pay, and a profile whose
+    cheapest iteration cannot pay builds no block.  Dense samples never
+    feed the block, so they are collected during the walk and solved after
+    it, in s order, as stacks of up to _stack_size(dim) matrices, one
+    lowest_eigenvalues call each.  products counts the products of one
+    state by H(s) spent on filtered samples, those that ended dense
+    included.
 
     Raises:
         NumericalFailure: a non-finite product or level, a failed dense
@@ -563,18 +655,26 @@ def gap_profile(
     rows[0] = np.repeat(levels, [math.comb(n, j) for j in range(n + 1)])[:k]
     rows[-1] = np.sort(problem.as_array)[:k]
     size = min(int(np.count_nonzero(problem.as_array <= rows[-1, -1])) + _GUARD, problem.dim)
-    block, products = None, 0
-    if points > 2 and _matrix_free_pays(n, size * (_MIN_DEGREE + 1)):
+    pair, window, filled, products, degree = None, None, 0, 0, _MIN_DEGREE
+    if points > 2 and _matrix_free_pays(n, size * (degree + 1)):
         noise = np.random.default_rng(_NOISE_SEED).standard_normal((size - 1, problem.dim))
         block = _orthonormal_rows(np.vstack([initial_state(n).real, noise]))
+        # a ring of the k Ritz vectors of the last _WINDOW filtered samples, the
+        # carried block's included, over their flip images
+        window = np.empty((2, _WINDOW * k, problem.dim))
     e_max = float(problem.max_energy())
     dense, chunk = [], _stack_size(problem.dim)
     for i in range(1, points - 1):
         s, found = s_values[i], None
-        if block is not None:
-            apply = partial(_apply_interpolated, s, g, problem)
+        if window is not None and _matrix_free_pays(n, size * (degree + 1)):
+            a, b = (1 - s) * g, s * problem.as_array
             hi = s * e_max + (1 - s) * g * n
-            found, block, spent = _filtered_lowest(apply, block, k, hi, n)
+            if pair is not None:
+                slot = filled % _WINDOW * k
+                window[:, slot:slot + k] = pair[:, :k]
+                filled += 1
+                block = _window_start(a, b, window[:, :min(filled, _WINDOW) * k], pair)
+            found, pair, spent, degree = _filtered_lowest(a, b, block, k, hi, n)
             products += spent
         if found is None:
             dense.append(i)

@@ -36,14 +36,16 @@ forms in engine (initial_state, gap_profile).  As an operator it is built
 by two functions here: interpolated_hamiltonian(s, g, problem), which
 builds H(s) = (1 - s) * g * sum_i X_i + s * problem as dense matrices, the
 (m, dim, dim) stack of a 1-D array of m values of s, and
-_apply_interpolated(s, g, problem, v), which applies H(s) to a real
-vector, or to a stack of them in one call, without forming it (H(s) is
-real, so a complex state is the stack of its real and imaginary parts;
-see engine._chebyshev_step).  That product splits
-the qubits into blocks of at most _FLIP_BLOCK qubits and applies the
-mixer of each block as one matrix product with its small 0/1 flip-sum
-matrix, so an n-qubit product is about n / _FLIP_BLOCK matrix products
-(two up to 2 * _FLIP_BLOCK qubits) instead of n passes.
+_apply_flip_sum(v, out, scratch), which writes sum_i X_i v for a real
+vector, or for a stack of them in one call, into a buffer the caller
+passes, without forming the matrix.  The engine adds the rest of H(s) v
+itself, with the factors of its recurrence folded in (H(s) is real, so a
+complex state is the stack of its real and imaginary parts; see
+engine._chebyshev_vectors), and keeps the flip images it needs.  The
+flip sum splits the qubits into blocks of at most _FLIP_BLOCK qubits and
+applies the mixer of each block as one matrix product with its small
+0/1 flip-sum matrix, so an n-qubit product is about n / _FLIP_BLOCK
+matrix products (two up to 2 * _FLIP_BLOCK qubits) instead of n passes.
 
 Energies are exact int64 integers; float views are derived, so ground
 manifolds are identified by exact comparison, never by tolerance.
@@ -374,42 +376,33 @@ def interpolated_hamiltonian(s, g: float, problem: DiagonalOperator) -> np.ndarr
     return out.reshape(values.shape + (dim, dim))
 
 
-def _apply_interpolated(
-    s: float, g: float, problem: DiagonalOperator, v: np.ndarray
-) -> np.ndarray:
-    """H(s) @ v without the matrix: s * E elementwise plus (1 - s) * g * sum_i X_i v.
+def _apply_flip_sum(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = sum_i X_i @ v for every state of v, without forming the matrix.
 
-    v is one real state of 2^n amplitudes or a stack of them, of any
-    leading shape; each state along the last axis is multiplied, in one
-    call.  H(s) is real, so a complex state goes through as the two rows
-    of its real and imaginary parts.  sum_i X_i is applied in blocks of
-    qubits.  With v viewed as a matrix V whose columns run over the `low`
-    least significant bits (about half the register, at most _FLIP_BLOCK)
-    and whose rows run over everything above, states included, the flips
-    inside that block are one product V @ F_low.  The qubits above it are
-    cut, from the top down, into blocks of at most _FLIP_BLOCK; with v
-    viewed as (rows above, 2^b, 2^below), the flips of a block of b qubits
-    are one stacked product F_b @ V, added into the result.  F_b is the
-    2^b x 2^b flip-sum matrix (_flip_sum_matrix), so a product costs
+    v, out and scratch are C-contiguous float64 arrays of one shape: one
+    real state of 2^n amplitudes or a stack of them, of any leading shape,
+    each multiplied in one call; out receives the result and scratch is
+    overwritten.  A caller builds H = a * sum_i X_i + diag(b) from it (see
+    engine._chebyshev_vectors); H(s) is real, so a complex state goes
+    through as the two rows of its real and imaginary parts.  sum_i X_i is
+    applied in blocks of qubits.  With v viewed as a matrix V whose columns
+    run over the `low` least significant bits (about half the register, at
+    most _FLIP_BLOCK) and whose rows run over everything above, states
+    included, the flips inside that block are one product V @ F_low,
+    written into out.  The qubits above it are cut, from the top down, into
+    blocks of at most _FLIP_BLOCK; with v viewed as (rows above, 2^b,
+    2^below), the flips of a block of b qubits are one stacked product
+    F_b @ V, written into scratch and added into out.  F_b is the 2^b x 2^b
+    flip-sum matrix (_flip_sum_matrix), so a product costs
     O(2^n * 2^_FLIP_BLOCK) per block and state.  Up to 2 * _FLIP_BLOCK
-    qubits one block sits above the low one.  The caller has checked s, g
-    and the qubit cap.
+    qubits one block sits above the low one.  The caller has checked the
+    qubit cap.
     """
-    n = problem.n
-    v = np.ascontiguousarray(v, dtype=np.float64)
+    n = v.shape[-1].bit_length() - 1
     low = min((n + 1) // 2, _FLIP_BLOCK)
-    flipped = (v.reshape(-1, 1 << low) @ _flip_sum_matrix(low)).reshape(v.shape)
-    # every upper block is written into scratch, which is then reused for
-    # s * E * v, E broadcast over the states: two allocations of v's size
-    # per product
-    scratch = np.empty_like(v)
+    np.matmul(v.reshape(-1, 1 << low), _flip_sum_matrix(low), out=out.reshape(-1, 1 << low))
     for top in range(n, low, -_FLIP_BLOCK):
         bits = min(top - low, _FLIP_BLOCK)
         shape = (-1, 1 << bits, 1 << (top - bits))
         np.matmul(_flip_sum_matrix(bits), v.reshape(shape), out=scratch.reshape(shape))
-        flipped += scratch
-    flipped *= (1.0 - s) * g
-    np.multiply(problem.as_array, v, out=scratch)
-    scratch *= s
-    flipped += scratch
-    return flipped
+        out += scratch

@@ -284,7 +284,9 @@ def _probes(draw):
     """A multilinear polynomial, a pair set and a one-variable trial with its partners."""
     variables = _PROBE_VARS[: draw(st.integers(1, len(_PROBE_VARS)))]
     monomials = st.sets(st.sampled_from(variables), max_size=4).map(Monomial)
-    coeffs = st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool)
+    # integers only, as every row the propagator sees holds; -12..12 covers
+    # the small coefficients of real rows and larger ones that cancel unevenly
+    coeffs = st.integers(-12, 12).filter(bool)
     var = draw(st.sampled_from(variables))
     terms = draw(st.lists(st.tuples(monomials, coeffs), max_size=10))
     # m and m*var with opposite coefficients cancel once var is set to 1

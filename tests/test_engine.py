@@ -2,7 +2,6 @@
 
 import io
 import math
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -37,7 +36,7 @@ from adiafact.engine import (
     _matrix_free_pays,
     _term_floor,
 )
-from adiafact.hamiltonian import _apply_interpolated
+from adiafact.hamiltonian import _apply_flip_sum
 
 from oracles import dense_mixer, expm_schedule, sparse_levels, sparse_schedule
 
@@ -78,18 +77,19 @@ def no_dense_matrix(*args):
     raise AssertionError("dense H(s) built")
 
 
-def sparse_oracle_errors(target):
+def sparse_oracle_errors(target, points=11):
     """The engine's largest level and amplitude errors against the sparse oracles.
 
-    On factor()'s register for target: the 9 interior samples of an
-    11-point k = 2 profile against sparse_levels, and the default
-    schedule's final state against sparse_schedule.  CI runs it on 209 and
-    265 (13 and 14 qubits); tier-1 on 145 (12 qubits).
+    On factor()'s register for target: the interior samples of a k = 2
+    profile of this many points against sparse_levels, and the default
+    schedule's final state against sparse_schedule.  CI runs it on 209,
+    265 and 305 (13 to 15 qubits); tier-1 on 145 (12 qubits), at 11 points
+    and at factor()'s 51, where the warm start has a full window to act on.
     """
     problem, sched = select_split(target)[2], Schedule()
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(engine, "interpolated_hamiltonian", no_dense_matrix)
-        profile = gap_profile(problem, sched.g, points=11, k=2)
+        profile = gap_profile(problem, sched.g, points=points, k=2)
         final = run_schedule(problem, sched).final_state
     levels = np.array([sparse_levels(problem.as_array, sched.g, s, 2)
                        for s in profile.s_values[1:-1]])
@@ -138,8 +138,8 @@ def stepped_run(problem, schedule, paths):
         else:
             lo, hi = interval(problem, schedule, s)
             coeffs = _bessel_coefficients((hi - lo) / 2 * schedule.tau)
-            apply = partial(_apply_interpolated, s, schedule.g, problem)
-            state = _chebyshev_step(apply, state, schedule.tau, lo, hi, coeffs)
+            state = _chebyshev_step((1 - s) * schedule.g, s * problem.as_array, state,
+                                    schedule.tau, lo, hi, coeffs)
         states.append(state)
     return states
 
@@ -457,10 +457,10 @@ class TestMatrixFreeSteps:
         eye = np.eye(problem.dim, dtype=np.complex128)
         for step in range(1, sched.M + 1):
             s = sched.s_at(step)
-            apply = partial(_apply_interpolated, s, sched.g, problem)
+            a, b = (1 - s) * sched.g, s * problem.as_array
             lo, hi = interval(problem, sched, s)
             coeffs = _bessel_coefficients((hi - lo) / 2 * sched.tau)
-            columns = [_chebyshev_step(apply, e, sched.tau, lo, hi, coeffs) for e in eye.T]
+            columns = [_chebyshev_step(a, b, e, sched.tau, lo, hi, coeffs) for e in eye.T]
             u = np.column_stack(columns)
             assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10
 
@@ -507,29 +507,30 @@ class TestMatrixFreeSteps:
     def test_non_finite_chebyshev_coefficient_fails(self):
         # a non-finite product, then a non-finite expansion coefficient
         with pytest.raises(NumericalFailure, match="non-finite"):
-            _chebyshev_step(lambda v: v * np.nan, initial_state(5), 1.0, -3.0, 3.0,
+            _chebyshev_step(1.0, np.full(32, np.nan), initial_state(5), 1.0, -3.0, 3.0,
                             _bessel_coefficients(3.0))
         with pytest.raises(NumericalFailure, match="non-finite"):
-            _chebyshev_step(lambda v: v.copy(), initial_state(5), 1.0, -3.0, 3.0,
+            _chebyshev_step(0.0, np.ones(32), initial_state(5), 1.0, -3.0, 3.0,
                             np.array([1.0, np.nan]))
 
     @pytest.mark.parametrize("target, products", [(323, 895), (121, 1374)])
     def test_steps_multiply_the_state_as_one_real_pair(self, registers, monkeypatch, target,
                                                        products):
         # the complex state runs through the product as a C-contiguous real
-        # (2, 2^n) stack of its real and imaginary parts, one call per term;
-        # products still counts complex-state products
+        # (2, 2^n) stack of its real and imaginary parts, one call per term,
+        # into buffers of the same form; products still counts complex-state
+        # products
         problem = registers[target]
         shapes = []
 
-        def spied(apply, *args):
-            def checked(v):
-                assert v.dtype == np.float64 and v.flags.c_contiguous
-                shapes.append(v.shape)
-                return apply(v)
-            return _chebyshev_step(checked, *args)
+        def checked(v, out, scratch):
+            for array in (v, out, scratch):
+                assert array.dtype == np.float64 and array.flags.c_contiguous
+            assert v.shape == out.shape == scratch.shape
+            shapes.append(v.shape)
+            _apply_flip_sum(v, out, scratch)
 
-        monkeypatch.setattr(engine, "_chebyshev_step", spied)
+        monkeypatch.setattr(engine, "_apply_flip_sum", checked)
         trace = run_schedule(problem, Schedule())
         assert trace.products == len(shapes) == products
         assert set(shapes) == {(2, problem.dim)}
@@ -565,7 +566,7 @@ class TestMatrixFreeSteps:
 
     def test_non_finite_product_fails(self, registers, monkeypatch):
         # a non-finite product inside a run fails before the final norm check
-        monkeypatch.setattr(engine, "_apply_interpolated", lambda s, g, problem, v: v * np.nan)
+        monkeypatch.setattr(engine, "_apply_flip_sum", lambda v, out, scratch: out.fill(np.nan))
         with pytest.raises(NumericalFailure, match="Chebyshev"):
             run_schedule(registers[323], Schedule())
 
@@ -585,13 +586,13 @@ class TestChebyshevRecurrence:
 
     @pytest.fixture
     def system(self, registers):
-        """The 5-qubit register's product at s = 0.4, its eigensystem and a random block."""
+        """The 5-qubit register's H(s) at s = 0.4 as (a, b), its eigensystem and a random block."""
         problem = registers[119]
         h = interpolated_hamiltonian(self.S, self.G, problem)
         energies, basis = np.linalg.eigh(h)
-        apply = partial(_apply_interpolated, self.S, self.G, problem)
+        terms = ((1 - self.S) * self.G, self.S * problem.as_array)
         block = np.random.default_rng(7).standard_normal((3, problem.dim))
-        return apply, energies, basis, block
+        return terms, energies, basis, block
 
     @staticmethod
     def polynomial(energies, basis, block, centre, radius, degree):
@@ -604,67 +605,79 @@ class TestChebyshevRecurrence:
         return np.linalg.norm(got - expected) / np.linalg.norm(expected)
 
     def test_the_plain_recurrence_is_t_k(self, system):
-        apply, energies, basis, block = system
+        (a, b), energies, basis, block = system
         lo, hi = energies[0] - 0.5, energies[-1] + 0.25
         centre, radius = (hi + lo) / 2, (hi - lo) / 2
-        vectors = list(islice(_chebyshev_vectors(apply, block, centre, radius), 8))
+        vectors = [v.copy() for v in islice(_chebyshev_vectors(a, b, block, centre, radius), 8)]
         for degree, vector in enumerate(vectors, start=1):
             expected = self.polynomial(energies, basis, block, centre, radius, degree)
             assert self.relative_error(vector, expected) <= 1e-10
 
     def test_the_plain_recurrence_is_bitwise_the_unscaled_one(self, system):
         # at first = 1 every sigma is exactly 1: the vectors are those of
-        # T_1 = X T_0, T_(k+1) = 2 X T_k - T_(k-1) computed out of place
-        apply, energies, _, block = system
+        # T_1 = X T_0, T_(k+1) = 2 X T_k - T_(k-1), computed out of place from
+        # the same flip sum with the factor over the radius folded into both
+        # terms of H = a * sum_i X_i + diag(b)
+        (a, b), energies, _, block = system
         lo, hi = energies[0], energies[-1]
         centre, radius = (hi + lo) / 2, (hi - lo) / 2
         previous, current, factor = 0.0, block, 1.0
-        for vector in islice(_chebyshev_vectors(apply, block, centre, radius), 12):
-            following = (apply(current) - centre * current) * (factor / radius) - previous
+        for vector in islice(_chebyshev_vectors(a, b, block, centre, radius), 12):
+            flips, scratch = np.empty_like(current), np.empty_like(current)
+            _apply_flip_sum(current, flips, scratch)
+            scale = factor / radius
+            following = flips * (scale * a) + current * ((b - centre) * scale) - previous
             previous, current, factor = current, following, 2.0
             assert np.array_equal(vector, current)
 
     @pytest.mark.parametrize("degree", [1, 2, 9, 25])
     def test_the_scaled_filter_is_t_d_over_its_value_at_scale(self, system, degree):
         # the filter gap_profile runs: damp [E_3, hi] and scale T_d to 1 at E_0
-        apply, energies, basis, block = system
+        (a, b), energies, basis, block = system
         lo, hi, scale = energies[3], energies[-1] + 0.25, energies[0]
         centre, radius = (hi + lo) / 2, (hi - lo) / 2
         first = radius / (scale - centre)
-        vectors = _chebyshev_vectors(apply, block, centre, radius, first)
+        vectors = _chebyshev_vectors(a, b, block, centre, radius, first)
         vector = next(islice(vectors, degree - 1, None))
         at_scale = np.polynomial.chebyshev.chebval((scale - centre) / radius, [0] * degree + [1])
         expected = self.polynomial(energies, basis, block, centre, radius, degree) / at_scale
         assert self.relative_error(vector, expected) <= 1e-10
 
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_kept_vectors_are_never_overwritten(self, system, scaled):
-        # the recurrence runs in place on each product's output: vectors
-        # kept from one generator equal those taken one at a time from
-        # fresh ones, and the input rows are left as they were
-        apply, energies, _, block = system
+    def test_rows_are_never_written_and_a_vector_outlives_the_next_two(self, system, scaled):
+        # the recurrence rotates three buffers: a yielded vector equals the
+        # one taken from a fresh generator until the third vector after it
+        # is asked for, and the input rows are left as they were
+        (a, b), energies, _, block = system
         lo, hi = energies[2 if scaled else 0], energies[-1]
         centre, radius = (hi + lo) / 2, (hi - lo) / 2
         first = radius / (energies[0] - centre) if scaled else 1.0
         rows = block.copy()
-        kept = list(islice(_chebyshev_vectors(apply, rows, centre, radius, first), 6))
-        assert np.array_equal(rows, block)
-        for degree, vector in enumerate(kept, start=1):
-            fresh = next(islice(_chebyshev_vectors(apply, rows, centre, radius, first),
-                                degree - 1, None))
-            assert np.array_equal(vector, fresh)
+        fresh = [v.copy() for v in islice(_chebyshev_vectors(a, b, rows, centre, radius, first), 9)]
+        kept = []
+        for degree, vector in enumerate(_chebyshev_vectors(a, b, rows, centre, radius, first),
+                                        start=1):
             assert not np.shares_memory(vector, rows)
+            kept.append(vector)
+            for back, held in enumerate(reversed(kept[-3:])):
+                assert np.array_equal(held, fresh[degree - 1 - back])
+            if degree == len(fresh):
+                break
+        # the fourth vector is written into the first one's buffer, and so on
+        assert [id(v) for v in kept[3:]] == [id(v) for v in kept[:-3]]
+        assert len({id(v) for v in kept}) == 3
         assert np.array_equal(rows, block)
 
-    def test_each_vector_costs_one_product_when_asked_for(self, system):
-        apply, energies, _, block = system
+    def test_each_vector_costs_one_product_when_asked_for(self, system, monkeypatch):
+        (a, b), energies, _, block = system
         calls = []
 
-        def counted(v):
+        def counted(v, out, scratch):
             calls.append(v.shape)
-            return apply(v)
+            _apply_flip_sum(v, out, scratch)
 
-        vectors = _chebyshev_vectors(counted, block, 0.0, float(energies[-1] - energies[0]))
+        monkeypatch.setattr(engine, "_apply_flip_sum", counted)
+        vectors = _chebyshev_vectors(a, b, block, 0.0, float(energies[-1] - energies[0]))
         assert calls == []
         for taken in range(1, 5):
             next(vectors)
@@ -766,13 +779,94 @@ class TestFilteredGapProfile:
         monkeypatch.setattr(engine, "interpolated_hamiltonian", no_dense_matrix)
         trace = gap_profile(problem, 0.6, points=51, k=2)
         expected = dense_levels(problem, 0.6, trace.s_values, 2)
-        assert trace.products > 0
+        # the warm start pins the gain: without it these profiles spent 9468
+        # (323) and 19605 (121) products
+        assert 0 < trace.products <= {323: 7000, 121: 14000}[target]
         assert np.max(np.abs(trace.energies - expected)) <= 1e-12
         gaps = expected[:-1, 1] - expected[:-1, 0]
         assert abs(trace.min_gap - gaps.min()) <= 1e-12
         ground = gap_profile(problem, 0.6, points=51, k=1)
         assert ground.min_gap is None and ground.products > 0
         assert np.max(np.abs(ground.energies[:, 0] - expected[:, 0])) <= 1e-12
+
+    def test_the_window_step_spends_no_product(self, registers, monkeypatch):
+        # exact eigenvectors of H(s) in the window come back as the lowest rows
+        # of the start block, orthonormal, with no product; copies of the
+        # block's own rows are dropped as roundoff, and the eigenvectors of
+        # the samples just before s, nearly parallel to those at s, leave the
+        # start orthonormal to roundoff
+        problem, s, k = registers[323], 0.5, 2
+
+        def lowest(at):
+            return np.linalg.eigh(interpolated_hamiltonian(at, 0.6, problem))[1][:, :k].T
+
+        a, b, exact = (1 - s) * 0.6, s * problem.as_array, lowest(s)
+        block = engine._orthonormal_rows(np.random.default_rng(3).standard_normal((4, problem.dim)))
+
+        def with_flips(rows):
+            out, scratch = np.empty_like(rows), np.empty_like(rows)
+            _apply_flip_sum(rows, out, scratch)
+            return np.stack([rows, out])
+
+        window = with_flips(np.vstack([block[:k], lowest(s - 0.04), lowest(s - 0.02),
+                                       exact + 1e-3 * block[:k], exact]))
+        pair = with_flips(block)
+
+        def no_product(*args):
+            raise AssertionError("product")
+
+        monkeypatch.setattr(engine, "_apply_flip_sum", no_product)
+        start = engine._window_start(a, b, window, pair)
+        assert start.shape == block.shape
+        assert np.max(np.abs(start @ start.T - np.eye(len(block)))) <= 1e-13
+        # the lowest k rows span the exact eigenvectors: their overlap is orthogonal
+        overlap = np.linalg.svd(start[:k] @ exact.T, compute_uv=False)
+        assert np.max(np.abs(overlap - 1)) <= 1e-10
+
+    @pytest.mark.parametrize("target", [295, 511])
+    def test_a_sample_is_priced_before_its_first_product(self, monkeypatch, target):
+        # on 7 qubits the first interior sample's Rayleigh-Ritz step prices a
+        # filter that cannot pay; every later sample is priced from that degree
+        # before any product, so the profile spends one block's products
+        # (294 and 245 when each sample paid its own step) and every level is
+        # a dense solve
+        problem = select_split(target)[2]
+        assert problem.n == 7
+        def no_window(*args):
+            raise AssertionError("warm start of a sample that cannot pay")
+
+        monkeypatch.setattr(engine, "_window_start", no_window)
+        trace = gap_profile(problem, 0.6, points=51, k=2)
+        size = np.count_nonzero(problem.as_array <= trace.energies[-1, -1]) + engine._GUARD
+        assert 0 < trace.products <= size
+        expected = dense_levels(problem, 0.6, trace.s_values, 2)
+        assert np.max(np.abs(trace.energies - expected)) <= 1e-12
+
+    def test_an_eight_qubit_profile_keeps_its_filtered_samples(self, monkeypatch):
+        # 319's first filter is priced near the limit of what pays on 8
+        # qubits, and all of its interior samples stay filtered
+        problem = select_split(319)[2]
+        assert problem.n == 8
+        monkeypatch.setattr(engine, "interpolated_hamiltonian", no_dense_matrix)
+        trace = gap_profile(problem, 0.6, points=51, k=2)
+        assert trace.products > 0
+        expected = dense_levels(problem, 0.6, trace.s_values, 2)
+        assert np.max(np.abs(trace.energies - expected)) <= 1e-12
+
+    def test_a_fifty_one_point_profile_matches_the_sparse_oracles(self):
+        # factor()'s grid: from the seventh interior sample on, every
+        # filtered sample starts from a full window
+        level_error, state_error = sparse_oracle_errors(145, points=51)
+        assert level_error <= 1e-10 and state_error <= 1e-10
+
+    @pytest.mark.parametrize("target, bound", [(145, 75000), (161, 63000)])
+    def test_four_hundred_and_one_points_complete(self, target, bound):
+        # next to the mixer the cold start and its degree cap, then 399
+        # warm-started samples; without the window these profiles spent
+        # 150616 (145) and 126596 (161) products
+        trace = gap_profile(select_split(target)[2], 0.6, points=401, k=2)
+        assert 0 < trace.products <= bound
+        assert np.all(np.diff(trace.energies[:-1], axis=1) > 0)
 
     @pytest.mark.parametrize("target, s", [(121, 0.001), (145, 0.0025)])
     def test_a_cold_start_next_to_the_mixer_converges(self, target, s):
@@ -786,8 +880,8 @@ class TestFilteredGapProfile:
         noise = np.random.default_rng(engine._NOISE_SEED).standard_normal((size - 1, problem.dim))
         block = engine._orthonormal_rows(np.vstack([initial_state(problem.n).real, noise]))
         hi = s * float(problem.max_energy()) + (1 - s) * 0.6 * problem.n
-        apply = partial(_apply_interpolated, s, 0.6, problem)
-        found, _, products = engine._filtered_lowest(apply, block, 2, hi, problem.n)
+        found, _, products, _ = engine._filtered_lowest(
+            (1 - s) * 0.6, s * problem.as_array, block, 2, hi, problem.n)
         assert found is not None and products > 0
         assert np.max(np.abs(found - sparse_levels(problem.as_array, 0.6, s, 2))) <= 1e-10
 
@@ -873,8 +967,8 @@ class TestFilteredGapProfile:
         spent, solved = [], []
         filtered, dense = engine._filtered_lowest, engine.lowest_eigenvalues
 
-        def third_cannot_pay(apply, block, k, hi, n):
-            found = filtered(apply, block, k, hi, 1 if len(spent) == 2 else n)
+        def third_cannot_pay(a, b, block, k, hi, n):
+            found = filtered(a, b, block, k, hi, 1 if len(spent) == 2 else n)
             spent.append(found[2])
             return found
 
@@ -940,7 +1034,7 @@ class TestFilteredGapProfile:
             gap_profile(registers[323], 0.6, points=3, k=2)
 
     def test_non_finite_product_fails(self, registers, monkeypatch):
-        monkeypatch.setattr(engine, "_apply_interpolated", lambda s, g, problem, v: v * np.nan)
+        monkeypatch.setattr(engine, "_apply_flip_sum", lambda v, out, scratch: out.fill(np.nan))
         with pytest.raises(NumericalFailure, match="non-finite"):
             gap_profile(registers[323], 0.6, points=3, k=2)
 
