@@ -644,10 +644,11 @@ class TestChebyshevRecurrence:
         assert self.relative_error(vector, expected) <= 1e-10
 
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_rows_are_never_written_and_a_vector_outlives_the_next_two(self, system, scaled):
-        # the recurrence rotates three buffers: a yielded vector equals the
-        # one taken from a fresh generator until the third vector after it
-        # is asked for, and the input rows are left as they were
+    def test_kept_vectors_are_never_overwritten(self, system, scaled):
+        # the recurrence rotates three buffers: a vector kept while the next
+        # two are asked for equals the one taken from a fresh generator, the
+        # third after it is written into its buffer, and the input rows are
+        # never written
         (a, b), energies, _, block = system
         lo, hi = energies[2 if scaled else 0], energies[-1]
         centre, radius = (hi + lo) / 2, (hi - lo) / 2
