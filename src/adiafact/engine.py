@@ -18,15 +18,14 @@ Each step is propagated one of two ways, both exact to roundoff:
   of H(s), one product H(s) @ v per Bessel coefficient J_k(r * tau) above
   roundoff, r the half-width.  H(s) is real, so the state's real and
   imaginary parts run through the recurrence as the two rows of one real
-  stack, and each coefficient's factor (-i)^k is a quarter turn of that
-  pair.  The three-term recurrence is the one the spectral filters run
-  (_chebyshev_vectors), unscaled.  It runs on H = a * sum_i X_i + diag(b),
-  with a = (1 - s) * g and b = s * E made once per step as float64, and
-  folds the interval's centre and radius into a and b, so that a product
-  is the flip sum alone (hamiltonian._apply_flip_sum) plus two passes, in
-  three buffers that rotate without allocating.  The flip sum is one small
-  dense flip-sum matrix product per block of at most six qubits: two
-  products up to 12 qubits, one more for each further six.
+  stack; (-i)^k is a sign and, for odd k, a quarter turn of that pair,
+  applied once per step to the sum of the odd terms.  The recurrence
+  (_chebyshev_vectors), which the spectral filters run too, is the plain
+  T_(k+1) = 2 X T_k - T_(k-1) in X = (H - centre) / radius on H = a *
+  sum_i X_i + diag(b), a = (1 - s) * g and b = s * E: the flip-sum kernel
+  (hamiltonian._FlipSum) gets its block matrices scaled once by 2 * a /
+  radius and the block views of three rotating buffers, so a vector is
+  its matrix products plus four passes.
 
 One rule picks the path for every step and every spectrum sample
 (_matrix_free_pays).  A dense solve of the 2^n-square H(s) costs O(8^n) and
@@ -42,23 +41,23 @@ interior samples come from one block of p real vectors carried along s:
 Chebyshev-filtered subspace iteration (_filtered_lowest; Zhou, Saad, Tiago
 & Chelikowsky 2006), whose filter damps the spectrum above the block's
 largest Ritz value up to the same exact upper end, and which multiplies
-the whole block in one product call.  The filter is the steps' Chebyshev
-recurrence (_chebyshev_vectors), scaled to about 1 at the lowest Ritz
-value.  Each product also yields the block's flip images sum_i X_i v, so
-H(s) v = (1 - s) * g * sum_i X_i v + s * E * v is known at every s for
-the vectors already seen: a sample starts from one Rayleigh-Ritz step
-over the k converged Ritz vectors of the last _WINDOW filtered samples
-plus the carried block (_window_start), which costs no product and
-starts the filter closer than the carried block alone, so its degree
-falls; the filter's own Rayleigh-Ritz step still certifies every level
-with real products.  An iteration of degree d costs p * (d + 1) products,
-priced before a sample's first product from the last degree; a sample
-where that does not pay, which includes every register of up to 6
-qubits, is a dense eigenvalue solve.  Dense samples never feed the block:
-they are collected during the walk along s and solved after it as stacks
-under the same _STACK_BYTES bound, one eigvalsh call (lowest_eigenvalues)
-each.  Sizes are desk scale on purpose: n is capped (see
-hamiltonian.qubit_cap).
+the whole block in one product call.  The filter is the steps'
+recurrence, kept finite at any degree by exact power-of-two rescales.
+Each Rayleigh-Ritz step also yields the block's flip images sum_i X_i v,
+so H(s) v = (1 - s) * g * sum_i X_i v + s * E * v is known at every s
+for the vectors already seen: a sample starts from one Rayleigh-Ritz
+step over the k converged Ritz vectors of the last _WINDOW filtered
+samples plus the carried block (_window_start), which costs no product
+and hands off its Ritz values and flip images.  The sample filters
+first; its one Rayleigh-Ritz step with real products, after the filter,
+certifies every level.  An iteration of degree d costs p * (d + 1)
+products, priced before a sample's first product from the last degree;
+a sample where that does not pay, which includes every register of up to
+6 qubits, is a dense eigenvalue solve.  Dense samples never feed the
+block: they are collected during the walk along s and solved after it as
+stacks under the same _STACK_BYTES bound, one eigvalsh call
+(lowest_eigenvalues) each.  Sizes are desk scale on purpose: n is capped
+(see hamiltonian.qubit_cap).
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
+from itertools import count, islice
 from typing import IO, Optional
 
 import numpy as np
@@ -76,6 +75,7 @@ from .errors import DimensionMismatch, IndexOutOfRange, NumericalFailure
 from .hamiltonian import (
     DiagonalOperator,
     _apply_flip_sum,
+    _FlipSum,
     _check_dim,
     _check_field,
     interpolated_hamiltonian,
@@ -117,6 +117,9 @@ _NOISE_SEED = 143
 _WINDOW = 6
 _SPAN_TOL = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
+# A filter (_chebyshev_vectors with a floor) rescales its live vectors after at
+# most e^_GROWTH of growth, far below float64's e^709 and far above roundoff.
+_GROWTH = 256.0
 # The dense steps of a run and the dense samples of a profile are solved as
 # (m, dim, dim) stacks, one LAPACK call each, of at most _STACK_BYTES of
 # matrices and at least one: 128 matrices at 4 qubits, 8 at 6, 2 at 7 and
@@ -320,49 +323,52 @@ def _term_floor(x: float) -> float:
     return 0.0 if x <= 2 * _TERM_TOL else x + 10 * x ** (1 / 3)
 
 
-def _chebyshev_vectors(a, b, rows, centre, radius, first=1.0):
-    """Yield y_1, y_2, ... of the scaled Chebyshev recurrence in X = (H - centre) / radius.
+def _chebyshev_vectors(a, b, rows, centre, radius, floor=None):
+    """Yield y_1, y_2, ... of the Chebyshev recurrence in X = (H - centre) / radius.
 
-    H = a * sum_i X_i + diag(b), with a a number and b a float64 array of
-    2^n entries.  y_0 is rows, y_1 = first * X y_0 and y_(k+1) = 2 *
-    sigma_(k+1) * X y_k - sigma_k * sigma_(k+1) * y_(k-1), with sigma_1 =
-    first and sigma_(k+1) = 1 / (2 / first - sigma_k) (Zhou, Saad, Tiago &
-    Chelikowsky, J. Comput. Phys. 219, 172, 2006, algorithm 3.1).  At first
-    = 1 every sigma is exactly 1 and y_k is T_k(X) y_0, the plain recurrence
-    of a Chebyshev expansion.  At first = radius / (scale - centre), scale
-    below the interval [centre - radius, centre + radius], y_k is T_k(X) y_0
-    / T_k((scale - centre) / radius): a filter that damps the interval and
-    amplifies the spectrum below it, about 1 at scale, so that a high
-    degree cannot overflow.
+    H = a * sum_i X_i + diag(b), b a float64 array of 2^n entries.  y_0 is
+    rows, y_1 = X y_0 and y_(k+1) = 2 X y_k - y_(k-1), so y_k = T_k(X) y_0.
+    A filter passes floor, a lower bound on the spectrum below the
+    interval, and uses only the direction of its last vector: T_k grows
+    at most e^acosh|x| times a vector, x = (floor - centre) / radius, so
+    every _GROWTH / acosh|x| vectors both live vectors are scaled by one
+    power of two that brings the newer one's largest entry below 1.  y_k
+    is then 2^-j T_k(X) y_0, exact in direction and finite at any degree.
 
-    Each vector costs one product call (hamiltonian._apply_flip_sum), made
-    when the vector is asked for.  Centre, radius and the sigmas are folded
-    into the product's two terms: y_(k+1) = c_a * sum_i X_i y_k + c_b * y_k
-    - f * y_(k-1), with c_a = (2 * sigma_(k+1) / radius) * a and c_b the
-    same factor times b - centre.  Three buffers, each allocated once,
-    rotate through y_(k-1), y_k and y_(k+1), and one scratch array takes
-    the product's upper blocks and the terms added to it, so the
-    recurrence allocates nothing per vector.  It never writes into rows, and a
-    yielded vector stays as it is while the next two are asked for; the
-    third after it overwrites it, so a caller keeps one longer by copying it.
+    Each vector costs one product call (hamiltonian._FlipSum, its matrices
+    scaled once by 2 * a / radius), made when it is asked for, plus four
+    passes with d = 2 * (b - centre) / radius, made once: y_(k+1) is the
+    product plus d * y_k minus y_(k-1) (y_1 is half of the first two).
+    Three buffers rotate through y_(k-1), y_k and y_(k+1), so nothing is
+    allocated per vector.  rows is never written; a yielded vector stays
+    as it is while the next two are asked for (a rescale scales it with
+    the next one), and the third after it overwrites it.
     """
-    shifted = b - centre
-    diagonal, scratch, spare = np.empty_like(shifted), np.empty_like(rows), np.empty_like(rows)
-    previous = current = rows
-    sigma, scale, factor = first, first / radius, 0.0
-    while True:
-        _apply_flip_sum(current, spare, scratch)
-        spare *= scale * a
-        spare += np.multiply(current, np.multiply(shifted, scale, out=diagonal), out=scratch)
-        # y_1 has no y_(-1) term (factor 0); a step's factors (first = 1) are
-        # all exactly 1, and 1.0 * y is y bit for bit: the product is skipped
-        if factor:
-            spare -= previous if factor == 1.0 else np.multiply(previous, factor, out=scratch)
-        # y_(k-1)'s buffer takes y_(k+2); rows is never written
-        previous, current, spare = current, spare, np.empty_like(rows) if previous is rows else previous
-        yield current
-        following = 1 / (2 / first - sigma)
-        scale, factor, sigma = 2 * following / radius, sigma * following, following
+    flips = _FlipSum(2 * a / radius, np.empty(rows.shape))
+    # d repeated for every row: a broadcast product took 1.5 times longer at 10 qubits
+    diagonal = np.subtract(b, centre, out=np.empty(rows.shape))
+    diagonal *= 2 / radius
+    buffers = [flips.views(np.empty(rows.shape)) for _ in range(3)]
+    growth = 0.0 if floor is None else math.acosh(max(1.0, (centre - floor) / radius))
+    period = max(1, int(_GROWTH / growth)) if growth > 0 else 0
+    previous, current, scratch = None, flips.views(rows), flips.scratch
+    for degree in count(1):
+        following = buffers[degree % 3]
+        flips.apply(current, following)
+        vector = following[0]
+        vector += np.multiply(current[0], diagonal, out=scratch)
+        if previous is None:
+            vector *= 0.5
+        else:
+            vector -= previous[0]
+            if period and degree % period == 0:
+                # an infinite or NaN entry leaves the exponent at 0: no rescale
+                shift = math.frexp(float(np.abs(vector, out=scratch).max()))[1]
+                if shift > 0:
+                    np.ldexp(vector, -shift, out=vector)
+                    np.ldexp(current[0], -shift, out=current[0])
+        previous, current = current, following
+        yield vector
 
 
 def _chebyshev_step(a, b, state, tau, lo, hi, coeffs) -> np.ndarray:
@@ -374,26 +380,31 @@ def _chebyshev_step(a, b, state, tau, lo, hi, coeffs) -> np.ndarray:
     interval's centre and half-width), exp(-i * H * tau) is
     exp(-i * c * tau) * sum_k a_k * J_k(r * tau) * T_k(X), with a_0 = 1 and
     a_k = 2 * (-i)^k.  X is real, so the state's real and imaginary parts
-    run through the recurrence (_chebyshev_vectors at first = 1) as the
-    two rows of one real (2, 2^n) stack, and each vector T_k(X) @ state
-    costs one product call; none is computed past the last coefficient.
-    On that pair a_k is 2 times a quarter turn: -i takes (x, y) to
-    (y, -x).  The pair is joined into one complex state before the phase
-    exp(-i * c * tau).
+    run through the recurrence (_chebyshev_vectors, without a floor) as
+    the two rows of one real (2, 2^n) stack, one product call per term and
+    none past the last coefficient.  (-i)^k is (-1)^(k // 2), times -i for
+    odd k: each vector, scaled by +-2 * J_k, is added into the even or the
+    odd sum, and -i takes the odd sum's pair (x, y) to (y, -x) once before
+    the phase exp(-i * c * tau).
 
     Raises:
         NumericalFailure: the propagated state is not finite.
     """
     centre, radius = (hi + lo) / 2, (hi - lo) / 2
-    # (-i)^k for k = 0, 1, 2, 3 as 2 x 2 turns of the (real, imaginary) pair
-    turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    turns = np.array([np.eye(2), turn, -np.eye(2), -turn])
-    weights = 2 * coeffs[:, None, None] * turns[np.arange(coeffs.size) % 4]
+    weights = 2 * coeffs * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(coeffs.size) % 4]
     pair = np.stack([state.real, state.imag])
-    result = coeffs[0] * pair
-    for weight, vector in zip(weights[1:], _chebyshev_vectors(a, b, pair, centre, radius)):
-        result += weight @ vector
-    result = (result[0] + 1j * result[1]) * np.exp(-1j * centre * tau)
+    sums = [coeffs[0] * pair, np.zeros_like(pair)]
+    term = np.empty_like(pair)
+    # the generator, and its buffers, go when the loop ends
+    for k, (weight, vector) in enumerate(
+            zip(weights[1:].tolist(), _chebyshev_vectors(a, b, pair, centre, radius)), start=1):
+        sums[k % 2] += np.multiply(vector, weight, out=term)
+    even, odd = sums
+    even[0] += odd[1]
+    even[1] -= odd[0]
+    result = np.empty(state.shape, dtype=np.complex128)
+    result.real, result.imag = even
+    result *= np.exp(-1j * centre * tau)
     if not np.isfinite(np.vdot(result, result).real):
         raise NumericalFailure("Chebyshev step produced a non-finite state")
     return result
@@ -489,8 +500,8 @@ def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.qr(vectors.T)[0].T)
 
 
-def _window_start(a, b, window, pair) -> np.ndarray:
-    """The lowest Ritz vectors of H = a * sum_i X_i + diag(b) over a window's span plus a block's.
+def _window_start(a, b, window, pair) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The lowest Ritz pairs of H = a * sum_i X_i + diag(b) over a window's span plus a block's.
 
     window and pair are (2, m, dim) stacks of real rows [0] and their
     images sum_i X_i [1], so H @ v = a * sum_i X_i v + b * v costs no
@@ -503,9 +514,10 @@ def _window_start(a, b, window, pair) -> np.ndarray:
     roundoff.
     Only the rows go through these steps: coeffs records each basis row as
     a combination of the block's and the window's rows, and takes the flip
-    images of the basis from theirs.  Returns the p lowest Ritz vectors of
-    H over the block plus what is left of the window, as the orthonormal
-    rows of a (p, dim) array, the form _filtered_lowest takes.
+    images of the basis and of the Ritz vectors from theirs.  Returns the p
+    lowest Ritz vectors over the block plus what is left of the window, as
+    orthonormal rows, and the hand-off _filtered_lowest takes: their Ritz
+    values and flip images.
 
     Raises:
         NumericalFailure: a failed eigensolve.
@@ -525,25 +537,60 @@ def _window_start(a, b, window, pair) -> np.ndarray:
         coeffs = np.vstack([np.eye(p, p + m), coeffs])
         # basis @ (a * sum_i X_i basis + b * basis).T, the flip images taken through coeffs
         flips = np.hstack([basis @ pair[1].T, basis @ window[1].T])
-        ritz = np.linalg.eigh(a * (flips @ coeffs.T) + (basis * b) @ basis.T)[1]
+        theta, ritz = np.linalg.eigh(a * (flips @ coeffs.T) + (basis * b) @ basis.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Rayleigh-Ritz eigensolve failed: {exc}") from exc
-    return ritz[:, :p].T @ basis
+    ritz = ritz[:, :p].T
+    coeffs = ritz @ coeffs
+    images = coeffs[:, :p] @ pair[1]
+    images += coeffs[:, p:] @ window[1]
+    return ritz @ basis, (theta[:p], images)
 
 
-def _filtered_lowest(a, b, block, k, hi, n) -> tuple[Optional[np.ndarray], np.ndarray, int, float]:
+def _rayleigh_ritz(a, b, block, scratch) -> tuple[np.ndarray, np.ndarray]:
+    """A Rayleigh-Ritz step of H = a * sum_i X_i + diag(b) on the block's orthonormal rows.
+
+    One product of the whole block; scratch, of its shape, is overwritten.
+    Returns the ascending Ritz values and the (2, p, dim) stack of the Ritz
+    vectors over their images sum_i X_i.
+
+    Raises:
+        NumericalFailure: a non-finite product or a failed eigensolve.
+    """
+    pair = np.empty((2,) + block.shape)
+    pair[0] = block
+    _apply_flip_sum(pair[0], pair[1], scratch)
+    image = np.multiply(block, b, out=scratch)
+    image += a * pair[1]
+    projection = block @ image.T
+    if not np.all(np.isfinite(projection)):
+        raise NumericalFailure("filtered subspace met a non-finite product")
+    try:
+        theta, ritz = np.linalg.eigh(projection)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Rayleigh-Ritz eigensolve failed: {exc}") from exc
+    return theta, ritz.T @ pair
+
+
+def _filtered_lowest(
+    a, b, block, k, hi, n, handoff=None
+) -> tuple[Optional[np.ndarray], np.ndarray, int, float]:
     """The k lowest eigenvalues of H = a * sum_i X_i + diag(b) by Chebyshev-filtered subspace iteration.
 
     block holds p >= k orthonormal rows and hi bounds the spectrum of H
-    from above.  Each iteration is a Rayleigh-Ritz step on the block, one
-    product of the whole block, then, unless the k lowest Ritz pairs have
-    residuals |H x - theta x| of at most _RESIDUAL_TOL, a Chebyshev filter
-    that damps [theta_max, hi] followed by QR.  Its degree is the one whose
-    gain on the k-th level over theta_max, about e^(2 d / sqrt(ratio)) with
-    ratio = (hi - theta_max) / (theta_max - theta_(k-1)), carries the
-    residual one e-fold below the tolerance, at most the one that grows
-    theta_0 over theta_(k-1) e^18 times, and at least _MIN_DEGREE; a warm
-    block mostly converges after one filter.
+    from above; handoff is None or the Ritz values and flip images of
+    block's rows from a product-free Rayleigh-Ritz step (_window_start).
+    An iteration is, unless the k lowest Ritz pairs have residuals |H x -
+    theta x| of at most _RESIDUAL_TOL, a Chebyshev filter that damps
+    [theta_max, hi] and QR, then a Rayleigh-Ritz step with one product of
+    the whole block (_rayleigh_ritz).  A cold start begins with such a
+    step; a handed-off one filters first, and goes through one step even
+    when its residuals already pass, so real products certify every
+    level.  The degree is the one whose gain on the k-th level over
+    theta_max, about e^(2 d / sqrt(ratio)) with ratio = (hi - theta_max)
+    / (theta_max - theta_(k-1)), carries the residual one e-fold below the
+    tolerance, at most the one that grows theta_0 over theta_(k-1) e^18
+    times, and at least _MIN_DEGREE.
 
     Returns (levels, pair, products, degree): the k lowest Ritz values,
     or None when an iteration of p * (degree + 1) products does not pay
@@ -557,49 +604,47 @@ def _filtered_lowest(a, b, block, k, hi, n) -> tuple[Optional[np.ndarray], np.nd
             convergence within _MAX_ITERATIONS iterations.
     """
     p, products, degree = block.shape[0], 0, _MIN_DEGREE
-    scratch = np.empty_like(block)
-    for _ in range(_MAX_ITERATIONS):
-        pair = np.empty((2,) + block.shape)
-        pair[0] = block
-        _apply_flip_sum(pair[0], pair[1], scratch)
+    # b's least entry less the mixer's widest reach bounds the spectrum from below
+    floor, scratch = float(b.min()) - a * n, np.empty_like(block)
+    # pair is None until a real Rayleigh-Ritz step has certified the Ritz pairs
+    pair = None
+    if handoff is None:
+        theta, pair = _rayleigh_ritz(a, b, block, scratch)
         products += p
-        image = np.multiply(block, b, out=scratch)
-        image += a * pair[1]
-        projection = block @ image.T
-        if not np.all(np.isfinite(projection)):
-            raise NumericalFailure("filtered subspace met a non-finite product")
-        try:
-            theta, ritz = np.linalg.eigh(projection)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"Rayleigh-Ritz eigensolve failed: {exc}") from exc
-        pair = ritz.T @ pair
-        block, flips = pair
+    else:
+        theta, flips = handoff
+    for _ in range(_MAX_ITERATIONS):
+        if pair is not None:
+            block, flips = pair
         residual = np.linalg.norm(a * flips[:k] + (b - theta[:k, None]) * block[:k], axis=1).max()
-        if residual <= _RESIDUAL_TOL:
+        if residual <= _RESIDUAL_TOL and pair is not None:
             return theta[:k], pair, products, degree
-        # a filter of degree d shrinks the residual about e^(2 d / sqrt(ratio))
-        # times; aim one e-fold past the tolerance
-        centre, radius = (hi + theta[-1]) / 2, (hi - theta[-1]) / 2
-        spread, degree = float(theta[-1] - theta[k - 1]), math.inf
-        if spread > 0:
-            ratio = max(hi - theta[-1], 0.0) / spread
-            degree = (math.log(residual / _RESIDUAL_TOL) + 1) / 2 * math.sqrt(ratio)
-            if ratio > 0:
-                # T_d grows theta_0 over theta_(k-1) e^(d * lead) times, x = (centre - theta) / radius;
-                # past e^18 the other rows fall below roundoff and QR returns noise
-                x_0, x_k = 1 + (theta[-1] - theta[[0, k - 1]]) / radius
-                lead = math.acosh(x_0) - math.acosh(x_k)
-                if degree * lead > 18:
-                    degree = 18 / lead
-            degree = max(_MIN_DEGREE, degree)
-        if not _matrix_free_pays(n, p * (degree + 1)):
-            return None, pair, products, degree
-        # the ceil(degree)-th vector of the filter that damps [theta_max, hi],
-        # scaled to about 1 at theta_0; the generator is dropped with it
-        block = _orthonormal_rows(next(islice(
-            _chebyshev_vectors(a, b, block, centre, radius, radius / (theta[0] - centre)),
-            math.ceil(degree) - 1, None)))
-        products += p * math.ceil(degree)
+        if residual > _RESIDUAL_TOL:
+            # a filter of degree d shrinks the residual about e^(2 d / sqrt(ratio))
+            # times; aim one e-fold past the tolerance
+            centre, radius = (hi + theta[-1]) / 2, (hi - theta[-1]) / 2
+            spread, degree = float(theta[-1] - theta[k - 1]), math.inf
+            if spread > 0:
+                ratio = max(hi - theta[-1], 0.0) / spread
+                degree = (math.log(residual / _RESIDUAL_TOL) + 1) / 2 * math.sqrt(ratio)
+                if ratio > 0:
+                    # T_d grows theta_0 over theta_(k-1) e^(d * lead) times, x = (centre - theta) / radius;
+                    # past e^18 the other rows fall below roundoff and QR returns noise
+                    x_0, x_k = 1 + (theta[-1] - theta[[0, k - 1]]) / radius
+                    lead = math.acosh(x_0) - math.acosh(x_k)
+                    if degree * lead > 18:
+                        degree = 18 / lead
+                degree = max(_MIN_DEGREE, degree)
+            if not _matrix_free_pays(n, p * (degree + 1)):
+                return None, np.stack([block, flips]) if pair is None else pair, products, degree
+            # the ceil(degree)-th vector of the filter that damps [theta_max, hi];
+            # the generator is dropped with it
+            last = math.ceil(degree)
+            block = _orthonormal_rows(next(islice(
+                _chebyshev_vectors(a, b, block, centre, radius, floor), last - 1, None)))
+            products += p * last
+        theta, pair = _rayleigh_ritz(a, b, block, scratch)
+        products += p
     raise NumericalFailure(f"filtered subspace did not converge within {_MAX_ITERATIONS} iterations")
 
 
@@ -625,9 +670,10 @@ def gap_profile(
     _WINDOW filtered samples are kept with their images sum_i X_i v, and
     one Rayleigh-Ritz step of H(s) over their span plus the carried block
     (_window_start) costs no product, since H(s) v = a * sum_i X_i v + b *
-    v; its p lowest Ritz vectors start the filter, whose own Rayleigh-Ritz
-    step certifies every level with real products.  A sample is priced
-    before its first product, at p * (d + 1) products for d the degree of
+    v; its p lowest Ritz vectors, with their Ritz values and flip images,
+    start the filter, and the Rayleigh-Ritz step after it certifies every
+    level with real products.  A sample is priced before its first
+    product, at p * (d + 1) products for d the degree of
     the last filter priced (_MIN_DEGREE before any): when that costs more
     than a dense solve (_matrix_free_pays) the sample is a dense solve, as
     is a sample whose own next iteration cannot pay, and a profile whose
@@ -655,7 +701,7 @@ def gap_profile(
     rows[0] = np.repeat(levels, [math.comb(n, j) for j in range(n + 1)])[:k]
     rows[-1] = np.sort(problem.as_array)[:k]
     size = min(int(np.count_nonzero(problem.as_array <= rows[-1, -1])) + _GUARD, problem.dim)
-    pair, window, filled, products, degree = None, None, 0, 0, _MIN_DEGREE
+    pair, handoff, window, filled, products, degree = None, None, None, 0, 0, _MIN_DEGREE
     if points > 2 and _matrix_free_pays(n, size * (degree + 1)):
         noise = np.random.default_rng(_NOISE_SEED).standard_normal((size - 1, problem.dim))
         block = _orthonormal_rows(np.vstack([initial_state(n).real, noise]))
@@ -673,8 +719,8 @@ def gap_profile(
                 slot = filled % _WINDOW * k
                 window[:, slot:slot + k] = pair[:, :k]
                 filled += 1
-                block = _window_start(a, b, window[:, :min(filled, _WINDOW) * k], pair)
-            found, pair, spent, degree = _filtered_lowest(a, b, block, k, hi, n)
+                block, handoff = _window_start(a, b, window[:, :min(filled, _WINDOW) * k], pair)
+            found, pair, spent, degree = _filtered_lowest(a, b, block, k, hi, n, handoff)
             products += spent
         if found is None:
             dense.append(i)

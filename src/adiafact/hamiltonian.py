@@ -33,19 +33,17 @@ whatever the number of terms.
 The mixer is the uniform transverse field g * sum_i X_i.  Its ground
 state, the start of every schedule, and its levels at s = 0 are closed
 forms in engine (initial_state, gap_profile).  As an operator it is built
-by two functions here: interpolated_hamiltonian(s, g, problem), which
-builds H(s) = (1 - s) * g * sum_i X_i + s * problem as dense matrices, the
-(m, dim, dim) stack of a 1-D array of m values of s, and
-_apply_flip_sum(v, out, scratch), which writes sum_i X_i v for a real
-vector, or for a stack of them in one call, into a buffer the caller
-passes, without forming the matrix.  The engine adds the rest of H(s) v
-itself, with the factors of its recurrence folded in (H(s) is real, so a
-complex state is the stack of its real and imaginary parts; see
-engine._chebyshev_vectors), and keeps the flip images it needs.  The
-flip sum splits the qubits into blocks of at most _FLIP_BLOCK qubits and
-applies the mixer of each block as one matrix product with its small
-0/1 flip-sum matrix, so an n-qubit product is about n / _FLIP_BLOCK
-matrix products (two up to 2 * _FLIP_BLOCK qubits) instead of n passes.
+here two ways: interpolated_hamiltonian(s, g, problem) builds H(s) = (1 -
+s) * g * sum_i X_i + s * problem as dense matrices, the (m, dim, dim)
+stack of a 1-D array of m values of s, and _FlipSum, the one matrix-free
+kernel, applies factor * sum_i X_i to a real vector or a stack of them:
+the qubits are cut into the fewest blocks of at most _FLIP_BLOCK
+(_flip_blocks), and each block is one product with its small 0/1
+flip-sum matrix scaled by factor.  The engine builds one per Chebyshev
+step or filter (factor = 2 * a / radius), hands it its buffers' block
+views once, and adds the rest of H(s) v itself; a complex state is the
+stack of its real and imaginary parts.  _apply_flip_sum is one unscaled
+product, the flip images the engine's Rayleigh-Ritz steps keep.
 
 Energies are exact int64 integers; float views are derived, so ground
 manifolds are identified by exact comparison, never by tolerance.
@@ -329,10 +327,9 @@ def _bit_flip_entries(n: int) -> np.ndarray:
 
 
 # Largest block of qubits whose flips one matrix product applies, so the flip-sum
-# matrices are at most 2^_FLIP_BLOCK square.  Per product, blocks of 5 and 6
-# cost the same within noise at 9 to 16 qubits, and 7 up to 1.3 times more from
-# 12 qubits on (2 cores, 2 OpenBLAS threads).
-_FLIP_BLOCK = 6
+# matrices are at most 2^_FLIP_BLOCK square.  A register is cut into the fewest
+# blocks of at most this size, as nearly equal as they go (_flip_blocks).
+_FLIP_BLOCK = 5
 
 
 @lru_cache(maxsize=None)
@@ -376,33 +373,69 @@ def interpolated_hamiltonian(s, g: float, problem: DiagonalOperator) -> np.ndarr
     return out.reshape(values.shape + (dim, dim))
 
 
-def _apply_flip_sum(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out = sum_i X_i @ v for every state of v, without forming the matrix.
+def _flip_blocks(n: int) -> list[int]:
+    """The qubit counts of the flip-sum blocks of an n-qubit register, lowest bits first.
 
-    v, out and scratch are C-contiguous float64 arrays of one shape: one
-    real state of 2^n amplitudes or a stack of them, of any leading shape,
-    each multiplied in one call; out receives the result and scratch is
-    overwritten.  A caller builds H = a * sum_i X_i + diag(b) from it (see
-    engine._chebyshev_vectors); H(s) is real, so a complex state goes
-    through as the two rows of its real and imaginary parts.  sum_i X_i is
-    applied in blocks of qubits.  With v viewed as a matrix V whose columns
-    run over the `low` least significant bits (about half the register, at
-    most _FLIP_BLOCK) and whose rows run over everything above, states
-    included, the flips inside that block are one product V @ F_low,
-    written into out.  The qubits above it are cut, from the top down, into
-    blocks of at most _FLIP_BLOCK; with v viewed as (rows above, 2^b,
-    2^below), the flips of a block of b qubits are one stacked product
-    F_b @ V, written into scratch and added into out.  F_b is the 2^b x 2^b
-    flip-sum matrix (_flip_sum_matrix), so a product costs
-    O(2^n * 2^_FLIP_BLOCK) per block and state.  Up to 2 * _FLIP_BLOCK
-    qubits one block sits above the low one.  The caller has checked the
-    qubit cap.
+    The fewest blocks of at most _FLIP_BLOCK qubits, as nearly equal as
+    they go, a smaller one on top and the larger ones right below it: 5 + 4
+    at 9 qubits, 5 + 5 at 10, 4 + 4 + 3 at 11, 4 + 4 + 4 at 12, 4 + 5 + 4
+    at 13, 5 + 5 + 4 at 14, 5 + 5 + 5 at 15, 4 + 4 + 4 + 4 at 16.  Chosen by
+    timing each order of one product on 5 rows (2 cores, numpy 2.4): at 13
+    qubits 4 + 5 + 4 took 143-147 us, 5 + 4 + 4 157-163 us; at 14 qubits
+    5 + 5 + 4 took 344-350 us, the other orders 375-394 us.
     """
-    n = v.shape[-1].bit_length() - 1
-    low = min((n + 1) // 2, _FLIP_BLOCK)
-    np.matmul(v.reshape(-1, 1 << low), _flip_sum_matrix(low), out=out.reshape(-1, 1 << low))
-    for top in range(n, low, -_FLIP_BLOCK):
-        bits = min(top - low, _FLIP_BLOCK)
-        shape = (-1, 1 << bits, 1 << (top - bits))
-        np.matmul(_flip_sum_matrix(bits), v.reshape(shape), out=scratch.reshape(shape))
-        out += scratch
+    count = -(-n // _FLIP_BLOCK)
+    size, larger = divmod(n, count)
+    return [size] * (count - 1 - larger) + [size + 1] * larger + [size]
+
+
+class _FlipSum:
+    """factor * sum_i X_i on real states, through block views of each buffer made once.
+
+    scratch is a C-contiguous float64 array of the shape of the states,
+    one of 2^n amplitudes or a stack of them; views(array) gives an array
+    of that shape with its view for each block (_flip_blocks), and
+    apply(source, target), both from views(), writes factor * sum_i X_i @
+    source into target, which must be C-contiguous, and overwrites
+    scratch.  With a state viewed as rows over the lowest block's 2^b
+    columns, that block's flips are one product V @ F into target; viewed
+    as (rows above, 2^b, 2^below), each higher block's flips are one
+    stacked product F @ V into scratch, added into target.  F is the
+    block's flip-sum matrix (_flip_sum_matrix) scaled once by factor, so a
+    product costs O(2^n * 2^b) per block and state.  The caller has checked
+    the qubit cap.
+    """
+
+    __slots__ = ("scratch", "_low", "_upper", "_shapes", "_parts")
+
+    def __init__(self, factor: float, scratch: np.ndarray):
+        low, *upper = _flip_blocks(scratch.shape[-1].bit_length() - 1)
+        self.scratch = scratch
+        self._low = _flip_sum_matrix(low) * factor
+        self._upper, self._shapes, below = [], [(-1, 1 << low)], low
+        for bits in upper:
+            self._upper.append(_flip_sum_matrix(bits) * factor)
+            self._shapes.append((-1, 1 << bits, 1 << below))
+            below += bits
+        self._parts = self.views(scratch)[2:]
+
+    def views(self, array: np.ndarray) -> list[np.ndarray]:
+        """array, then its view for each block, lowest first."""
+        return [array] + [array.reshape(shape) for shape in self._shapes]
+
+    def apply(self, source: list[np.ndarray], target: list[np.ndarray]) -> None:
+        """target[0] = factor * sum_i X_i @ source[0], for views() of both."""
+        np.matmul(source[1], self._low, out=target[1])
+        for matrix, block, part in zip(self._upper, source[2:], self._parts):
+            np.matmul(matrix, block, out=part)
+            target[0] += self.scratch
+
+
+def _apply_flip_sum(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = sum_i X_i @ v for every state of v, one product of the _FlipSum kernel.
+
+    v, out and scratch are C-contiguous float64 arrays of one shape; out
+    receives the result and scratch is overwritten.
+    """
+    flips = _FlipSum(1.0, scratch)
+    flips.apply(flips.views(v), flips.views(out))

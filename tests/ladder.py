@@ -1,6 +1,6 @@
 """Stage timings over a ladder of register sizes, written as one column of a BENCH JSON file.
 
-For each target of TARGETS (select_split's register of 2 to 14 qubits)
+For each target of TARGETS (select_split's register of 2 to 16 qubits)
 the ladder times three stages on their own, each RUNS times after one
 warm-up call: gap_profile (POINTS samples, k = 2), run_schedule on the
 default schedule, and factor() as a whole (split walk, profile and run).
@@ -9,6 +9,9 @@ the products that GapTrace and EvolutionTrace report.  Every column is
 stamped with the machine's usable cores, Python, numpy, the BLAS build
 and the BLAS thread count.  Unless OPENBLAS_NUM_THREADS is set, it is
 set to the usable cores before numpy is imported, as perfbench does.
+305 and 481 need 15 and 16 qubits: their rows are skipped, with a note
+on stderr, unless ADIAFACT_MAX_QUBITS admits them.  Raising the cap to
+16 leaves the registers of the other targets as they are.
 
 One column per checkout: run the script with PYTHONPATH pointing at the
 src/ to measure, and name the column; the file keeps the other columns,
@@ -16,6 +19,7 @@ and a column's rows for other targets.
 
     PYTHONPATH=src python tests/ladder.py --column change --into BENCH.json
     PYTHONPATH=src python tests/ladder.py --runs 5 323 121
+    ADIAFACT_MAX_QUBITS=16 PYTHONPATH=src python tests/ladder.py 305 481
 
 Without --into the column is printed as JSON.  Timings depend on the
 host and its load, so compare columns written on one host; running the
@@ -39,9 +43,9 @@ from time import perf_counter
 
 import numpy as np
 
-from adiafact import Schedule, factor, gap_profile, run_schedule, select_split
+from adiafact import DimensionTooLarge, Schedule, factor, gap_profile, run_schedule, select_split
 
-TARGETS = (35, 143, 77, 323, 121, 145, 209, 265)
+TARGETS = (35, 143, 77, 323, 121, 145, 209, 265, 305, 481)
 POINTS = 51
 RUNS = 5
 
@@ -71,6 +75,7 @@ def timed(call, runs: int) -> tuple[dict, object]:
 
 
 def ladder_row(target: int, runs: int) -> dict:
+    """The timed stages of target's register; raises DimensionTooLarge above the qubit cap."""
     problem = select_split(target)[2]
     profile, trace = timed(lambda: gap_profile(problem, Schedule().g, points=POINTS, k=2), runs)
     profile["products"] = trace.products
@@ -92,7 +97,11 @@ def main(argv: list[str]) -> None:
         parser.error("--runs needs at least 2 runs for an interquartile range")
     rows = {}
     for target in args.targets:
-        rows[str(target)] = ladder_row(target, args.runs)
+        try:
+            rows[str(target)] = ladder_row(target, args.runs)
+        except DimensionTooLarge as exc:
+            print(f"{target}: skipped, {exc}", file=sys.stderr, flush=True)
+            continue
         print(f"{target}: {json.dumps(rows[str(target)])}", file=sys.stderr, flush=True)
     if args.into is None:
         print(json.dumps({"stamp": stamp(), "points": POINTS, "targets": rows}, indent=2))

@@ -36,7 +36,7 @@ from adiafact.engine import (
     _matrix_free_pays,
     _term_floor,
 )
-from adiafact.hamiltonian import _apply_flip_sum
+from adiafact.hamiltonian import _FlipSum, _apply_flip_sum
 
 from oracles import dense_mixer, expm_schedule, sparse_levels, sparse_schedule
 
@@ -83,7 +83,7 @@ def sparse_oracle_errors(target, points=11):
     On factor()'s register for target: the interior samples of a k = 2
     profile of this many points against sparse_levels, and the default
     schedule's final state against sparse_schedule.  CI runs it on 209,
-    265 and 305 (13 to 15 qubits); tier-1 on 145 (12 qubits), at 11 points
+    265, 305 and 481 (13 to 16 qubits); tier-1 on 145 (12 qubits), at 11 points
     and at factor()'s 51, where the warm start has a full window to act on.
     """
     problem, sched = select_split(target)[2], Schedule()
@@ -521,16 +521,16 @@ class TestMatrixFreeSteps:
         # into buffers of the same form; products still counts complex-state
         # products
         problem = registers[target]
-        shapes = []
+        shapes, apply = [], _FlipSum.apply
 
-        def checked(v, out, scratch):
-            for array in (v, out, scratch):
+        def checked(flips, source, target):
+            for array in (source[0], target[0], flips.scratch):
                 assert array.dtype == np.float64 and array.flags.c_contiguous
-            assert v.shape == out.shape == scratch.shape
-            shapes.append(v.shape)
-            _apply_flip_sum(v, out, scratch)
+            assert source[0].shape == target[0].shape == flips.scratch.shape
+            shapes.append(source[0].shape)
+            apply(flips, source, target)
 
-        monkeypatch.setattr(engine, "_apply_flip_sum", checked)
+        monkeypatch.setattr(_FlipSum, "apply", checked)
         trace = run_schedule(problem, Schedule())
         assert trace.products == len(shapes) == products
         assert set(shapes) == {(2, problem.dim)}
@@ -566,7 +566,7 @@ class TestMatrixFreeSteps:
 
     def test_non_finite_product_fails(self, registers, monkeypatch):
         # a non-finite product inside a run fails before the final norm check
-        monkeypatch.setattr(engine, "_apply_flip_sum", lambda v, out, scratch: out.fill(np.nan))
+        monkeypatch.setattr(_FlipSum, "apply", lambda flips, source, target: target[0].fill(np.nan))
         with pytest.raises(NumericalFailure, match="Chebyshev"):
             run_schedule(registers[323], Schedule())
 
@@ -614,34 +614,62 @@ class TestChebyshevRecurrence:
             assert self.relative_error(vector, expected) <= 1e-10
 
     def test_the_plain_recurrence_is_bitwise_the_unscaled_one(self, system):
-        # at first = 1 every sigma is exactly 1: the vectors are those of
-        # T_1 = X T_0, T_(k+1) = 2 X T_k - T_(k-1), computed out of place from
-        # the same flip sum with the factor over the radius folded into both
-        # terms of H = a * sum_i X_i + diag(b)
+        # the vectors are those of T_1 = X T_0, T_(k+1) = 2 X T_k - T_(k-1),
+        # computed out of place from the same flip-sum kernel: 2 X y is the
+        # flip sum with its matrices scaled by 2 a / radius plus
+        # 2 (b - centre) / radius times y, and T_1 is half of it
         (a, b), energies, _, block = system
         lo, hi = energies[0], energies[-1]
         centre, radius = (hi + lo) / 2, (hi - lo) / 2
-        previous, current, factor = 0.0, block, 1.0
+        flips = _FlipSum(2 * a / radius, np.empty_like(block))
+        diagonal = (b - centre) * (2 / radius)
+        previous, current = None, block
         for vector in islice(_chebyshev_vectors(a, b, block, centre, radius), 12):
-            flips, scratch = np.empty_like(current), np.empty_like(current)
-            _apply_flip_sum(current, flips, scratch)
-            scale = factor / radius
-            following = flips * (scale * a) + current * ((b - centre) * scale) - previous
-            previous, current, factor = current, following, 2.0
+            twice = np.empty_like(current)
+            flips.apply(flips.views(current), flips.views(twice))
+            twice = twice + current * diagonal
+            following = twice * 0.5 if previous is None else twice - previous
+            previous, current = current, following
             assert np.array_equal(vector, current)
 
     @pytest.mark.parametrize("degree", [1, 2, 9, 25])
     def test_the_scaled_filter_is_t_d_over_its_value_at_scale(self, system, degree):
-        # the filter gap_profile runs: damp [E_3, hi] and scale T_d to 1 at E_0
+        # the filter gap_profile runs: damp [E_3, hi], E_0 below it the floor;
+        # the filter keeps only T_d's direction, so over T_d at the floor its
+        # vector is T_d / T_d((E_0 - centre) / radius) times a power of two
         (a, b), energies, basis, block = system
         lo, hi, scale = energies[3], energies[-1] + 0.25, energies[0]
         centre, radius = (hi + lo) / 2, (hi - lo) / 2
-        first = radius / (scale - centre)
-        vectors = _chebyshev_vectors(a, b, block, centre, radius, first)
+        vectors = _chebyshev_vectors(a, b, block, centre, radius, scale)
         vector = next(islice(vectors, degree - 1, None))
         at_scale = np.polynomial.chebyshev.chebval((scale - centre) / radius, [0] * degree + [1])
         expected = self.polynomial(energies, basis, block, centre, radius, degree) / at_scale
-        assert self.relative_error(vector, expected) <= 1e-10
+        power = np.log2(np.linalg.norm(vector / at_scale) / np.linalg.norm(expected))
+        assert abs(power - round(power)) <= 1e-10
+        assert self.relative_error(vector / at_scale / 2.0 ** round(power), expected) <= 1e-10
+
+    @pytest.mark.parametrize("degree", [1000, 3000])
+    @pytest.mark.parametrize("x_s", [-1.18, -4.37])
+    def test_a_high_degree_filter_stays_finite_and_finds_the_ground_vector(self, x_s, degree):
+        # on 77's H(s) the interval is set so that E_0 lies at x_s below it:
+        # T_d at x_s reaches about e^592 to e^6464, past float64, and the
+        # power-of-two rescale keeps every vector finite; every row turns
+        # onto the ground vector
+        problem, s = select_split(77)[2], 0.5
+        a, b = (1 - s) * self.G, s * problem.as_array
+        energies, basis = np.linalg.eigh(interpolated_hamiltonian(s, self.G, problem))
+        hi = energies[-1]
+        lo = ((1 + x_s) * hi - 2 * energies[0]) / (x_s - 1)
+        assert energies[0] < lo
+        centre, radius = (hi + lo) / 2, (hi - lo) / 2
+        assert (energies[0] - centre) / radius == pytest.approx(x_s)
+        block = np.random.default_rng(11).standard_normal((3, problem.dim))
+        rows = engine._orthonormal_rows(block)
+        vectors = _chebyshev_vectors(a, b, rows, centre, radius, energies[0])
+        vector = next(islice(vectors, degree - 1, None))
+        assert np.all(np.isfinite(vector)) and np.max(np.abs(vector)) > 0
+        overlaps = np.abs(vector @ basis[:, 0]) / np.linalg.norm(vector, axis=1)
+        assert np.max(np.abs(overlaps - 1)) <= 1e-10
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_kept_vectors_are_never_overwritten(self, system, scaled):
@@ -652,11 +680,11 @@ class TestChebyshevRecurrence:
         (a, b), energies, _, block = system
         lo, hi = energies[2 if scaled else 0], energies[-1]
         centre, radius = (hi + lo) / 2, (hi - lo) / 2
-        first = radius / (energies[0] - centre) if scaled else 1.0
+        floor = energies[0] if scaled else None
         rows = block.copy()
-        fresh = [v.copy() for v in islice(_chebyshev_vectors(a, b, rows, centre, radius, first), 9)]
+        fresh = [v.copy() for v in islice(_chebyshev_vectors(a, b, rows, centre, radius, floor), 9)]
         kept = []
-        for degree, vector in enumerate(_chebyshev_vectors(a, b, rows, centre, radius, first),
+        for degree, vector in enumerate(_chebyshev_vectors(a, b, rows, centre, radius, floor),
                                         start=1):
             assert not np.shares_memory(vector, rows)
             kept.append(vector)
@@ -671,13 +699,13 @@ class TestChebyshevRecurrence:
 
     def test_each_vector_costs_one_product_when_asked_for(self, system, monkeypatch):
         (a, b), energies, _, block = system
-        calls = []
+        calls, apply = [], _FlipSum.apply
 
-        def counted(v, out, scratch):
-            calls.append(v.shape)
-            _apply_flip_sum(v, out, scratch)
+        def counted(flips, source, target):
+            calls.append(source[0].shape)
+            apply(flips, source, target)
 
-        monkeypatch.setattr(engine, "_apply_flip_sum", counted)
+        monkeypatch.setattr(_FlipSum, "apply", counted)
         vectors = _chebyshev_vectors(a, b, block, 0.0, float(energies[-1] - energies[0]))
         assert calls == []
         for taken in range(1, 5):
@@ -816,13 +844,54 @@ class TestFilteredGapProfile:
         def no_product(*args):
             raise AssertionError("product")
 
-        monkeypatch.setattr(engine, "_apply_flip_sum", no_product)
-        start = engine._window_start(a, b, window, pair)
-        assert start.shape == block.shape
+        monkeypatch.setattr(_FlipSum, "apply", no_product)
+        start, (theta, flips) = engine._window_start(a, b, window, pair)
+        assert start.shape == flips.shape == block.shape and theta.shape == (len(block),)
         assert np.max(np.abs(start @ start.T - np.eye(len(block)))) <= 1e-13
         # the lowest k rows span the exact eigenvectors: their overlap is orthogonal
         overlap = np.linalg.svd(start[:k] @ exact.T, compute_uv=False)
         assert np.max(np.abs(overlap - 1)) <= 1e-10
+
+    @pytest.mark.parametrize("target", [323, 121])
+    def test_the_hand_off_matches_a_real_rayleigh_ritz_step(self, registers, monkeypatch, target):
+        # every warm sample of factor()'s 51-point profile starts from the
+        # window step's Ritz values and flip images, taken with no product
+        # through its recorded coefficients; a real-product Rayleigh-Ritz
+        # step of the same vectors gives the same values, and the same
+        # images of the k lowest vectors, whose residuals price the filter
+        # (a guard vector's image, built partly from window directions near
+        # the span tolerance, was seen 1.7e-10 off on 145)
+        filtered, checked = engine._filtered_lowest, []
+
+        def compared(a, b, block, k, hi, n, handoff=None):
+            if handoff is not None:
+                theta, flips = handoff
+                real, _ = engine._rayleigh_ritz(a, b, block, np.empty_like(block))
+                assert np.max(np.abs(theta - real)) <= 1e-10
+                images = np.empty_like(block)
+                _apply_flip_sum(block, images, np.empty_like(block))
+                assert np.max(np.abs(flips[:k] - images[:k])) <= 1e-10
+                checked.append(len(theta))
+            return filtered(a, b, block, k, hi, n, handoff)
+
+        monkeypatch.setattr(engine, "_filtered_lowest", compared)
+        gap_profile(registers[target], 0.6, points=51, k=2)
+        assert len(checked) == 48
+
+    def test_a_converged_hand_off_still_pays_one_real_step(self, registers):
+        # a hand-off whose residuals already pass skips the filter, and one
+        # real-product Rayleigh-Ritz step of the block certifies its levels
+        problem, s, k = registers[323], 0.5, 2
+        a, b = (1 - s) * 0.6, s * problem.as_array
+        energies, basis = np.linalg.eigh(interpolated_hamiltonian(s, 0.6, problem))
+        block = np.ascontiguousarray(basis[:, :4].T)
+        flips = np.empty_like(block)
+        _apply_flip_sum(block, flips, np.empty_like(block))
+        hi = s * float(problem.max_energy()) + (1 - s) * 0.6 * problem.n
+        found, pair, products, _ = engine._filtered_lowest(
+            a, b, block, k, hi, problem.n, (energies[:4], flips))
+        assert products == len(block) and pair.shape == (2,) + block.shape
+        assert np.max(np.abs(found - energies[:k])) <= 1e-12
 
     @pytest.mark.parametrize("target", [295, 511])
     def test_a_sample_is_priced_before_its_first_product(self, monkeypatch, target):
@@ -961,15 +1030,15 @@ class TestFilteredGapProfile:
 
     def test_a_sample_that_cannot_pay_is_dense(self, registers, monkeypatch):
         # the third sample's iteration is priced as on one qubit, where no
-        # filter pays: it alone is a dense solve, products counts the
-        # Rayleigh-Ritz step spent on it, and the samples after it carry on
-        # from the same block
+        # filter pays: it alone is a dense solve, priced from its
+        # product-free window step so that no product is spent on it, and
+        # the samples after it carry on from the same block
         problem = registers[323]
         spent, solved = [], []
         filtered, dense = engine._filtered_lowest, engine.lowest_eigenvalues
 
-        def third_cannot_pay(a, b, block, k, hi, n):
-            found = filtered(a, b, block, k, hi, 1 if len(spent) == 2 else n)
+        def third_cannot_pay(a, b, block, k, hi, n, handoff=None):
+            found = filtered(a, b, block, k, hi, 1 if len(spent) == 2 else n, handoff)
             spent.append(found[2])
             return found
 
@@ -981,8 +1050,10 @@ class TestFilteredGapProfile:
         monkeypatch.setattr(engine, "lowest_eigenvalues", spied)
         trace = gap_profile(problem, 0.6, points=11, k=2)
         assert solved == [problem.dim] and len(spent) == 9
-        # one stacked product over the block: 323's two zero-energy states plus the guard
-        assert spent[2] == 2 + engine._GUARD and trace.products == sum(spent)
+        # every product is one stacked call over the block: 323's two
+        # zero-energy states plus the guard
+        assert spent[2] == 0 and trace.products == sum(spent)
+        assert spent[0] % (2 + engine._GUARD) == 0 and min(spent[1:2] + spent[3:]) > 0
         expected = dense_levels(problem, 0.6, trace.s_values, 2)
         assert np.max(np.abs(trace.energies - expected)) <= 1e-12
 
@@ -1035,7 +1106,19 @@ class TestFilteredGapProfile:
             gap_profile(registers[323], 0.6, points=3, k=2)
 
     def test_non_finite_product_fails(self, registers, monkeypatch):
-        monkeypatch.setattr(engine, "_apply_flip_sum", lambda v, out, scratch: out.fill(np.nan))
+        monkeypatch.setattr(_FlipSum, "apply", lambda flips, source, target: target[0].fill(np.nan))
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            gap_profile(registers[323], 0.6, points=3, k=2)
+        # a non-finite filter vector reaches the next Rayleigh-Ritz step through QR
+        monkeypatch.undo()
+        vectors = engine._chebyshev_vectors
+
+        def non_finite(*args):
+            for vector in vectors(*args):
+                vector.fill(np.nan)
+                yield vector
+
+        monkeypatch.setattr(engine, "_chebyshev_vectors", non_finite)
         with pytest.raises(NumericalFailure, match="non-finite"):
             gap_profile(registers[323], 0.6, points=3, k=2)
 

@@ -524,9 +524,10 @@ class TestMixerAndInterpolation:
                     assert np.max(np.abs(got - v @ h)) <= 1e-13, (n, s, g, v.shape)
 
     def test_blocked_product_matches_the_flip_sum_oracle(self):
-        # 1..19 qubits take the low block alone, then one block above it, then
-        # more: two from 13 qubits, three at 19.  Above 16 qubits, two
-        # vectors keep the cost down.
+        # 1..19 qubits take one block up to 5 qubits, then two, three from 11
+        # qubits and four from 16 (_flip_blocks), with blocks of 1 to 5
+        # qubits at the bottom, in the middle and on top.  Above 16 qubits,
+        # two vectors keep the cost down.
         rng = np.random.default_rng(29)
         for n in range(1, 20):
             dim = 1 << n
