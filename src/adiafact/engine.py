@@ -45,18 +45,20 @@ the whole block in one product call.  The filter is the steps'
 recurrence, kept finite at any degree by exact power-of-two rescales.
 Each Rayleigh-Ritz step also yields the block's flip images sum_i X_i v,
 so H(s) v = (1 - s) * g * sum_i X_i v + s * E * v is known at every s
-for the vectors already seen: a sample starts from one Rayleigh-Ritz
-step over the k converged Ritz vectors of the last _WINDOW filtered
-samples plus the carried block (_window_start), which costs no product
-and hands off its Ritz values and flip images.  The sample filters
-first; its one Rayleigh-Ritz step with real products, after the filter,
-certifies every level.  An iteration of degree d costs p * (d + 1)
-products, priced before a sample's first product from the last degree;
-a sample where that does not pay, which includes every register of up to
-6 qubits, is a dense eigenvalue solve.  Dense samples never feed the
-block: they are collected during the walk along s and solved after it as
-stacks under the same _STACK_BYTES bound, one eigvalsh call
-(lowest_eigenvalues) each.  Sizes are desk scale on purpose: n is capped
+for the vectors already seen.  Every filtered sample starts from one
+Ritz-pair form, Ritz values over the stack of Ritz vectors and their flip
+images: the first from a real Rayleigh-Ritz step of a seeded block, each
+later one from a product-free Rayleigh-Ritz step over the k converged
+Ritz vectors of the last _WINDOW filtered samples plus the carried block
+(_window_start).  The sample filters first; its own Rayleigh-Ritz step
+with real products, after the filter, certifies every level.  An
+iteration of degree d costs p * (d + 1) products.  The walk along s is
+priced once, at the cheapest iteration (d = _MIN_DEGREE), and stops at
+the first sample whose iteration does not pay; that sample and the rest
+of the profile, every interior sample of a register of up to 6 qubits
+included, are dense eigenvalue solves, taken after the walk as stacks
+under the same _STACK_BYTES bound, one eigvalsh call (lowest_eigenvalues)
+each.  Sizes are desk scale on purpose: n is capped
 (see hamiltonian.qubit_cap).
 """
 
@@ -500,7 +502,7 @@ def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.qr(vectors.T)[0].T)
 
 
-def _window_start(a, b, window, pair) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def _window_start(a, b, window, pair) -> tuple[np.ndarray, np.ndarray]:
     """The lowest Ritz pairs of H = a * sum_i X_i + diag(b) over a window's span plus a block's.
 
     window and pair are (2, m, dim) stacks of real rows [0] and their
@@ -514,10 +516,11 @@ def _window_start(a, b, window, pair) -> tuple[np.ndarray, tuple[np.ndarray, np.
     roundoff.
     Only the rows go through these steps: coeffs records each basis row as
     a combination of the block's and the window's rows, and takes the flip
-    images of the basis and of the Ritz vectors from theirs.  Returns the p
-    lowest Ritz vectors over the block plus what is left of the window, as
-    orthonormal rows, and the hand-off _filtered_lowest takes: their Ritz
-    values and flip images.
+    images of the basis and of the Ritz vectors from theirs.  Returns the
+    start _filtered_lowest takes, in _rayleigh_ritz's form: the p lowest
+    Ritz values and the (2, p, dim) stack of their Ritz vectors over the
+    block plus what is left of the window, orthonormal rows, over their
+    flip images.
 
     Raises:
         NumericalFailure: a failed eigensolve.
@@ -542,9 +545,11 @@ def _window_start(a, b, window, pair) -> tuple[np.ndarray, tuple[np.ndarray, np.
         raise NumericalFailure(f"Rayleigh-Ritz eigensolve failed: {exc}") from exc
     ritz = ritz[:, :p].T
     coeffs = ritz @ coeffs
-    images = coeffs[:, :p] @ pair[1]
-    images += coeffs[:, p:] @ window[1]
-    return ritz @ basis, (theta[:p], images)
+    start = np.empty(pair.shape)
+    np.matmul(ritz, basis, out=start[0])
+    np.matmul(coeffs[:, :p], pair[1], out=start[1])
+    start[1] += coeffs[:, p:] @ window[1]
+    return theta[:p], start
 
 
 def _rayleigh_ritz(a, b, block, scratch) -> tuple[np.ndarray, np.ndarray]:
@@ -573,53 +578,45 @@ def _rayleigh_ritz(a, b, block, scratch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _filtered_lowest(
-    a, b, block, k, hi, n, handoff=None
-) -> tuple[Optional[np.ndarray], np.ndarray, int, float]:
+    a, b, theta, pair, k, hi, n
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
     """The k lowest eigenvalues of H = a * sum_i X_i + diag(b) by Chebyshev-filtered subspace iteration.
 
-    block holds p >= k orthonormal rows and hi bounds the spectrum of H
-    from above; handoff is None or the Ritz values and flip images of
-    block's rows from a product-free Rayleigh-Ritz step (_window_start).
-    An iteration is, unless the k lowest Ritz pairs have residuals |H x -
-    theta x| of at most _RESIDUAL_TOL, a Chebyshev filter that damps
-    [theta_max, hi] and QR, then a Rayleigh-Ritz step with one product of
-    the whole block (_rayleigh_ritz).  A cold start begins with such a
-    step; a handed-off one filters first, and goes through one step even
-    when its residuals already pass, so real products certify every
-    level.  The degree is the one whose gain on the k-th level over
-    theta_max, about e^(2 d / sqrt(ratio)) with ratio = (hi - theta_max)
-    / (theta_max - theta_(k-1)), carries the residual one e-fold below the
-    tolerance, at most the one that grows theta_0 over theta_(k-1) e^18
-    times, and at least _MIN_DEGREE.
+    theta and pair are a start in _rayleigh_ritz's form: the ascending
+    Ritz values of p >= k orthonormal rows and the (2, p, dim) stack of
+    those rows over their images sum_i X_i, from a real Rayleigh-Ritz step
+    or from a product-free one (_window_start).  hi bounds the spectrum of
+    H from above.  An iteration is, unless the k lowest Ritz pairs have
+    residuals |H x - theta x| of at most _RESIDUAL_TOL, a Chebyshev filter
+    that damps [theta_max, hi] and QR, then a Rayleigh-Ritz step with one
+    product of the whole block (_rayleigh_ritz).  Levels are returned only
+    after such a step of this call, so a start whose residuals already
+    pass still goes through one, and real products certify every level.
+    The degree is the one whose gain on the k-th level over theta_max,
+    about e^(2 d / sqrt(ratio)) with ratio = (hi - theta_max) / (theta_max
+    - theta_(k-1)), carries the residual one e-fold below the tolerance,
+    at most the one that grows theta_0 over theta_(k-1) e^18 times, and
+    at least _MIN_DEGREE.
 
-    Returns (levels, pair, products, degree): the k lowest Ritz values,
-    or None when an iteration of p * (degree + 1) products does not pay
-    against a dense sample (_matrix_free_pays); the (2, p, dim) stack of
-    the block's Ritz vectors and their images sum_i X_i; the products
-    spent; and the degree of the last filter priced, _MIN_DEGREE when
-    none was.
+    Returns (levels, pair, products): the k lowest Ritz values and the
+    certified (2, p, dim) stack, or None and None when an iteration of p *
+    (degree + 1) products does not pay against a dense sample
+    (_matrix_free_pays); and the products spent.
 
     Raises:
         NumericalFailure: a non-finite product, a failed eigensolve, or no
             convergence within _MAX_ITERATIONS iterations.
     """
-    p, products, degree = block.shape[0], 0, _MIN_DEGREE
+    p, products = pair.shape[1], 0
     # b's least entry less the mixer's widest reach bounds the spectrum from below
-    floor, scratch = float(b.min()) - a * n, np.empty_like(block)
-    # pair is None until a real Rayleigh-Ritz step has certified the Ritz pairs
-    pair = None
-    if handoff is None:
-        theta, pair = _rayleigh_ritz(a, b, block, scratch)
-        products += p
-    else:
-        theta, flips = handoff
-    for _ in range(_MAX_ITERATIONS):
-        if pair is not None:
-            block, flips = pair
+    floor, scratch = float(b.min()) - a * n, np.empty(pair.shape[1:])
+    for iteration in range(_MAX_ITERATIONS):
+        block, flips = pair
         residual = np.linalg.norm(a * flips[:k] + (b - theta[:k, None]) * block[:k], axis=1).max()
-        if residual <= _RESIDUAL_TOL and pair is not None:
-            return theta[:k], pair, products, degree
-        if residual > _RESIDUAL_TOL:
+        if residual <= _RESIDUAL_TOL:
+            if iteration > 0:
+                return theta[:k], pair, products
+        else:
             # a filter of degree d shrinks the residual about e^(2 d / sqrt(ratio))
             # times; aim one e-fold past the tolerance
             centre, radius = (hi + theta[-1]) / 2, (hi - theta[-1]) / 2
@@ -636,7 +633,7 @@ def _filtered_lowest(
                         degree = 18 / lead
                 degree = max(_MIN_DEGREE, degree)
             if not _matrix_free_pays(n, p * (degree + 1)):
-                return None, np.stack([block, flips]) if pair is None else pair, products, degree
+                return None, None, products
             # the ceil(degree)-th vector of the filter that damps [theta_max, hi];
             # the generator is dropped with it
             last = math.ceil(degree)
@@ -665,24 +662,23 @@ def gap_profile(
     diagonal entries at or below the k-th smallest, which bounds the
     multiplicity of every level among the k lowest near s = 1, plus
     _GUARD; the first block is the mixer ground state plus p - 1 seeded
-    random vectors.  From the second filtered sample on, the block is
-    warm-started: the k converged Ritz vectors of each of the last
-    _WINDOW filtered samples are kept with their images sum_i X_i v, and
-    one Rayleigh-Ritz step of H(s) over their span plus the carried block
-    (_window_start) costs no product, since H(s) v = a * sum_i X_i v + b *
-    v; its p lowest Ritz vectors, with their Ritz values and flip images,
-    start the filter, and the Rayleigh-Ritz step after it certifies every
-    level with real products.  A sample is priced before its first
-    product, at p * (d + 1) products for d the degree of
-    the last filter priced (_MIN_DEGREE before any): when that costs more
-    than a dense solve (_matrix_free_pays) the sample is a dense solve, as
-    is a sample whose own next iteration cannot pay, and a profile whose
-    cheapest iteration cannot pay builds no block.  Dense samples never
-    feed the block, so they are collected during the walk and solved after
-    it, in s order, as stacks of up to _stack_size(dim) matrices, one
-    lowest_eigenvalues call each.  products counts the products of one
-    state by H(s) spent on filtered samples, those that ended dense
-    included.
+    random vectors, whose real Rayleigh-Ritz step (_rayleigh_ritz) starts
+    the first interior sample.  From the second sample on, the start is
+    warm: the k converged Ritz vectors of each of the last _WINDOW samples
+    are kept with their images sum_i X_i v, and one Rayleigh-Ritz step of
+    H(s) over their span plus the carried block (_window_start) costs no
+    product, since H(s) v = a * sum_i X_i v + b * v.  Either start is Ritz
+    values over the stack of Ritz vectors and flip images, and the
+    Rayleigh-Ritz step after the filter certifies every level with real
+    products.  The walk is priced once, before its first product, at the
+    cheapest iteration, p * (_MIN_DEGREE + 1) products: when that costs
+    more than a dense solve (_matrix_free_pays) no block is built.
+    Otherwise the samples are filtered in s order, and the walk stops at
+    the first one whose iteration cannot pay.  The interior samples left,
+    from there on, are solved after the walk as stacks of up to
+    _stack_size(dim) matrices, one lowest_eigenvalues call each.  products
+    counts the products of one state by H(s) spent on filtered samples,
+    the one that stopped the walk included.
 
     Raises:
         NumericalFailure: a non-finite product or level, a failed dense
@@ -701,33 +697,35 @@ def gap_profile(
     rows[0] = np.repeat(levels, [math.comb(n, j) for j in range(n + 1)])[:k]
     rows[-1] = np.sort(problem.as_array)[:k]
     size = min(int(np.count_nonzero(problem.as_array <= rows[-1, -1])) + _GUARD, problem.dim)
-    pair, handoff, window, filled, products, degree = None, None, None, 0, 0, _MIN_DEGREE
-    if points > 2 and _matrix_free_pays(n, size * (degree + 1)):
+    # the first interior sample left to the dense tail
+    first, products = 1, 0
+    if points > 2 and _matrix_free_pays(n, size * (_MIN_DEGREE + 1)):
         noise = np.random.default_rng(_NOISE_SEED).standard_normal((size - 1, problem.dim))
         block = _orthonormal_rows(np.vstack([initial_state(n).real, noise]))
         # a ring of the k Ritz vectors of the last _WINDOW filtered samples, the
         # carried block's included, over their flip images
         window = np.empty((2, _WINDOW * k, problem.dim))
-    e_max = float(problem.max_energy())
-    dense, chunk = [], _stack_size(problem.dim)
-    for i in range(1, points - 1):
-        s, found = s_values[i], None
-        if window is not None and _matrix_free_pays(n, size * (degree + 1)):
+        e_max = float(problem.max_energy())
+        while first < points - 1:
+            s = s_values[first]
             a, b = (1 - s) * g, s * problem.as_array
-            hi = s * e_max + (1 - s) * g * n
-            if pair is not None:
-                slot = filled % _WINDOW * k
+            if first == 1:
+                theta, pair = _rayleigh_ritz(a, b, block, np.empty_like(block))
+                products += size
+            else:
+                slot = (first - 2) % _WINDOW * k
                 window[:, slot:slot + k] = pair[:, :k]
-                filled += 1
-                block, handoff = _window_start(a, b, window[:, :min(filled, _WINDOW) * k], pair)
-            found, pair, spent, degree = _filtered_lowest(a, b, block, k, hi, n, handoff)
+                theta, pair = _window_start(a, b, window[:, :min(first - 1, _WINDOW) * k], pair)
+            hi = s * e_max + (1 - s) * g * n
+            found, pair, spent = _filtered_lowest(a, b, theta, pair, k, hi, n)
             products += spent
-        if found is None:
-            dense.append(i)
-        else:
-            rows[i] = found
-    for start in range(0, len(dense), chunk):
-        at = dense[start:start + chunk]
+            if found is None:
+                break
+            rows[first] = found
+            first += 1
+    chunk = _stack_size(problem.dim)
+    for start in range(first, points - 1, chunk):
+        at = slice(start, min(start + chunk, points - 1))
         rows[at] = lowest_eigenvalues(interpolated_hamiltonian(s_values[at], g, problem), k)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():

@@ -845,8 +845,9 @@ class TestFilteredGapProfile:
             raise AssertionError("product")
 
         monkeypatch.setattr(_FlipSum, "apply", no_product)
-        start, (theta, flips) = engine._window_start(a, b, window, pair)
-        assert start.shape == flips.shape == block.shape and theta.shape == (len(block),)
+        theta, start = engine._window_start(a, b, window, pair)
+        assert start.shape == pair.shape and theta.shape == (len(block),)
+        start = start[0]
         assert np.max(np.abs(start @ start.T - np.eye(len(block)))) <= 1e-13
         # the lowest k rows span the exact eigenvectors: their overlap is orthogonal
         overlap = np.linalg.svd(start[:k] @ exact.T, compute_uv=False)
@@ -861,55 +862,71 @@ class TestFilteredGapProfile:
         # images of the k lowest vectors, whose residuals price the filter
         # (a guard vector's image, built partly from window directions near
         # the span tolerance, was seen 1.7e-10 off on 145)
-        filtered, checked = engine._filtered_lowest, []
+        window_start, checked, k = engine._window_start, [], 2
 
-        def compared(a, b, block, k, hi, n, handoff=None):
-            if handoff is not None:
-                theta, flips = handoff
-                real, _ = engine._rayleigh_ritz(a, b, block, np.empty_like(block))
-                assert np.max(np.abs(theta - real)) <= 1e-10
-                images = np.empty_like(block)
-                _apply_flip_sum(block, images, np.empty_like(block))
-                assert np.max(np.abs(flips[:k] - images[:k])) <= 1e-10
-                checked.append(len(theta))
-            return filtered(a, b, block, k, hi, n, handoff)
+        def compared(a, b, window, pair):
+            theta, start = window_start(a, b, window, pair)
+            block, flips = start
+            real, _ = engine._rayleigh_ritz(a, b, block, np.empty_like(block))
+            assert np.max(np.abs(theta - real)) <= 1e-10
+            images = np.empty_like(block)
+            _apply_flip_sum(block, images, np.empty_like(block))
+            assert np.max(np.abs(flips[:k] - images[:k])) <= 1e-10
+            checked.append(len(theta))
+            return theta, start
 
-        monkeypatch.setattr(engine, "_filtered_lowest", compared)
-        gap_profile(registers[target], 0.6, points=51, k=2)
+        monkeypatch.setattr(engine, "_window_start", compared)
+        gap_profile(registers[target], 0.6, points=51, k=k)
         assert len(checked) == 48
 
     def test_a_converged_hand_off_still_pays_one_real_step(self, registers):
-        # a hand-off whose residuals already pass skips the filter, and one
-        # real-product Rayleigh-Ritz step of the block certifies its levels
+        # a start whose residuals already pass skips the filter, and one
+        # real-product Rayleigh-Ritz step of the block certifies its levels:
+        # from a window step over the exact eigenvectors and the previous
+        # sample's, and from a real step of the exact eigenvectors alone
         problem, s, k = registers[323], 0.5, 2
         a, b = (1 - s) * 0.6, s * problem.as_array
-        energies, basis = np.linalg.eigh(interpolated_hamiltonian(s, 0.6, problem))
-        block = np.ascontiguousarray(basis[:, :4].T)
-        flips = np.empty_like(block)
-        _apply_flip_sum(block, flips, np.empty_like(block))
-        hi = s * float(problem.max_energy()) + (1 - s) * 0.6 * problem.n
-        found, pair, products, _ = engine._filtered_lowest(
-            a, b, block, k, hi, problem.n, (energies[:4], flips))
-        assert products == len(block) and pair.shape == (2,) + block.shape
-        assert np.max(np.abs(found - energies[:k])) <= 1e-12
 
-    @pytest.mark.parametrize("target", [295, 511])
-    def test_a_sample_is_priced_before_its_first_product(self, monkeypatch, target):
-        # on 7 qubits the first interior sample's Rayleigh-Ritz step prices a
-        # filter that cannot pay; every later sample is priced from that degree
-        # before any product, so the profile spends one block's products
-        # (294 and 245 when each sample paid its own step) and every level is
-        # a dense solve
+        def with_flips(at):
+            rows = np.ascontiguousarray(
+                np.linalg.eigh(interpolated_hamiltonian(at, 0.6, problem))[1][:, :4].T)
+            flips = np.empty_like(rows)
+            _apply_flip_sum(rows, flips, np.empty_like(rows))
+            return np.stack([rows, flips])
+
+        energies = np.linalg.eigvalsh(interpolated_hamiltonian(s, 0.6, problem))
+        exact = with_flips(s)
+        hi = s * float(problem.max_energy()) + (1 - s) * 0.6 * problem.n
+        starts = [engine._window_start(a, b, with_flips(s - 0.02)[:, :k], exact),
+                  engine._rayleigh_ritz(a, b, exact[0], np.empty_like(exact[0]))]
+        for theta, pair in starts:
+            found, certified, products = engine._filtered_lowest(a, b, theta, pair, k, hi, problem.n)
+            assert products == 4 and certified.shape == exact.shape
+            assert np.max(np.abs(found - energies[:k])) <= 1e-12
+
+    @pytest.mark.parametrize("target, k", [pytest.param(295, 2, id="295"),
+                                           pytest.param(511, 2, id="511"),
+                                           pytest.param(511, 3, id="511-3")])
+    def test_a_sample_is_priced_before_its_first_product(self, monkeypatch, target, k):
+        # on 7 qubits the walk stops at its first interior sample, so no warm
+        # start is made and every level is a dense solve.  At k = 2 the cold
+        # Rayleigh-Ritz step prices a filter that cannot pay, and the profile
+        # spends one block's products (294 and 245 when each sample paid its
+        # own step); 511 at k = 3 pays for one filter iteration before its
+        # next one cannot pay (85 products)
         problem = select_split(target)[2]
         assert problem.n == 7
         def no_window(*args):
             raise AssertionError("warm start of a sample that cannot pay")
 
         monkeypatch.setattr(engine, "_window_start", no_window)
-        trace = gap_profile(problem, 0.6, points=51, k=2)
+        trace = gap_profile(problem, 0.6, points=51, k=k)
         size = np.count_nonzero(problem.as_array <= trace.energies[-1, -1]) + engine._GUARD
-        assert 0 < trace.products <= size
-        expected = dense_levels(problem, 0.6, trace.s_values, 2)
+        if k == 2:
+            assert 0 < trace.products <= size
+        else:
+            assert trace.products > size
+        expected = dense_levels(problem, 0.6, trace.s_values, k)
         assert np.max(np.abs(trace.energies - expected)) <= 1e-12
 
     def test_an_eight_qubit_profile_keeps_its_filtered_samples(self, monkeypatch):
@@ -949,9 +966,10 @@ class TestFilteredGapProfile:
         size = int(np.count_nonzero(problem.as_array <= second)) + engine._GUARD
         noise = np.random.default_rng(engine._NOISE_SEED).standard_normal((size - 1, problem.dim))
         block = engine._orthonormal_rows(np.vstack([initial_state(problem.n).real, noise]))
+        a, b = (1 - s) * 0.6, s * problem.as_array
         hi = s * float(problem.max_energy()) + (1 - s) * 0.6 * problem.n
-        found, _, products, _ = engine._filtered_lowest(
-            (1 - s) * 0.6, s * problem.as_array, block, 2, hi, problem.n)
+        theta, pair = engine._rayleigh_ritz(a, b, block, np.empty_like(block))
+        found, _, products = engine._filtered_lowest(a, b, theta, pair, 2, hi, problem.n)
         assert found is not None and products > 0
         assert np.max(np.abs(found - sparse_levels(problem.as_array, 0.6, s, 2))) <= 1e-10
 
@@ -1030,30 +1048,39 @@ class TestFilteredGapProfile:
 
     def test_a_sample_that_cannot_pay_is_dense(self, registers, monkeypatch):
         # the third sample's iteration is priced as on one qubit, where no
-        # filter pays: it alone is a dense solve, priced from its
-        # product-free window step so that no product is spent on it, and
-        # the samples after it carry on from the same block
+        # filter pays: the walk stops there, after its product-free window
+        # step and before any product of its own, and samples 3 to 9 are one
+        # dense stack solved after the walk
         problem = registers[323]
-        spent, solved = [], []
-        filtered, dense = engine._filtered_lowest, engine.lowest_eigenvalues
+        calls, spent = [], []
+        window_start, filtered, dense = (
+            engine._window_start, engine._filtered_lowest, engine.lowest_eigenvalues)
 
-        def third_cannot_pay(a, b, block, k, hi, n, handoff=None):
-            found = filtered(a, b, block, k, hi, 1 if len(spent) == 2 else n, handoff)
+        def spied_window(*args):
+            calls.append("window")
+            return window_start(*args)
+
+        def third_cannot_pay(a, b, theta, pair, k, hi, n):
+            calls.append("filter")
+            found = filtered(a, b, theta, pair, k, hi, 1 if len(spent) == 2 else n)
             spent.append(found[2])
             return found
 
-        def spied(hamiltonian, k):
-            solved.extend([hamiltonian.shape[-1]] * len(hamiltonian))
+        def spied_dense(hamiltonian, k):
+            calls.append(len(hamiltonian))
             return dense(hamiltonian, k)
 
+        monkeypatch.setattr(engine, "_STACK_BYTES", stack_of(problem, 7))
+        monkeypatch.setattr(engine, "_window_start", spied_window)
         monkeypatch.setattr(engine, "_filtered_lowest", third_cannot_pay)
-        monkeypatch.setattr(engine, "lowest_eigenvalues", spied)
+        monkeypatch.setattr(engine, "lowest_eigenvalues", spied_dense)
         trace = gap_profile(problem, 0.6, points=11, k=2)
-        assert solved == [problem.dim] and len(spent) == 9
+        assert calls == ["filter", "window", "filter", "window", "filter", 7]
         # every product is one stacked call over the block: 323's two
-        # zero-energy states plus the guard
-        assert spent[2] == 0 and trace.products == sum(spent)
-        assert spent[0] % (2 + engine._GUARD) == 0 and min(spent[1:2] + spent[3:]) > 0
+        # zero-energy states plus the guard, whose cold step starts the walk
+        block = 2 + engine._GUARD
+        assert spent[2] == 0 and min(spent[:2]) > 0 and spent[0] % block == 0
+        assert trace.products == block + sum(spent)
         expected = dense_levels(problem, 0.6, trace.s_values, 2)
         assert np.max(np.abs(trace.energies - expected)) <= 1e-12
 

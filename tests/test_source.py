@@ -59,6 +59,27 @@ def _absolute_imports():
                 yield f"{path.name}:{node.lineno}", name.split(".")[0]
 
 
+def test_every_imported_name_is_read():
+    # no linter runs in CI: a deletion must not leave an unused import behind.
+    # __init__.py imports to re-export, and __future__ imports set compiler flags
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert found == []
+
+
 def test_package_imports_only_stdlib_and_numpy():
     # scipy and the rest of the test extras stay out of the installed package
     allowed = set(sys.stdlib_module_names) | {"numpy"}
