@@ -47,25 +47,23 @@ Each Rayleigh-Ritz step also yields the block's flip images sum_i X_i v,
 so H(s) v = (1 - s) * g * sum_i X_i v + s * E * v is known at every s
 for the vectors already seen.  Every filtered sample starts from one
 Ritz-pair form, Ritz values over the stack of Ritz vectors and their flip
-images: the first from a real Rayleigh-Ritz step of a seeded block, each
-later one from a product-free Rayleigh-Ritz step over the k converged
-Ritz vectors of the last _WINDOW filtered samples plus the carried block
-(_window_start).  The sample filters first; its own Rayleigh-Ritz step
-with real products, after the filter, certifies every level.  An
-iteration of degree d costs p * (d + 1) products.  The walk along s is
-priced once, at the cheapest iteration (d = _MIN_DEGREE), and stops at
-the first sample whose iteration does not pay; that sample and the rest
-of the profile, every interior sample of a register of up to 6 qubits
-included, are dense eigenvalue solves, taken after the walk as stacks
-under the same _STACK_BYTES bound, one eigvalsh call (lowest_eigenvalues)
-each.  Sizes are desk scale on purpose: n is capped
-(see hamiltonian.qubit_cap).
+images: the first from a real Rayleigh-Ritz step of a block seeded by the
+stdlib generator, each later one from a product-free Rayleigh-Ritz step
+over the k converged Ritz vectors of the last _WINDOW filtered samples
+plus the carried block (_window_start).  The sample filters first; its
+own Rayleigh-Ritz step with real products, after the filter, certifies
+every level.  The walk along s stops at the first sample whose filter
+does not pay; the rest of the profile, every interior sample up to 6
+qubits included, is solved as dense stacks under the same _STACK_BYTES
+bound.  Sizes are desk scale on purpose: n is capped (see
+hamiltonian.qubit_cap).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count, islice
@@ -98,10 +96,12 @@ _STEP_OVERHEAD = 2
 # An interior sample of gap_profile (_filtered_lowest) stops when the k lowest
 # Ritz pairs have residuals of at most _RESIDUAL_TOL, and fails after
 # _MAX_ITERATIONS filtered iterations.  Its block holds _GUARD vectors more
-# than the levels at or below the k-th diagonal entry, drawn with
-# _NOISE_SEED.  A filter's degree is at least _MIN_DEGREE, which keeps the
-# QR and Rayleigh-Ritz step a small share of an iteration and every register
-# of up to 6 qubits dense (3 * 9 products outweigh 4^6 / 170).
+# than the levels at or below the k-th diagonal entry, the first block seeded
+# from _NOISE_SEED by the stdlib generator, which numpy imports (numpy.random
+# costs 19 more modules and 6.4 MiB).  A filter's degree is at least
+# _MIN_DEGREE, which keeps the QR and Rayleigh-Ritz step a small share of an
+# iteration and every register of up to 6 qubits dense (3 * 9 products
+# outweigh 4^6 / 170).
 _RESIDUAL_TOL = 1e-7
 _MAX_ITERATIONS = 100
 _GUARD = 2
@@ -502,6 +502,12 @@ def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.qr(vectors.T)[0].T)
 
 
+def _seeded_rows(rows: int, dim: int) -> np.ndarray:
+    """A (rows, dim) array of 53-bit reals in [-1/2, 1/2), drawn from _NOISE_SEED."""
+    words = np.frombuffer(random.Random(_NOISE_SEED).randbytes(8 * rows * dim), "<u8")
+    return ((words >> 11) * 2.0 ** -53 - 0.5).reshape(rows, dim)
+
+
 def _window_start(a, b, window, pair) -> tuple[np.ndarray, np.ndarray]:
     """The lowest Ritz pairs of H = a * sum_i X_i + diag(b) over a window's span plus a block's.
 
@@ -655,30 +661,17 @@ def gap_profile(
     which is why that endpoint is excluded.
 
     The endpoints are closed forms: at s = 0 the levels g * (2j - n) with
-    multiplicity C(n, j), at s = 1 the sorted diagonal.  Interior samples
-    come from one block carried from each sample to the next
-    (_filtered_lowest), on H(s) = a * sum_i X_i + diag(b) with a = (1 - s)
-    * g and b = s * E made once per sample.  Its size p is the number of
-    diagonal entries at or below the k-th smallest, which bounds the
-    multiplicity of every level among the k lowest near s = 1, plus
-    _GUARD; the first block is the mixer ground state plus p - 1 seeded
-    random vectors, whose real Rayleigh-Ritz step (_rayleigh_ritz) starts
-    the first interior sample.  From the second sample on, the start is
-    warm: the k converged Ritz vectors of each of the last _WINDOW samples
-    are kept with their images sum_i X_i v, and one Rayleigh-Ritz step of
-    H(s) over their span plus the carried block (_window_start) costs no
-    product, since H(s) v = a * sum_i X_i v + b * v.  Either start is Ritz
-    values over the stack of Ritz vectors and flip images, and the
-    Rayleigh-Ritz step after the filter certifies every level with real
-    products.  The walk is priced once, before its first product, at the
-    cheapest iteration, p * (_MIN_DEGREE + 1) products: when that costs
-    more than a dense solve (_matrix_free_pays) no block is built.
-    Otherwise the samples are filtered in s order, and the walk stops at
-    the first one whose iteration cannot pay.  The interior samples left,
-    from there on, are solved after the walk as stacks of up to
-    _stack_size(dim) matrices, one lowest_eigenvalues call each.  products
-    counts the products of one state by H(s) spent on filtered samples,
-    the one that stopped the walk included.
+    multiplicity C(n, j), at s = 1 the sorted diagonal.  The interior
+    samples walk one block along s, as the module docstring describes.  Its
+    size p is the number of diagonal entries at or below the k-th
+    smallest, which bounds the multiplicity of every level among the k
+    lowest near s = 1, plus _GUARD; the first block is the mixer ground
+    state plus p - 1 rows of _seeded_rows.  The walk is priced once,
+    before its first product, at the cheapest iteration, p * (_MIN_DEGREE
+    + 1) products: when that costs more than a dense solve
+    (_matrix_free_pays) no block is built.  products counts the products
+    of one state by H(s) spent on filtered samples, the one that stopped
+    the walk included.
 
     Raises:
         NumericalFailure: a non-finite product or level, a failed dense
@@ -700,8 +693,8 @@ def gap_profile(
     # the first interior sample left to the dense tail
     first, products = 1, 0
     if points > 2 and _matrix_free_pays(n, size * (_MIN_DEGREE + 1)):
-        noise = np.random.default_rng(_NOISE_SEED).standard_normal((size - 1, problem.dim))
-        block = _orthonormal_rows(np.vstack([initial_state(n).real, noise]))
+        block = np.vstack([initial_state(n).real, _seeded_rows(size - 1, problem.dim)])
+        block = _orthonormal_rows(block)
         # a ring of the k Ritz vectors of the last _WINDOW filtered samples, the
         # carried block's included, over their flip images
         window = np.empty((2, _WINDOW * k, problem.dim))

@@ -92,6 +92,25 @@ def test_package_does_not_import_fractions():
     assert [where for where, name in _absolute_imports() if name == "fractions"] == []
 
 
+def test_package_does_not_import_numpy_random():
+    # numpy.random loads 19 modules and 6.4 MiB into the process that first reads it;
+    # the gap walk seeds its block from the stdlib generator, which numpy imports
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[:2] in (["numpy", "random"], ["np", "random"])]
+    assert found == []
+
+
 def test_the_oracles_import_only_varid_from_the_package():
     # a reference that calls library code cannot catch that code's faults, so the
     # oracles take nothing from the package but the plain VarId type
