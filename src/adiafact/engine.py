@@ -33,8 +33,8 @@ one product O(2^n), so a dense step costs about 4^n / _DENSE_DIVISOR
 products; a Chebyshev step needs one product per term plus
 _STEP_OVERHEAD products' worth of recurrence and setup, and goes matrix-free
 when that sum is the smaller.  Registers of up to 4 qubits stay dense at
-any width, and steps too wide to pay stay dense, refused from a lower
-bound on their term count (_term_floor) before any coefficient is computed.
+any width, and steps too wide to pay stay dense, refused from r * tau, a
+lower bound on their term count, before any coefficient is computed.
 
 Spectra (gap_profile) take both endpoints from closed forms.  Their
 interior samples come from one block of p real vectors carried along s:
@@ -315,16 +315,6 @@ def _bessel_coefficients(x: float) -> np.ndarray:
     return coeffs[: np.flatnonzero(np.abs(coeffs) > _TERM_TOL)[-1] + 1]
 
 
-def _term_floor(x: float) -> float:
-    """A lower bound on the term count K of _bessel_coefficients(x).
-
-    K is 0 up to x = 2 * _TERM_TOL and at least x + 10 * x^(1/3) above it
-    (checked against scipy's jv on a grid of x up to 5000); non-finite
-    for a non-finite x.
-    """
-    return 0.0 if x <= 2 * _TERM_TOL else x + 10 * x ** (1 / 3)
-
-
 def _chebyshev_vectors(a, b, rows, centre, radius, floor=None):
     """Yield y_1, y_2, ... of the Chebyshev recurrence in X = (H - centre) / radius.
 
@@ -450,10 +440,10 @@ def run_schedule(problem: DiagonalOperator, schedule: Schedule) -> EvolutionTrac
     for step in range(1, schedule.M + 1):
         s = schedule.s_at(step)
         lo, hi = s * e_min - (1 - s) * g * n, s * e_max + (1 - s) * g * n
-        # a step too wide to pay is refused from the floor of its term count,
-        # before any coefficient is computed
+        # a step too wide to pay is refused from r * tau, a lower bound on its
+        # term count, before any coefficient is computed
         x = (hi - lo) / 2 * tau
-        coeffs = _bessel_coefficients(x) if _matrix_free_pays(n, _term_floor(x)) else None
+        coeffs = _bessel_coefficients(x) if _matrix_free_pays(n, x) else None
         chebyshev = coeffs is not None and _matrix_free_pays(n, coeffs.size - 1)
         if not chebyshev:
             dense.append(step)
@@ -558,17 +548,16 @@ def _window_start(a, b, window, pair) -> tuple[np.ndarray, np.ndarray]:
     return theta[:p], start
 
 
-def _rayleigh_ritz(a, b, block, scratch) -> tuple[np.ndarray, np.ndarray]:
+def _rayleigh_ritz(a, b, block) -> tuple[np.ndarray, np.ndarray]:
     """A Rayleigh-Ritz step of H = a * sum_i X_i + diag(b) on the block's orthonormal rows.
 
-    One product of the whole block; scratch, of its shape, is overwritten.
-    Returns the ascending Ritz values and the (2, p, dim) stack of the Ritz
-    vectors over their images sum_i X_i.
+    One product of the whole block.  Returns the ascending Ritz values and
+    the (2, p, dim) stack of the Ritz vectors over their images sum_i X_i.
 
     Raises:
         NumericalFailure: a non-finite product or a failed eigensolve.
     """
-    pair = np.empty((2,) + block.shape)
+    pair, scratch = np.empty((2,) + block.shape), np.empty(block.shape)
     pair[0] = block
     _apply_flip_sum(pair[0], pair[1], scratch)
     image = np.multiply(block, b, out=scratch)
@@ -583,21 +572,21 @@ def _rayleigh_ritz(a, b, block, scratch) -> tuple[np.ndarray, np.ndarray]:
     return theta, ritz.T @ pair
 
 
-def _filtered_lowest(
-    a, b, theta, pair, k, hi, n
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
+def _filtered_lowest(a, b, theta, pair, k) -> tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
     """The k lowest eigenvalues of H = a * sum_i X_i + diag(b) by Chebyshev-filtered subspace iteration.
 
     theta and pair are a start in _rayleigh_ritz's form: the ascending
     Ritz values of p >= k orthonormal rows and the (2, p, dim) stack of
     those rows over their images sum_i X_i, from a real Rayleigh-Ritz step
-    or from a product-free one (_window_start).  hi bounds the spectrum of
-    H from above.  An iteration is, unless the k lowest Ritz pairs have
-    residuals |H x - theta x| of at most _RESIDUAL_TOL, a Chebyshev filter
-    that damps [theta_max, hi] and QR, then a Rayleigh-Ritz step with one
-    product of the whole block (_rayleigh_ritz).  Levels are returned only
-    after such a step of this call, so a start whose residuals already
-    pass still goes through one, and real products certify every level.
+    or from a product-free one (_window_start).  The spectrum of H lies in
+    [floor, hi], b's least and largest entries less and plus the mixer's
+    widest reach a * n, n the qubits of b's 2^n entries.  An iteration is,
+    unless the k lowest Ritz pairs have residuals |H x - theta x| of at
+    most _RESIDUAL_TOL, a Chebyshev filter that damps [theta_max, hi] and
+    QR, then a Rayleigh-Ritz step with one product of the whole block
+    (_rayleigh_ritz).  Levels are returned only after such a step of this
+    call, so a start whose residuals already pass still goes through one,
+    and real products certify every level.
     The degree is the one whose gain on the k-th level over theta_max,
     about e^(2 d / sqrt(ratio)) with ratio = (hi - theta_max) / (theta_max
     - theta_(k-1)), carries the residual one e-fold below the tolerance,
@@ -613,9 +602,8 @@ def _filtered_lowest(
         NumericalFailure: a non-finite product, a failed eigensolve, or no
             convergence within _MAX_ITERATIONS iterations.
     """
-    p, products = pair.shape[1], 0
-    # b's least entry less the mixer's widest reach bounds the spectrum from below
-    floor, scratch = float(b.min()) - a * n, np.empty(pair.shape[1:])
+    p, products, n = pair.shape[1], 0, b.size.bit_length() - 1
+    floor, hi = float(b.min()) - a * n, float(b.max()) + a * n
     for iteration in range(_MAX_ITERATIONS):
         block, flips = pair
         residual = np.linalg.norm(a * flips[:k] + (b - theta[:k, None]) * block[:k], axis=1).max()
@@ -646,7 +634,7 @@ def _filtered_lowest(
             block = _orthonormal_rows(next(islice(
                 _chebyshev_vectors(a, b, block, centre, radius, floor), last - 1, None)))
             products += p * last
-        theta, pair = _rayleigh_ritz(a, b, block, scratch)
+        theta, pair = _rayleigh_ritz(a, b, block)
         products += p
     raise NumericalFailure(f"filtered subspace did not converge within {_MAX_ITERATIONS} iterations")
 
@@ -698,19 +686,17 @@ def gap_profile(
         # a ring of the k Ritz vectors of the last _WINDOW filtered samples, the
         # carried block's included, over their flip images
         window = np.empty((2, _WINDOW * k, problem.dim))
-        e_max = float(problem.max_energy())
         while first < points - 1:
             s = s_values[first]
             a, b = (1 - s) * g, s * problem.as_array
             if first == 1:
-                theta, pair = _rayleigh_ritz(a, b, block, np.empty_like(block))
+                theta, pair = _rayleigh_ritz(a, b, block)
                 products += size
             else:
                 slot = (first - 2) % _WINDOW * k
                 window[:, slot:slot + k] = pair[:, :k]
                 theta, pair = _window_start(a, b, window[:, :min(first - 1, _WINDOW) * k], pair)
-            hi = s * e_max + (1 - s) * g * n
-            found, pair, spent = _filtered_lowest(a, b, theta, pair, k, hi, n)
+            found, pair, spent = _filtered_lowest(a, b, theta, pair, k)
             products += spent
             if found is None:
                 break

@@ -35,7 +35,6 @@ from adiafact.engine import (
     _chebyshev_step,
     _chebyshev_vectors,
     _matrix_free_pays,
-    _term_floor,
 )
 from adiafact.hamiltonian import _FlipSum, _apply_flip_sum
 
@@ -361,28 +360,27 @@ class TestMatrixFreeSteps:
         # the expansion stops where the coefficients fall below roundoff
         assert abs(coeffs[-1]) > engine._TERM_TOL
         assert np.all(np.abs(jv(np.arange(coeffs.size, coeffs.size + 40), x)) <= 1e-15)
-        # at least r * tau terms, and at least the floor run_schedule refuses
-        # wide steps by
+        # at least r * tau terms, the bound run_schedule refuses wide steps by
         assert coeffs.size - 1 >= x
-        assert coeffs.size - 1 >= _term_floor(x)
         if x == 0.0:
             assert coeffs.tolist() == [1.0]
 
     def test_term_floor_is_a_lower_bound_on_the_term_count(self):
-        # the expansion runs to the last order above _TERM_TOL, so an order
-        # at or past the floor that scipy's jv still finds above it proves
-        # the floor on a dense grid of x up to 5000
+        # run_schedule refuses a step from x = r * tau alone: the expansion
+        # runs to the last order above _TERM_TOL, so an order at or past x
+        # that scipy's jv still finds above it proves x a lower bound on the
+        # term count, on a dense grid of x up to 5000
         x = np.concatenate([np.geomspace(3e-16, 1, 2000), np.linspace(1, 5000, 9401)[1:]])
-        floors = np.array([_term_floor(value) for value in x])
-        assert np.all(np.abs(jv(np.ceil(floors), x)) > engine._TERM_TOL)
+        assert np.all(np.abs(jv(np.ceil(x), x)) > engine._TERM_TOL)
         # the recurrence's own term count, on a coarser grid
         for value in x[::38]:
-            assert _bessel_coefficients(value).size - 1 >= _term_floor(value)
-        # below 2 * _TERM_TOL the expansion is the single term J_0 = 1
+            assert _bessel_coefficients(value).size - 1 >= value
+        # below 2 * _TERM_TOL the expansion is the single term J_0 = 1, and a
+        # width that small prices as none
         for value in (0.0, 1e-17, 2 * engine._TERM_TOL):
-            assert _term_floor(value) == 0 and _bessel_coefficients(value).size == 1
-        for value in (float("inf"), float("nan")):
-            assert not math.isfinite(_term_floor(value))
+            assert _bessel_coefficients(value).size == 1
+            for n in range(1, 21):
+                assert _matrix_free_pays(n, value) == _matrix_free_pays(n, 0)
 
     def test_small_registers_keep_the_dense_path(self):
         # every register of sweep-small and 143, whatever the schedule
@@ -548,13 +546,12 @@ class TestMatrixFreeSteps:
         assert len(calls) == Schedule().M == 20
         assert trace.products == sum(_bessel_coefficients(x).size - 1 for x in calls)
 
-    @pytest.mark.parametrize("target, recurrences", [(77, 4), (119, 0)])
+    @pytest.mark.parametrize("target, recurrences", [(77, 20), (119, 6)])
     def test_steps_that_cannot_pay_skip_the_recurrence(self, registers, monkeypatch, target,
                                                        recurrences):
         # every step of both registers runs dense at the default schedule;
-        # the term-count floor refuses all but 77's first four before the
-        # recurrence, where r * tau alone let through all 20 steps of 77
-        # and 6 of 119
+        # r * tau lets all 20 steps of 77 and 6 of 119 through to the
+        # recurrence, whose term count then refuses them
         calls = []
 
         def counted(x):
@@ -868,7 +865,7 @@ class TestFilteredGapProfile:
         def compared(a, b, window, pair):
             theta, start = window_start(a, b, window, pair)
             block, flips = start
-            real, _ = engine._rayleigh_ritz(a, b, block, np.empty_like(block))
+            real, _ = engine._rayleigh_ritz(a, b, block)
             assert np.max(np.abs(theta - real)) <= 1e-10
             images = np.empty_like(block)
             _apply_flip_sum(block, images, np.empty_like(block))
@@ -897,11 +894,10 @@ class TestFilteredGapProfile:
 
         energies = np.linalg.eigvalsh(interpolated_hamiltonian(s, 0.6, problem))
         exact = with_flips(s)
-        hi = s * float(problem.max_energy()) + (1 - s) * 0.6 * problem.n
         starts = [engine._window_start(a, b, with_flips(s - 0.02)[:, :k], exact),
-                  engine._rayleigh_ritz(a, b, exact[0], np.empty_like(exact[0]))]
+                  engine._rayleigh_ritz(a, b, exact[0])]
         for theta, pair in starts:
-            found, certified, products = engine._filtered_lowest(a, b, theta, pair, k, hi, problem.n)
+            found, certified, products = engine._filtered_lowest(a, b, theta, pair, k)
             assert products == 4 and certified.shape == exact.shape
             assert np.max(np.abs(found - energies[:k])) <= 1e-12
 
@@ -968,9 +964,8 @@ class TestFilteredGapProfile:
         seeded = engine._seeded_rows(size - 1, problem.dim)
         block = engine._orthonormal_rows(np.vstack([initial_state(problem.n).real, seeded]))
         a, b = (1 - s) * 0.6, s * problem.as_array
-        hi = s * float(problem.max_energy()) + (1 - s) * 0.6 * problem.n
-        theta, pair = engine._rayleigh_ritz(a, b, block, np.empty_like(block))
-        found, _, products = engine._filtered_lowest(a, b, theta, pair, 2, hi, problem.n)
+        theta, pair = engine._rayleigh_ritz(a, b, block)
+        found, _, products = engine._filtered_lowest(a, b, theta, pair, 2)
         assert found is not None and products > 0
         assert np.max(np.abs(found - sparse_levels(problem.as_array, 0.6, s, 2))) <= 1e-10
 
@@ -1070,10 +1065,10 @@ class TestFilteredGapProfile:
         assert np.max(np.abs(filtered.energies - expected)) <= 1e-9
 
     def test_a_sample_that_cannot_pay_is_dense(self, registers, monkeypatch):
-        # the third sample's iteration is priced as on one qubit, where no
-        # filter pays: the walk stops there, after its product-free window
-        # step and before any product of its own, and samples 3 to 9 are one
-        # dense stack solved after the walk
+        # the third sample's iteration is priced as one that cannot pay: the
+        # walk stops there, after its product-free window step and before
+        # any product of its own, and samples 3 to 9 are one dense stack
+        # solved after the walk
         problem = registers[323]
         calls, spent = [], []
         window_start, filtered, dense = (
@@ -1083,9 +1078,12 @@ class TestFilteredGapProfile:
             calls.append("window")
             return window_start(*args)
 
-        def third_cannot_pay(a, b, theta, pair, k, hi, n):
+        def third_cannot_pay(a, b, theta, pair, k):
             calls.append("filter")
-            found = filtered(a, b, theta, pair, k, hi, 1 if len(spent) == 2 else n)
+            with monkeypatch.context() as patched:
+                if len(spent) == 2:
+                    patched.setattr(engine, "_matrix_free_pays", lambda n, products: False)
+                found = filtered(a, b, theta, pair, k)
             spent.append(found[2])
             return found
 

@@ -80,6 +80,37 @@ def test_every_imported_name_is_read():
     assert found == []
 
 
+def test_every_private_module_name_is_read():
+    # a private helper or constant left behind by a deletion is dead code; a
+    # name counts as read where a module loads it, takes it as an attribute
+    # or imports it by name
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {defined_name}" for defined_name in defined
+                      if defined_name.startswith("_") and not defined_name.startswith("__")
+                      and defined_name not in read]
+    assert found == []
+
+
 def test_package_imports_only_stdlib_and_numpy():
     # scipy and the rest of the test extras stay out of the installed package
     allowed = set(sys.stdlib_module_names) | {"numpy"}
